@@ -16,7 +16,6 @@ from .diagram import (
     PureDiagram,
     TranslationTemplate,
     column_sums,
-    instantiate_template,
     parse_table,
     pure_diagram,
     render_table,
@@ -54,7 +53,6 @@ from .stability import (
     StabilityReport,
     combinatorial_signature,
     compare_reference,
-    fit_column_sums,
     match_templates,
     path6_reference,
     scan_powers,

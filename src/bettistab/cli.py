@@ -3,18 +3,15 @@
 Subcommands: formula, oracle, decompose, polytope, scan, verify-paper.
 Results go to stdout (JSON unless --table), logs to stderr.  Exit codes:
 0 success, 1 domain error (with a machine-readable error object on stdout),
-2 usage error.  BETTI_THREADS sets the default worker count; --threads
-overrides it.
+2 usage error.  Every subcommand runs in a single thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .decomposition import (
     build_polytope,
@@ -29,21 +26,6 @@ from .koszul_oracle import betti_oracle
 from .monomial_ideal import MonomialIdeal, parse_ideal, power
 from .path_formula import path_diagram, path_ideal
 from .stability import compare_reference, path6_reference, scan_powers
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    options: dict
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("BETTI_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 1
-    return max(value, 1)
 
 
 def _log(message: str) -> None:
@@ -124,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-vars", type=int, help="variable count for text input")
     p.add_argument("--degree-bound", type=int, help="truncate at this total degree")
     p.add_argument("--no-filter", action="store_true", help="disable the lcm pruning")
-    p.add_argument("--threads", type=int, help="worker threads")
 
     p = sub.add_parser("decompose", help="greedy decomposition of a diagram")
     p.add_argument("--diagram", required=True, help="diagram JSON file")
@@ -141,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", action="store_true", help="use the path closed form")
     p.add_argument("--fit-deg", default="3,3", help="trajectory fit degrees 'N,D'")
     p.add_argument("--json", metavar="OUT", help="write the report to this file")
-    p.add_argument("--threads", type=int, help="worker threads")
 
     p = sub.add_parser(
         "verify-paper",
@@ -155,76 +135,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    opts = config.options
-    threads = opts.get("threads") or _default_threads()
-
-    if config.subcommand == "formula":
-        diagram = path_diagram(opts["n"], opts["k"])
-        if opts.get("table"):
+def run(args: argparse.Namespace) -> int:
+    if args.subcommand == "formula":
+        diagram = path_diagram(args.n, args.k)
+        if args.table:
             print(render_table(diagram))
         else:
             _emit_json(diagram.to_json_dict())
         return 0
 
-    if config.subcommand == "oracle":
-        ideal = _load_ideal(opts["ideal"], opts.get("num_vars"))
-        if opts["power"] > 1:
-            ideal = power(ideal, opts["power"])
-        elif opts["power"] < 1:
+    if args.subcommand == "oracle":
+        ideal = _load_ideal(args.ideal, args.num_vars)
+        if args.power > 1:
+            ideal = power(ideal, args.power)
+        elif args.power < 1:
             raise InputError("--power must be >= 1")
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
         diagram = betti_oracle(
-            ideal,
-            degree_bound=opts.get("degree_bound"),
-            use_lcm_filter=not opts.get("no_filter", False),
-            threads=threads,
+            ideal, degree_bound=args.degree_bound, use_lcm_filter=not args.no_filter
         )
         _emit_json(diagram.to_json_dict())
         return 0
 
-    if config.subcommand == "decompose":
-        diagram = _load_diagram(opts["diagram"])
+    if args.subcommand == "decompose":
+        diagram = _load_diagram(args.diagram)
         _emit_json(greedy_decompose(diagram).to_json_dict())
         return 0
 
-    if config.subcommand == "polytope":
-        diagram = _load_diagram(opts["diagram"])
+    if args.subcommand == "polytope":
+        diagram = _load_diagram(args.diagram)
         polytope = enumerate_vertices(
             build_polytope(diagram, candidate_degree_sequences(diagram))
         )
-        if opts.get("prune"):
+        if args.prune:
             polytope = prune(polytope)
         _emit_json(polytope.to_json_dict())
         return 0
 
-    if config.subcommand == "scan":
-        ideal = _load_ideal(opts["ideal"], opts.get("num_vars"))
-        fit_num, fit_den = _parse_fit_deg(opts.get("fit_deg", "3,3"))
+    if args.subcommand == "scan":
+        ideal = _load_ideal(args.ideal, args.num_vars)
+        fit_num, fit_den = _parse_fit_deg(args.fit_deg)
         report = scan_powers(
             ideal,
-            opts["kmin"],
-            opts["kmax"],
-            use_formula=opts.get("formula", False),
+            args.kmin,
+            args.kmax,
+            use_formula=args.formula,
             fit_num_deg=fit_num,
             fit_den_deg=fit_den,
-            threads=threads,
         )
         _log(
             "scan done: "
             + ("stable window %s..%s" % report.window if report.window else "not stabilized in range")
         )
-        _emit_json(report.to_json_dict(), opts.get("json"))
+        _emit_json(report.to_json_dict(), args.json)
         return 0
 
-    if config.subcommand == "verify-paper":
-        if opts["n"] != 6:
+    if args.subcommand == "verify-paper":
+        if args.n != 6:
             raise InputError("the built-in reference family covers n = 6 only")
-        if opts["kmin"] < 4:
+        if args.kmin < 4:
             raise InputError("reference comparison needs kmin >= 4")
-        report = scan_powers(
-            path_ideal(6), opts["kmin"], opts["kmax"], use_formula=True
-        )
+        report = scan_powers(path_ideal(6), args.kmin, args.kmax, use_formula=True)
         record = compare_reference(report, path6_reference())
         _log(
             "zero patterns match: %s; reconstruction ok: %s"
@@ -233,7 +204,7 @@ def run(config: RunConfig) -> int:
         _emit_json(record)
         return 0
 
-    raise InputError(f"unknown subcommand {config.subcommand!r}")
+    raise InputError(f"unknown subcommand {args.subcommand!r}")
 
 
 def main(argv=None) -> int:
@@ -242,10 +213,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    options = {k: v for k, v in vars(args).items() if k != "subcommand"}
-    config = RunConfig(subcommand=args.subcommand, options=options)
     try:
-        return run(config)
+        return run(args)
     except BettiStabError as exc:
         _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

@@ -31,10 +31,6 @@ class Decomposition:
 
     terms: tuple  # of (weight: Fraction, degrees: tuple[int, ...])
 
-    def weight_for(self, degrees) -> Fraction:
-        d = tuple(degrees)
-        return next((w for w, s in self.terms if s == d), Fraction(0))
-
     def to_json_dict(self) -> dict:
         return {
             "terms": [

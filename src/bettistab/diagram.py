@@ -162,10 +162,6 @@ class TranslationTemplate:
         return check_degrees(degrees)
 
 
-def instantiate_template(template: TranslationTemplate, k: int) -> tuple:
-    return template.instantiate(k)
-
-
 # ---------------------------------------------------------------------------
 # Pretty table rendering (display rows are j - i)
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ This module supplies the shared numeric machinery:
 
 * `binom` -- binomial coefficients with a fixed out-of-range convention,
 * `solve_exact` / `matrix_rank` -- fraction-free Gaussian elimination,
-* integer polynomials as coefficient tuples (lowest degree first),
-* `fit_rational_function` / `fit_polynomial` -- exact interpolation.
+* integer polynomials as coefficient tuples (lowest degree first):
+  evaluation, product, division and primitive gcd,
+* `fit_rational_function` -- exact rational interpolation, with
+  `fit_polynomial` as its denominator-degree-0 case.
 
 Serialized forms: a rational is the string "num/den" ("n" when integral);
 a polynomial is its coefficient list, lowest degree first, with no trailing
@@ -178,21 +180,6 @@ def poly_eval(p, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_add(p, q) -> tuple:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(p, s) -> tuple:
-    if s == 0:
-        return ()
-    return poly_trim([c * s for c in p])
 
 
 def poly_mul(p, q) -> tuple:

@@ -21,12 +21,12 @@ the exponent vectors bounded componentwise by the lcm of the generators
 (Betti multidegrees of a monomial ideal lie in its lcm lattice); a cheap
 necessary condition prunes further: every positive coordinate of a must be
 attained by some generator dividing x^a.  The `use_lcm_filter` flag exists
-so audits can rerun without the pruning.
+so audits can rerun without the pruning.  Candidates are visited once, in
+lexicographic order, in a single thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
 from .diagram import BettiDiagram
@@ -105,7 +105,6 @@ def betti_oracle(
     ideal: MonomialIdeal,
     degree_bound: int | None = None,
     use_lcm_filter: bool = True,
-    threads: int = 1,
 ) -> BettiDiagram:
     """Graded Betti diagram of S/I, complete up to the degree bound.
 
@@ -116,26 +115,12 @@ def betti_oracle(
     cap = ideal.exponent_lcm()
     bound = sum(cap) if degree_bound is None else int(degree_bound)
 
-    candidates = [
-        a
-        for a in product(*(range(c + 1) for c in cap))
-        if sum(a) <= bound and (not use_lcm_filter or _attained_everywhere(ideal, a))
-    ]
-    candidates.sort()
-
-    def job(a):
-        return a, strand_homology(ideal, a)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, candidates))
-    else:
-        results = [job(a) for a in candidates]
-
     totals = {}
-    for a, hs in results:
+    for a in product(*(range(c + 1) for c in cap)):
         d = sum(a)
-        for i, h in enumerate(hs):
+        if d > bound or (use_lcm_filter and not _attained_everywhere(ideal, a)):
+            continue
+        for i, h in enumerate(strand_homology(ideal, a)):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h
     return BettiDiagram(totals)

@@ -17,6 +17,11 @@ denominator degrees (dn, dd) is pinned down by dn+dd+1 points), the final
 sample joins the fit; interpolating more than dn+dd points determines the
 same unique function the held-out check would have confirmed.
 
+Column sums (total Betti numbers per homological index) go through the same
+fitter as polynomials: denominator degree 0 and numerator degree at most
+w - 2 over a window of w samples, so every column-sum fit is checked against
+the held-out last sample.
+
 `compare_reference` reports, per vertex coordinate, whether the fitted
 trajectory equals a reference closed form exactly and whether the two agree
 up to a constant factor over the window, plus per-vertex zero-pattern
@@ -42,7 +47,6 @@ from .diagram import BettiDiagram, TranslationTemplate, column_sums
 from .errors import InputError, NotEquigeneratedError, StabilityError
 from .exact_arith import (
     RationalFunctionFit,
-    fit_polynomial,
     fit_rational_function,
     format_rational,
     poly_mul,
@@ -289,40 +293,6 @@ def _fit_trajectory(samples, deg_num_max: int, deg_den_max: int):
     return None, False
 
 
-def _fit_window_column_sums(window_records):
-    """Kodiyalam check: exact polynomial fits of total Betti numbers."""
-    ncols = max(len(column_sums(r.diagram)) for r in window_records)
-    fits = []
-    for c in range(ncols):
-        samples = []
-        for r in window_records:
-            sums = column_sums(r.diagram)
-            samples.append((r.k, sums[c] if c < len(sums) else Fraction(0)))
-        fit_set, holdout = samples[:-1], samples[-1]
-        found = None
-        # window of w samples supports degrees up to w - 2 (one held out)
-        for deg in range(len(fit_set)):
-            fit = fit_polynomial(fit_set, deg)
-            if fit is not None:
-                try:
-                    if fit.evaluate(holdout[0]) == holdout[1]:
-                        found = fit
-                        break
-                except ZeroDivisionError:
-                    pass
-        fits.append(found)
-    return tuple(fits)
-
-
-def fit_column_sums(report: StabilityReport) -> tuple:
-    """Recompute the per-column polynomial fits over the report's window."""
-    if report.window is None:
-        raise StabilityError("no stable window: column sums not fitted")
-    first, last = report.window
-    window_records = [r for r in report.records if first <= r.k <= last]
-    return _fit_window_column_sums(window_records)
-
-
 def scan_powers(
     ideal: MonomialIdeal,
     k_min: int,
@@ -330,8 +300,6 @@ def scan_powers(
     use_formula: bool = False,
     fit_num_deg: int = 3,
     fit_den_deg: int = 3,
-    degree_bound: int | None = None,
-    threads: int = 1,
 ) -> StabilityReport:
     """Full stabilization scan over powers k_min .. k_max."""
     ok, _ = is_equigenerated(ideal)
@@ -354,9 +322,7 @@ def scan_powers(
         if use_formula:
             diagram = path_diagram(n, k)
         else:
-            diagram = betti_oracle(
-                power(ideal, k), degree_bound=degree_bound, threads=threads
-            )
+            diagram = betti_oracle(power(ideal, k))
         polytope = prune(
             enumerate_vertices(build_polytope(diagram, candidate_degree_sequences(diagram)))
         )
@@ -393,7 +359,17 @@ def scan_powers(
                 fit, validated = _fit_trajectory(samples, fit_num_deg, fit_den_deg)
                 fits.append(TrajectoryFit(label, c, fit, validated))
         trajectories = tuple(fits)
-        column_fits = _fit_window_column_sums(window_records)
+        # Kodiyalam check: total Betti numbers are polynomial in k.
+        sums = [column_sums(r.diagram) for r in window_records]
+        fits = []
+        for c in range(max(len(s) for s in sums)):
+            samples = [
+                (r.k, s[c] if c < len(s) else Fraction(0))
+                for r, s in zip(window_records, sums)
+            ]
+            fit, _ = _fit_trajectory(samples, len(samples) - 2, 0)
+            fits.append(fit)
+        column_fits = tuple(fits)
 
     verdict = {
         "stabilized_in_range": window is not None,

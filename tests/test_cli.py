@@ -45,15 +45,6 @@ def test_oracle_json_ideal_with_power(tmp_path, capsys):
     assert BettiDiagram.from_json_dict(json.loads(out)) == path_diagram(3, 2)
 
 
-def test_oracle_threads_agree(tmp_path, capsys, monkeypatch):
-    ideal_file = tmp_path / "ideal.txt"
-    ideal_file.write_text("x1*x2, x2*x3, x3*x4, x4*x5", encoding="utf-8")
-    _, single, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", "2")
-    monkeypatch.setenv("BETTI_THREADS", "3")
-    _, threaded, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", "2")
-    assert single == threaded
-
-
 def test_decompose_round_trip(tmp_path, capsys):
     diagram_file = tmp_path / "diagram.json"
     diagram_file.write_text(json.dumps(path_diagram(5, 1).to_json_dict()), encoding="utf-8")

@@ -7,7 +7,6 @@ from bettistab.diagram import (
     BettiDiagram,
     TranslationTemplate,
     column_sums,
-    instantiate_template,
     parse_table,
     pure_diagram,
     render_table,
@@ -74,7 +73,7 @@ def test_integral_rescaling():
 
 def test_instantiate_examples():
     pi1 = TranslationTemplate(((0, 0), (2, 0), (2, 1), (2, 2)), 1)
-    assert instantiate_template(pi1, 4) == (0, 8, 9, 10)
+    assert pi1.instantiate(4) == (0, 8, 9, 10)
     pi8 = TranslationTemplate(((0, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4)), 1)
     assert pi8.instantiate(4) == (0, 8, 9, 10, 11, 12)
     constant = TranslationTemplate(((0, 0), (0, 2), (0, 3)), 1)

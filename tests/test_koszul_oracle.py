@@ -60,11 +60,6 @@ def test_oracle_is_cyclic():
         assert validate_cyclic(betti_oracle(power(path_ideal(n), k)))
 
 
-def test_oracle_threads_deterministic():
-    ideal = power(path_ideal(5), 2)
-    assert betti_oracle(ideal, threads=3) == betti_oracle(ideal)
-
-
 small_ideals = st.builds(
     lambda gens: make_ideal(3, gens),
     st.lists(

@@ -10,7 +10,7 @@ from bettistab.decomposition import (
     enumerate_vertices,
     prune,
 )
-from bettistab.diagram import TranslationTemplate
+from bettistab.diagram import TranslationTemplate, column_sums
 from bettistab.errors import NotEquigeneratedError, StabilityError
 from bettistab.exact_arith import RationalFunctionFit
 from bettistab.monomial_ideal import make_ideal
@@ -18,7 +18,6 @@ from bettistab.path_formula import path_diagram, path_ideal
 from bettistab.stability import (
     combinatorial_signature,
     compare_reference,
-    fit_column_sums,
     match_templates,
     path6_reference,
     scan_powers,
@@ -167,8 +166,8 @@ def test_scan_without_stable_window():
     assert report.k0 is None
     assert not report.verdict["stabilized_in_range"]
     assert report.templates is None
-    with pytest.raises(StabilityError):
-        fit_column_sums(report)
+    assert report.column_sum_fits == ()
+    assert report.verdict["all_column_sums_fit"] is False
 
 
 def test_scan_linear_powers_single_points():
@@ -186,7 +185,13 @@ def test_column_sum_fits(path6_report):
     assert fits[0] == RationalFunctionFit((1,), (1,))
     assert fits[1] == RationalFunctionFit((24, 50, 35, 10, 1), (24,))
     assert fits[5] == RationalFunctionFit((0, -6, 11, -6, 1), (24,))
-    assert fit_column_sums(path6_report) == fits
+    first, last = path6_report.window
+    for record in path6_report.records:
+        if not first <= record.k <= last:
+            continue
+        sums = column_sums(record.diagram)
+        for c, fit in enumerate(fits):
+            assert fit.evaluate(record.k) == (sums[c] if c < len(sums) else 0)
 
 
 def test_reference_family_constants():
