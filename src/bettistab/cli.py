@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=1, help="power of the ideal")
     p.add_argument("--num-vars", type=int, help="variable count for text input")
     p.add_argument("--degree-bound", type=int, help="truncate at this total degree")
-    p.add_argument("--no-filter", action="store_true", help="disable the lcm pruning")
 
     p = sub.add_parser("decompose", help="greedy decomposition of a diagram")
     p.add_argument("--diagram", required=True, help="diagram JSON file")
@@ -151,9 +150,7 @@ def run(args: argparse.Namespace) -> int:
         elif args.power < 1:
             raise InputError("--power must be >= 1")
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
-        diagram = betti_oracle(
-            ideal, degree_bound=args.degree_bound, use_lcm_filter=not args.no_filter
-        )
+        diagram = betti_oracle(ideal, degree_bound=args.degree_bound)
         _emit_json(diagram.to_json_dict())
         return 0
 

@@ -63,13 +63,15 @@ def format_rational(value: Fraction) -> str:
 
 
 def _integer_rows(matrix, rhs):
-    """Clear denominators row by row, returning integer augmented rows."""
+    """Clear denominators row by row; entries must be ints or Fractions."""
     rows = []
-    for i, row in enumerate(matrix):
-        frs = [Fraction(x) for x in row]
-        frs.append(Fraction(rhs[i]) if rhs is not None else Fraction(0))
-        scale = math.lcm(*(f.denominator for f in frs)) if frs else 1
-        rows.append([int(f * scale) for f in frs])
+    try:
+        for i, row in enumerate(matrix):
+            entries = [*row, rhs[i] if rhs is not None else 0]
+            scale = math.lcm(*(x.denominator for x in entries))
+            rows.append([x.numerator * (scale // x.denominator) for x in entries])
+    except AttributeError as exc:
+        raise InputError(f"matrix entries must be rational: {exc}") from exc
     return rows
 
 

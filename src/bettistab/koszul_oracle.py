@@ -5,8 +5,12 @@ the Koszul complex tensored with S/I has, in homological degree i, one
 basis element per subset sigma of {1..n} with |sigma| = i such that
 a - e_sigma is nonnegative and x^(a - e_sigma) lies outside I (the quotient
 has a monomial basis, so each summand is either one-dimensional or zero).
-The differential sends sigma to the signed sum of its facets that survive
-the same test:
+These subsets are read off the upper Koszul simplicial complex K^a(I)
+(Miller & Sturmfels, Combinatorial Commutative Algebra, Thm 1.34): a
+generator g dividing x^a divides x^(a - e_sigma) iff sigma misses its tight
+set {t : g_t = a_t}, so sigma survives iff it lies in supp(a) and meets
+every tight set.  The differential sends sigma to the signed sum of its
+surviving facets:
 
     d(sigma) = sum_{l in sigma} (-1)^{#{t in sigma : t < l}} (sigma - {l})
 
@@ -18,48 +22,44 @@ in degree i equals the multigraded Betti number of the quotient,
 computed here by exact integer rank.  Aggregating dim H_i into (i, |a|) over
 all candidate multidegrees yields the graded Betti diagram.  Candidates are
 the exponent vectors bounded componentwise by the lcm of the generators
-(Betti multidegrees of a monomial ideal lie in its lcm lattice); a cheap
-necessary condition prunes further: every positive coordinate of a must be
-attained by some generator dividing x^a.  The `use_lcm_filter` flag exists
-so audits can rerun without the pruning.  Candidates are visited once, in
+(Betti multidegrees of a monomial ideal lie in its lcm lattice) whose
+support the tight sets cover: every positive coordinate of a must be
+attained by some generator dividing x^a.  Candidates are visited once, in
 lexicographic order, in a single thread.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import le
 
 from .diagram import BettiDiagram
 from .errors import InputError
 from .exact_arith import matrix_rank
-from .monomial_ideal import MonomialIdeal, monomial_divides
+from .monomial_ideal import MonomialIdeal
+
+
+def _tight_masks(ideal: MonomialIdeal, a) -> list:
+    """Bitmask {t : g_t = a_t} of each generator g dividing x^a."""
+    return [
+        sum(1 << t for t, (gt, at) in enumerate(zip(g, a)) if gt == at)
+        for g in ideal.generators
+        if all(map(le, g, a))
+    ]
 
 
 def _strand_bases(ideal: MonomialIdeal, a):
     """Per homological degree, the surviving subsets sigma (sorted tuples)."""
-    n = ideal.num_vars
-    outside = {}
-
-    def survives(b):
-        if b not in outside:
-            outside[b] = not ideal.contains(b)
-        return outside[b]
-
-    bases = []
-    for i in range(n + 1):
-        level = []
-        for sigma in combinations(range(n), i):
-            b = list(a)
-            ok = True
-            for t in sigma:
-                b[t] -= 1
-                if b[t] < 0:
-                    ok = False
-                    break
-            if ok and survives(tuple(b)):
-                level.append(sigma)
-        bases.append(level)
-    return bases
+    masks = _tight_masks(ideal, a)
+    support = [t for t, at in enumerate(a) if at > 0]
+    return [
+        [
+            sigma
+            for sigma in combinations(support, i)
+            if all(any(m >> t & 1 for t in sigma) for m in masks)
+        ]
+        for i in range(ideal.num_vars + 1)
+    ]
 
 
 def _boundary_matrix(target, source):
@@ -93,19 +93,13 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
 
 def _attained_everywhere(ideal: MonomialIdeal, a) -> bool:
     """Every positive coordinate of a is hit exactly by a dividing generator."""
-    for t, at in enumerate(a):
-        if at == 0:
-            continue
-        if not any(g[t] == at and monomial_divides(g, a) for g in ideal.generators):
-            return False
-    return True
+    covered = 0
+    for m in _tight_masks(ideal, a):
+        covered |= m
+    return all(covered >> t & 1 for t, at in enumerate(a) if at > 0)
 
 
-def betti_oracle(
-    ideal: MonomialIdeal,
-    degree_bound: int | None = None,
-    use_lcm_filter: bool = True,
-) -> BettiDiagram:
+def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
     """Graded Betti diagram of S/I, complete up to the degree bound.
 
     The default bound (total degree of the generators' lcm) never truncates,
@@ -118,7 +112,7 @@ def betti_oracle(
     totals = {}
     for a in product(*(range(c + 1) for c in cap)):
         d = sum(a)
-        if d > bound or (use_lcm_filter and not _attained_everywhere(ideal, a)):
+        if d > bound or not _attained_everywhere(ideal, a):
             continue
         for i, h in enumerate(strand_homology(ideal, a)):
             if h:

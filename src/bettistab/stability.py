@@ -113,7 +113,7 @@ class StabilityReport:
     k_max: int
     use_formula: bool
     records: tuple  # PerPowerRecord per k
-    k0: int | None
+    k0: int | None  # last k before the window; None if it starts at k_min
     window: tuple | None  # (first stable k, k_max)
     templates: tuple | None  # TranslationTemplate per pruned coordinate
     vertex_labels: tuple
@@ -346,7 +346,8 @@ def scan_powers(
     if stable_len >= 3:
         window_records = records[start:]
         window = (window_records[0].k, k_max)
-        k0 = window[0] - 1
+        if start > 0:
+            k0 = window[0] - 1
         templates = match_templates(
             [(r.k, r.polytope.candidates) for r in window_records]
         )

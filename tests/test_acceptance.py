@@ -27,7 +27,7 @@ from bettistab.stability import compare_reference, path6_reference, scan_powers
 
 AC2_PAIRS = [
     (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
-    (5, 1), (5, 2), (6, 1), (6, 2),
+    (5, 1), (5, 2), (6, 1), (6, 2), (6, 4), (7, 3), (8, 2),
 ]
 
 

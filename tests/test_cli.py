@@ -165,3 +165,4 @@ def test_missing_file_is_domain_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["formula", "--n", "6"]) == 2
     assert main([]) == 2
+    assert main(["oracle", "--ideal", "ideal.txt", "--no-filter"]) == 2

@@ -88,6 +88,13 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def test_float_entries_are_rejected():
+    with pytest.raises(InputError):
+        matrix_rank([[Fraction(1, 2), 0.5]])
+    with pytest.raises(InputError):
+        solve_exact([[1, 2]], [0.5])
+
+
 @given(matrices, st.data())
 @settings(max_examples=120, deadline=None)
 def test_solve_exactness_properties(matrix, data):

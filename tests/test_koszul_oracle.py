@@ -1,8 +1,9 @@
 import random
+from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
-from bettistab.diagram import validate_cyclic
+from bettistab.diagram import BettiDiagram, validate_cyclic
 from bettistab.koszul_oracle import (
     _boundary_matrix,
     _strand_bases,
@@ -107,6 +108,16 @@ def test_strand_euler_characteristic(ideal, a):
     assert chi_basis == chi_homology
 
 
+def _unfiltered_oracle(ideal):
+    """Reference diagram: strand homology summed over the whole lcm box."""
+    totals = {}
+    for a in product(*(range(c + 1) for c in ideal.exponent_lcm())):
+        for i, h in enumerate(strand_homology(ideal, a)):
+            if h:
+                totals[(i, sum(a))] = totals.get((i, sum(a)), 0) + h
+    return BettiDiagram(totals)
+
+
 def test_filter_audit_agreement():
     rng = random.Random(7)
     for _ in range(10):
@@ -116,10 +127,46 @@ def test_filter_audit_agreement():
             if any(g):
                 gens.add(g)
         ideal = make_ideal(3, gens)
-        assert betti_oracle(ideal) == betti_oracle(ideal, use_lcm_filter=False)
+        assert betti_oracle(ideal) == _unfiltered_oracle(ideal)
 
 
 def test_degree_bound_truncates():
     ideal = make_ideal(2, [(1, 0), (0, 1)])
     truncated = betti_oracle(ideal, degree_bound=1)
     assert dict(truncated.items()) == {(0, 0): 1, (1, 1): 2}
+
+
+def _reference_strand_bases(ideal, a):
+    """Per sigma: a - e_sigma >= 0 and x^(a - e_sigma) outside the ideal."""
+    n = ideal.num_vars
+    bases = []
+    for i in range(n + 1):
+        level = []
+        for sigma in combinations(range(n), i):
+            b = tuple(at - (t in sigma) for t, at in enumerate(a))
+            if min(b) >= 0 and not ideal.contains(b):
+                level.append(sigma)
+        bases.append(level)
+    return bases
+
+
+@st.composite
+def non_path_ideals(draw):
+    """Ideals in 1-4 variables with up to five generators, exponents up to 3."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return make_ideal(n, draw(st.lists(exponents.filter(any), min_size=1, max_size=5)))
+
+
+@given(non_path_ideals())
+@settings(max_examples=300, deadline=None)
+def test_strand_bases_match_membership_reference(ideal):
+    # every multidegree of the lcm box and one step past it
+    for a in product(*(range(c + 2) for c in ideal.exponent_lcm())):
+        assert _strand_bases(ideal, a) == _reference_strand_bases(ideal, a)
+
+
+@given(non_path_ideals())
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_unfiltered_reference(ideal):
+    assert betti_oracle(ideal) == _unfiltered_oracle(ideal)

@@ -114,7 +114,7 @@ def test_scan_requires_equigenerated():
 
 def test_scan_report_structure(path6_report):
     report = path6_report
-    assert report.k0 == 3
+    assert report.k0 is None
     assert report.window == (4, 10)
     assert report.verdict["stabilized_in_range"]
     assert report.verdict["all_trajectories_fit"]
@@ -174,7 +174,7 @@ def test_scan_linear_powers_single_points():
     square = make_ideal(2, [(2, 0), (1, 1), (0, 2)])
     report = scan_powers(square, 1, 5)
     assert report.window == (1, 5)
-    assert report.k0 == 0
+    assert report.k0 is None
     for record in report.records:
         assert record.signature.vertex_count == 1
         assert record.signature.dimension == 0
