@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--kmin", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmax", type=int, default=11)
 
     return parser
 

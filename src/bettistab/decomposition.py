@@ -11,7 +11,9 @@ column c of A holds the pure diagram values of candidate c at the support
 positions of the source diagram.  Because every candidate is normalized to
 1 at its first position, the (0, 0) row forces sum(w) = beta_{0,0} and the
 polytope is bounded.  Vertices are enumerated exactly as basic feasible
-solutions over column subsets of size rank(A).
+solutions over column subsets of size rank(A), each eliminated over the
+integer rows of [A | b] cleared once per polytope (`matrix` and `rhs` stay
+rational), so a dependent or inconsistent subset builds no Fraction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 
 from .diagram import BettiDiagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
-from .exact_arith import format_rational, solve_exact, matrix_rank
+from .exact_arith import basic_solution, format_rational, integer_vector, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -172,29 +174,24 @@ def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
         support=support,
         matrix=tuple(matrix),
         rhs=rhs,
-        rank=matrix_rank([list(r) for r in matrix]),
+        rank=matrix_rank(matrix),
     )
 
 
 def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope:
     """All vertices of {w >= 0 : A w = b} as basic feasible solutions.
 
-    Scans column subsets of size rank(A); a subset contributes when its
-    columns are independent and the restricted system is consistent with a
-    nonnegative solution.  Returns an empty vertex list iff infeasible.
+    Scans column subsets of size rank(A) over [A | b] cleared once; a subset
+    contributes when its columns are independent and the restricted system
+    is consistent with a nonnegative solution.  Returns an empty vertex list
+    iff infeasible.
     """
     m = len(polytope.candidates)
-    r = polytope.rank
+    rows = [integer_vector((*row, b)) for row, b in zip(polytope.matrix, polytope.rhs)]
     found = set()
-    if r == 0:
-        if all(x == 0 for x in polytope.rhs):
-            found.add(tuple(Fraction(0) for _ in range(m)))
-    for subset in combinations(range(m), r):
-        sub = [[row[c] for c in subset] for row in polytope.matrix]
-        solution, nullspace = solve_exact(sub, list(polytope.rhs))
-        if solution is None or nullspace:
-            continue
-        if any(x < 0 for x in solution):
+    for subset in combinations(range(m), polytope.rank):
+        solution = basic_solution(rows, subset)
+        if solution is None or any(x < 0 for x in solution):
             continue
         full = [Fraction(0)] * m
         for c, x in zip(subset, solution):
@@ -225,6 +222,6 @@ def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:
         support=polytope.support,
         matrix=matrix,
         rhs=polytope.rhs,
-        rank=matrix_rank([list(r) for r in matrix]),
+        rank=matrix_rank(matrix),
         vertices=tuple(sorted(tuple(v[c] for c in keep) for v in polytope.vertices)),
     )

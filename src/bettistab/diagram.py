@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import prod
 
 from .errors import InputError
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import format_rational, parse_rational, primitive
 
 ELLIPSIS_ROW = "⋮"  # vertical ellipsis used by the table renderer
 
@@ -41,7 +41,12 @@ class BettiDiagram:
             i, j = int(i), int(j)
             if i < 0 or j < 0:
                 raise InputError(f"negative diagram index {(i, j)}")
-            v = Fraction(value)
+            try:
+                v = Fraction(value.numerator, value.denominator)
+            except AttributeError as exc:
+                raise InputError(
+                    f"Betti entry at {(i, j)} must be an int or Fraction: {value!r}"
+                ) from exc
             if v < 0:
                 raise InputError(f"negative Betti entry at {(i, j)}")
             if v == 0:
@@ -127,10 +132,7 @@ class PureDiagram:
 
     def integral_values(self) -> tuple:
         """Smallest positive integer vector proportional to the values."""
-        scale = lcm(*(v.denominator for v in self.values))
-        ints = [int(v * scale) for v in self.values]
-        g = gcd(*ints)
-        return tuple(x // g for x in ints)
+        return primitive(self.values)
 
 
 def pure_diagram(degrees) -> PureDiagram:

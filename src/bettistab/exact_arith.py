@@ -5,7 +5,10 @@ Everything in this package computes over the rationals, represented as
 This module supplies the shared numeric machinery:
 
 * `binom` -- binomial coefficients with a fixed out-of-range convention,
-* `solve_exact` / `matrix_rank` -- fraction-free Gaussian elimination,
+* `integer_vector` / `primitive` -- the one place where rationals become
+  integers (lcm scaling, and its content-1 form),
+* `solve_exact` / `matrix_rank` / `basic_solution` -- fraction-free
+  Gaussian elimination on rows cleared once each,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation, product, division and primitive gcd,
 * `fit_rational_function` -- exact rational interpolation, with
@@ -62,17 +65,23 @@ def format_rational(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(matrix, rhs):
-    """Clear denominators row by row; entries must be ints or Fractions."""
-    rows = []
+def integer_vector(values) -> list:
+    """Scale a sequence of rationals by the lcm of its denominators; ints out.
+
+    Entries must be ints or Fractions; anything else raises InputError.
+    """
     try:
-        for i, row in enumerate(matrix):
-            entries = [*row, rhs[i] if rhs is not None else 0]
-            scale = math.lcm(*(x.denominator for x in entries))
-            rows.append([x.numerator * (scale // x.denominator) for x in entries])
+        scale = math.lcm(*(x.denominator for x in values))
+        return [x.numerator * (scale // x.denominator) for x in values]
     except AttributeError as exc:
-        raise InputError(f"matrix entries must be rational: {exc}") from exc
-    return rows
+        raise InputError(f"entries must be ints or Fractions: {exc}") from exc
+
+
+def primitive(values) -> tuple:
+    """Content-1 integer vector positively proportional to the entries (0 -> 0)."""
+    ints = integer_vector(values)
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def _echelon(rows, ncols):
@@ -109,6 +118,24 @@ def _echelon(rows, ncols):
     return pivots
 
 
+def _back_substitute(rows, pivots, n, free=None) -> list:
+    """Solve echelon rows over their first n columns, bottom row first.
+
+    free=None: A x = b with b in column n and free variables zero.
+    Otherwise: the kernel vector with x[free] = 1, other free variables zero.
+    """
+    x = [Fraction(0)] * n
+    if free is not None:
+        x[free] = Fraction(1)
+    for r, c in reversed(pivots):
+        s = Fraction(rows[r][n]) if free is None else Fraction(0)
+        for j in range(c + 1, n):
+            if x[j]:
+                s -= rows[r][j] * x[j]
+        x[c] = s / rows[r][c]
+    return x
+
+
 def solve_exact(matrix, rhs=None):
     """Solve A x = b exactly over the rationals.
 
@@ -124,40 +151,41 @@ def solve_exact(matrix, rhs=None):
     for row in matrix:
         if len(row) != n:
             raise InputError("inconsistent row lengths")
-    if rhs is not None and len(rhs) != m:
+    if rhs is None:
+        rhs = [0] * m
+    elif len(rhs) != m:
         raise InputError("right-hand side length does not match row count")
 
-    rows = _integer_rows(matrix, rhs)
+    rows = [integer_vector([*row, b]) for row, b in zip(matrix, rhs)]
     pivots = _echelon(rows, n)
-    rank = len(pivots)
-
-    consistent = all(rows[i][n] == 0 for i in range(rank, m))
-    pivot_cols = [c for _, c in pivots]
+    particular = None
+    if all(rows[i][n] == 0 for i in range(len(pivots), m)):
+        particular = _back_substitute(rows, pivots, n)
+    pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in range(n) if c not in pivot_cols]
-
-    def back_substitute(target_col, unit_col=None):
-        x = [Fraction(0)] * n
-        if unit_col is not None:
-            x[unit_col] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = Fraction(rows[r][target_col]) if target_col is not None else Fraction(0)
-            for j in range(c + 1, n):
-                if x[j]:
-                    s -= rows[r][j] * x[j]
-            x[c] = s / rows[r][c]
-        return x
-
-    particular = back_substitute(n) if consistent else None
-    nullspace = [back_substitute(None, unit_col=f) for f in free_cols]
-    return particular, nullspace
+    return particular, [_back_substitute(rows, pivots, n, free=f) for f in free_cols]
 
 
 def matrix_rank(matrix) -> int:
     """Exact rank of a rational matrix."""
     if not matrix:
         return 0
-    rows = _integer_rows(matrix, None)
-    return len(_echelon(rows, len(matrix[0])))
+    return len(_echelon([integer_vector(row) for row in matrix], len(matrix[0])))
+
+
+def basic_solution(rows, columns) -> Optional[list]:
+    """The unique solution of A[:, columns] x = b, or None.
+
+    `rows` are integer augmented rows [A | b].  None means the columns are
+    dependent or the system is inconsistent; both are read off the echelon
+    pivots before any Fraction is built.
+    """
+    n = len(columns)
+    sub = [[row[c] for c in columns] + [row[-1]] for row in rows]
+    pivots = _echelon(sub, n)
+    if len(pivots) < n or any(row[n] for row in sub[n:]):
+        return None
+    return _back_substitute(sub, pivots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +238,16 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_content(p) -> int:
-    return math.gcd(*(abs(int(c)) for c in p)) if p else 0
-
-
-def poly_primitive(p) -> tuple:
-    """Divide out the integer content and force a positive leading coefficient."""
-    p = poly_trim(p)
-    if not p:
-        return ()
-    c = poly_content(p)
-    out = [int(x) // c for x in p]
-    if out[-1] < 0:
-        out = [-x for x in out]
-    return tuple(out)
-
-
 def poly_gcd(p, q) -> tuple:
-    """Primitive gcd of two integer polynomials (positive leading coefficient)."""
+    """Primitive gcd of two rational polynomials (positive leading coefficient)."""
     a, b = poly_trim(p), poly_trim(q)
     while b:
         _, r = poly_divmod(a, b)
         a, b = b, r
     if not a:
         return ()
-    scale = math.lcm(*(Fraction(c).denominator for c in a))
-    return poly_primitive([int(Fraction(c) * scale) for c in a])
+    g = primitive(a)
+    return g if g[-1] > 0 else tuple(-x for x in g)
 
 
 @dataclass(frozen=True)
@@ -258,20 +270,16 @@ class RationalFunctionFit:
             raise InputError("zero denominator polynomial")
         if not num:
             return RationalFunctionFit((), (1,))
-        scale = math.lcm(*(Fraction(c).denominator for c in list(num) + list(den)))
-        pn = [int(Fraction(c) * scale) for c in num]
-        pd = [int(Fraction(c) * scale) for c in den]
-        g = poly_gcd(pn, pd)
+        # Clear first: poly_divmod would convert a float coefficient silently.
+        ints = integer_vector((*num, *den))
+        num, den = ints[: len(num)], ints[len(num) :]
+        g = poly_gcd(num, den)
         if poly_degree(g) > 0:
-            pn = [int(c) for c in poly_divmod(pn, g)[0]]
-            pd = [int(c) for c in poly_divmod(pd, g)[0]]
-        c = math.gcd(poly_content(pn), poly_content(pd))
-        pn = [x // c for x in pn]
-        pd = [x // c for x in pd]
-        if pd[-1] < 0:
-            pn = [-x for x in pn]
-            pd = [-x for x in pd]
-        return RationalFunctionFit(tuple(pn), tuple(pd))
+            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        joint = primitive((*num, *den))
+        if joint[-1] < 0:
+            joint = tuple(-x for x in joint)
+        return RationalFunctionFit(joint[: len(num)], joint[len(num) :])
 
     def evaluate(self, x) -> Fraction:
         q = poly_eval(self.denominator, Fraction(x))

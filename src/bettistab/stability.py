@@ -10,12 +10,10 @@ vertices across k by zero pattern, and fits each vertex coordinate with an
 exact rational function of k.  A finite scan can only certify "stable in
 range", never stability itself.
 
-Trajectory fits prefer held-out validation: the fit uses all window samples
-except the last and must reproduce the last exactly.  When the requested
-degrees need more samples than that leaves (a fit with numerator and
-denominator degrees (dn, dd) is pinned down by dn+dd+1 points), the final
-sample joins the fit; interpolating more than dn+dd points determines the
-same unique function the held-out check would have confirmed.
+Every trajectory fit is validated on a held-out sample: the fit uses all
+window samples except the last and must reproduce the last exactly.  Degree
+pairs (dn, dd) that the remaining samples cannot pin down (dn+dd+1 points)
+are not tried.
 
 Column sums (total Betti numbers per homological index) go through the same
 fitter as polynomials: denominator degree 0 and numerator degree at most
@@ -80,13 +78,10 @@ class CombinatorialSignature:
 def combinatorial_signature(polytope: DecompositionPolytope) -> CombinatorialSignature:
     if polytope.vertices is None:
         raise InputError("vertices not enumerated")
-    patterns = sorted(
-        tuple(c for c, x in enumerate(v) if x == 0) for v in polytope.vertices
-    )
     return CombinatorialSignature(
         vertex_count=len(polytope.vertices),
         dimension=polytope.dimension,
-        zero_patterns=tuple(patterns),
+        zero_patterns=tuple(sorted(_zero_pattern(v) for v in polytope.vertices)),
     )
 
 
@@ -264,33 +259,25 @@ def _pair_vertices(window_records):
 
 
 def _fit_trajectory(samples, deg_num_max: int, deg_den_max: int):
-    """Lowest-degree exact rational fit of a trajectory, holdout-validated.
+    """Lowest-degree exact rational fit of a trajectory, or None.
 
-    Degree pairs are tried in ascending total degree.  The last sample is
-    held out whenever the remaining samples can pin the interpolant down by
-    themselves; otherwise it joins the fit, which by the uniqueness count is
-    equivalent (see module docstring).
+    Degree pairs are tried in ascending total degree, each fitted to all
+    samples but the last, which the fit must reproduce.
     """
     fit_set, holdout = samples[:-1], samples[-1]
-    for total in range(deg_num_max + deg_den_max + 1):
+    for total in range(min(deg_num_max + deg_den_max, len(fit_set) - 1) + 1):
         for dn in range(min(total, deg_num_max) + 1):
             dd = total - dn
             if dd > deg_den_max:
                 continue
-            need = total + 1
-            if len(fit_set) >= need:
-                fit = fit_rational_function(fit_set, dn, dd)
-                if fit is not None:
-                    try:
-                        if fit.evaluate(holdout[0]) == holdout[1]:
-                            return fit, True
-                    except ZeroDivisionError:
-                        pass
-            elif len(samples) >= need:
-                fit = fit_rational_function(samples, dn, dd)
-                if fit is not None:
-                    return fit, True
-    return None, False
+            fit = fit_rational_function(fit_set, dn, dd)
+            if fit is not None:
+                try:
+                    if fit.evaluate(holdout[0]) == holdout[1]:
+                        return fit
+                except ZeroDivisionError:
+                    pass
+    return None
 
 
 def scan_powers(
@@ -357,8 +344,8 @@ def scan_powers(
         for label in labels:
             for c in range(m):
                 samples = [(r.k, values[label][r.k][c]) for r in window_records]
-                fit, validated = _fit_trajectory(samples, fit_num_deg, fit_den_deg)
-                fits.append(TrajectoryFit(label, c, fit, validated))
+                fit = _fit_trajectory(samples, fit_num_deg, fit_den_deg)
+                fits.append(TrajectoryFit(label, c, fit, fit is not None))
         trajectories = tuple(fits)
         # Kodiyalam check: total Betti numbers are polynomial in k.
         sums = [column_sums(r.diagram) for r in window_records]
@@ -368,8 +355,7 @@ def scan_powers(
                 (r.k, s[c] if c < len(s) else Fraction(0))
                 for r, s in zip(window_records, sums)
             ]
-            fit, _ = _fit_trajectory(samples, len(samples) - 2, 0)
-            fits.append(fit)
+            fits.append(_fit_trajectory(samples, len(samples) - 2, 0))
         column_fits = tuple(fits)
 
     verdict = {

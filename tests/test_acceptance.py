@@ -32,8 +32,8 @@ AC2_PAIRS = [
 
 
 @pytest.fixture(scope="module")
-def scan_4_10():
-    return scan_powers(path_ideal(6), 4, 10, use_formula=True)
+def scan_4_11():
+    return scan_powers(path_ideal(6), 4, 11, use_formula=True)
 
 
 def _pipeline(diagram):
@@ -144,28 +144,28 @@ def test_ac4_polytope_structure():
     print("\nAC4 (triangle polytope: 11 candidates, m=8 after pruning, vertex patterns): PASS")
 
 
-def test_ac5_trajectory_stability(scan_4_10):
+def test_ac5_trajectory_stability(scan_4_11):
     start = time.monotonic()
-    report = scan_4_10
+    report = scan_4_11
     signatures = {record.signature for record in report.records}
-    assert len(signatures) == 1, "signature not constant over k=4..10"
-    assert report.window == (4, 10)
+    assert len(signatures) == 1, "signature not constant over k=4..11"
+    assert report.window == (4, 11)
 
     assert len(report.trajectories) == 24
     for t in report.trajectories:
         assert t.fit is not None and t.validated
         assert len(t.fit.numerator) <= 4 and len(t.fit.denominator) <= 4  # degrees <= (3,3)
-        for k in range(4, 10):
+        for k in range(4, 11):
             assert t.fit.evaluate(k) == report.vertex_values[t.vertex][k][t.coordinate]
         assert (
-            t.fit.evaluate(10) == report.vertex_values[t.vertex][10][t.coordinate]
-        ), "fit fails to predict k=10"
+            t.fit.evaluate(11) == report.vertex_values[t.vertex][11][t.coordinate]
+        ), "fit fails to predict k=11"
 
     reference = path6_reference()
     by_positions = {t.positions: i for i, t in enumerate(report.templates)}
     pi4 = by_positions[reference.templates[3].positions]
     pi8 = by_positions[reference.templates[7].positions]
-    for k in range(4, 11):
+    for k in range(4, 12):
         for c in (pi4, pi8):
             values = {
                 report.vertex_values[label][k][c] for label in report.vertex_labels
@@ -173,7 +173,7 @@ def test_ac5_trajectory_stability(scan_4_10):
             assert len(values) == 1, f"coordinate {c} differs across vertices at k={k}"
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"AC5 took {elapsed:.2f}s"
-    print("\nAC5 (constant signature k=4..10; 24 exact rational trajectories predict k=10): PASS")
+    print("\nAC5 (constant signature k=4..11; 24 exact rational trajectories predict k=11): PASS")
 
 
 def test_ac6_linear_powers_unique_decomposition():
@@ -194,12 +194,12 @@ def test_ac6_linear_powers_unique_decomposition():
     print("\nAC6 (linear powers leave no choices: single-point polytopes): PASS")
 
 
-def test_ac7_column_sum_polynomials(scan_4_10):
-    fits = scan_4_10.column_sum_fits
+def test_ac7_column_sum_polynomials(scan_4_11):
+    fits = scan_4_11.column_sum_fits
     assert all(fit is not None for fit in fits)
     # every fit reproduces the window samples and validates at k = 10
     for c, fit in enumerate(fits):
-        for record in scan_4_10.records:
+        for record in scan_4_11.records:
             sums = [Fraction(0)] * len(fits)
             for (i, _), v in record.diagram.items():
                 sums[i] += v
@@ -225,8 +225,8 @@ def test_ac8_pure_diagram_identities():
     print("\nAC8 (500 random pure diagrams satisfy all power-sum identities): PASS")
 
 
-def test_ac9_reference_comparison_record(scan_4_10):
-    record = compare_reference(scan_4_10, path6_reference())
+def test_ac9_reference_comparison_record(scan_4_11):
+    record = compare_reference(scan_4_11, path6_reference())
     pairs = [
         (v["reference"], c["template"], c["exact_equal"], c["constant_ratio"])
         for v in record["vertices"]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
+from bettistab.exact_arith import solve_exact
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal
 from bettistab.path_formula import path_diagram
@@ -296,3 +298,63 @@ def test_polytope_json_shape():
     assert all(isinstance(x, str) for v in data["vertices"] for x in v)
     with pytest.raises(InputError):
         build_polytope(path_diagram(6, 4), [(0, 8)]).to_json_dict()
+
+
+def _reference_vertices(polytope):
+    """Slow reference: one rational solve_exact per column subset of size rank."""
+    m = len(polytope.candidates)
+    r = polytope.rank
+    found = set()
+    if r == 0:
+        if all(x == 0 for x in polytope.rhs):
+            found.add(tuple(Fraction(0) for _ in range(m)))
+    for subset in combinations(range(m), r):
+        sub = [[row[c] for c in subset] for row in polytope.matrix]
+        solution, nullspace = solve_exact(sub, list(polytope.rhs))
+        if solution is None or nullspace:
+            continue
+        if any(x < 0 for x in solution):
+            continue
+        full = [Fraction(0)] * m
+        for c, x in zip(subset, solution):
+            full[c] = x
+        found.add(tuple(full))
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(2, 7) for k in (1, 2, 3)] + [(7, 4)]
+)
+def test_vertices_match_reference_scan_on_paths(n, k):
+    diagram = path_diagram(n, k)
+    polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
+    assert enumerate_vertices(polytope).vertices == _reference_vertices(polytope)
+
+
+@st.composite
+def chain_systems(draw):
+    """A combination of pure diagrams on one chain, with candidates drawn from
+    its terms (some dropped, so the system may be infeasible) and the chain."""
+    terms = draw(random_combinations())
+    chain = sorted({d for _, degrees in terms for d in degrees})
+    subsequence = st.lists(
+        st.sampled_from(chain), min_size=2, max_size=len(chain), unique=True
+    ).map(lambda xs: tuple(sorted(xs)))
+    keep = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    extra = draw(st.lists(subsequence, max_size=4))
+    return terms, [d for (_, d), k in zip(terms, keep) if k] + extra
+
+
+@given(chain_systems())
+@settings(max_examples=120, deadline=None)
+def test_vertices_match_reference_scan_on_chains(system):
+    terms, candidates = system
+    total = {}
+    for weight, degrees in terms:
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+            total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
+    diagram = BettiDiagram(total)
+    if diagram.is_zero() or not candidates:
+        return
+    polytope = build_polytope(diagram, candidates)
+    assert enumerate_vertices(polytope).vertices == _reference_vertices(polytope)

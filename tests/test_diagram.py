@@ -127,6 +127,12 @@ def test_diagram_rejects_bad_entries():
         BettiDiagram([((0, 0), 1), ((0, 0), 2)])
 
 
+def test_diagram_rejects_float_entries():
+    # Fraction(0.1) would store the binary expansion 3602879701896397/2**55
+    with pytest.raises(InputError):
+        BettiDiagram({(0, 0): 1, (1, 2): 0.1})
+
+
 def test_diagram_drops_zeros():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 0})
     assert diagram.support() == ((0, 0),)

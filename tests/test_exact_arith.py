@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from bettistab.exact_arith import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    primitive,
     solve_exact,
 )
 
@@ -230,3 +232,36 @@ def test_fit_canonical_form():
     # denominator leading coefficient forced positive, joint content 1
     fit = RationalFunctionFit.make([Fraction(2), Fraction(4)], [Fraction(-2)])
     assert fit == RationalFunctionFit((-1, -2), (1,))
+
+
+def test_make_rejects_float_coefficients():
+    with pytest.raises(InputError):
+        RationalFunctionFit.make([0.5], [1])
+    with pytest.raises(InputError):
+        RationalFunctionFit.make([0.5, 0.5], [1, 1])
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=6))
+def test_primitive_is_content_one_and_positively_proportional(values):
+    p = primitive(values)
+    assert all(type(x) is int for x in p) and len(p) == len(values)
+    if not any(values):
+        assert p == (0,) * len(values)
+        return
+    assert math.gcd(*p) == 1
+    i = next(i for i, v in enumerate(values) if v)
+    scale = Fraction(p[i]) / values[i]
+    assert scale > 0
+    assert all(x == scale * v for x, v in zip(p, values))
+
+
+rational_polys = st.lists(small_fractions, min_size=1, max_size=4)
+
+
+@given(rational_polys, rational_polys, small_fractions.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_make_is_invariant_under_rational_scaling(num, den, c):
+    if not any(den):
+        den = [Fraction(1)]
+    scaled = RationalFunctionFit.make([c * x for x in num], [c * x for x in den])
+    assert scaled == RationalFunctionFit.make(num, den)

@@ -28,7 +28,7 @@ REFERENCE = path6_reference()
 
 @pytest.fixture(scope="module")
 def path6_report():
-    return scan_powers(path_ideal(6), 4, 10, use_formula=True)
+    return scan_powers(path_ideal(6), 4, 11, use_formula=True)
 
 
 def _pruned(diagram):
@@ -115,7 +115,7 @@ def test_scan_requires_equigenerated():
 def test_scan_report_structure(path6_report):
     report = path6_report
     assert report.k0 is None
-    assert report.window == (4, 10)
+    assert report.window == (4, 11)
     assert report.verdict["stabilized_in_range"]
     assert report.verdict["all_trajectories_fit"]
     assert report.verdict["all_column_sums_fit"]
@@ -212,7 +212,7 @@ def test_compare_reference_record(path6_report):
     record = compare_reference(path6_report, REFERENCE)
     assert record["all_zero_patterns_match"]
     assert record["reconstruction_ok"]
-    assert record["window"] == [4, 10]
+    assert record["window"] == [4, 11]
 
     flags = {
         (v["reference"], c["template"]): (c["exact_equal"], c["constant_ratio"])
@@ -251,7 +251,7 @@ def test_compare_reference_window_guard():
 def test_report_json_deterministic(path6_report):
     data = path6_report.to_json_dict()
     text = json.dumps(data, indent=2, sort_keys=True)
-    again = scan_powers(path_ideal(6), 4, 10, use_formula=True)
+    again = scan_powers(path_ideal(6), 4, 11, use_formula=True)
     assert json.dumps(again.to_json_dict(), indent=2, sort_keys=True) == text
     # rationals serialize as strings
     assert all(
