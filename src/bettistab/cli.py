@@ -75,16 +75,6 @@ def _load_diagram(path: str) -> BettiDiagram:
     return BettiDiagram.from_json_dict(data)
 
 
-def _parse_fit_deg(text: str):
-    try:
-        num, den = (int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"--fit-deg expects 'N,D', got {text!r}") from exc
-    if num < 0 or den < 0:
-        raise InputError("--fit-deg degrees must be nonnegative")
-    return num, den
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betti-stab",
@@ -96,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("formula", help="closed-form diagram for the path family")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--k", type=int, required=True, help="power of the ideal")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--table", action="store_true", help="pretty table output")
+    p.add_argument("--table", action="store_true", help="pretty table, not JSON")
 
     p = sub.add_parser("oracle", help="Betti diagram via Koszul strand homology")
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
@@ -119,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--num-vars", type=int, help="variable count for text input")
     p.add_argument("--formula", action="store_true", help="use the path closed form")
-    p.add_argument("--fit-deg", default="3,3", help="trajectory fit degrees 'N,D'")
     p.add_argument("--json", metavar="OUT", help="write the report to this file")
 
     p = sub.add_parser(
@@ -171,15 +158,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.subcommand == "scan":
         ideal = _load_ideal(args.ideal, args.num_vars)
-        fit_num, fit_den = _parse_fit_deg(args.fit_deg)
-        report = scan_powers(
-            ideal,
-            args.kmin,
-            args.kmax,
-            use_formula=args.formula,
-            fit_num_deg=fit_num,
-            fit_den_deg=fit_den,
-        )
+        report = scan_powers(ideal, args.kmin, args.kmax, use_formula=args.formula)
         _log(
             "scan done: "
             + ("stable window %s..%s" % report.window if report.window else "not stabilized in range")

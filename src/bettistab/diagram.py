@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import InputError
-from .exact_arith import format_rational, parse_rational, primitive
+from .exact_arith import format_rational, parse_rational, primitive, require_int
 
 ELLIPSIS_ROW = "⋮"  # vertical ellipsis used by the table renderer
 
@@ -38,7 +38,8 @@ class BettiDiagram:
         items = entries.items() if hasattr(entries, "items") else entries
         clean = {}
         for (i, j), value in items:
-            i, j = int(i), int(j)
+            i = require_int(i, "diagram index")
+            j = require_int(j, "diagram index")
             if i < 0 or j < 0:
                 raise InputError(f"negative diagram index {(i, j)}")
             try:
@@ -90,7 +91,7 @@ class BettiDiagram:
     def from_json_dict(data: dict) -> "BettiDiagram":
         try:
             raw = data["entries"]
-            entries = [((int(i), int(j)), parse_rational(str(v))) for i, j, v in raw]
+            entries = [((i, j), parse_rational(str(v))) for i, j, v in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed diagram JSON: {exc}") from exc
         return BettiDiagram(entries)

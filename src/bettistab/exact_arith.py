@@ -6,13 +6,15 @@ This module supplies the shared numeric machinery:
 
 * `binom` -- binomial coefficients with a fixed out-of-range convention,
 * `integer_vector` / `primitive` -- the one place where rationals become
-  integers (lcm scaling, and its content-1 form),
+  integers (lcm scaling, and its content-1 form); `require_int` admits an
+  input integer without truncating anything,
 * `solve_exact` / `matrix_rank` / `basic_solution` -- fraction-free
   Gaussian elimination on rows cleared once each,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation, product, division and primitive gcd,
-* `fit_rational_function` -- exact rational interpolation, with
-  `fit_polynomial` as its denominator-degree-0 case.
+* `fit_rational_function` -- exact rational interpolation: one integer
+  row per sample through `_echelon`, and the kernel vector of the first
+  free column (`fit_polynomial` is its denominator-degree-0 case).
 
 Serialized forms: a rational is the string "num/den" ("n" when integral);
 a polynomial is its coefficient list, lowest degree first, with no trailing
@@ -75,6 +77,13 @@ def integer_vector(values) -> list:
         return [x.numerator * (scale // x.denominator) for x in values]
     except AttributeError as exc:
         raise InputError(f"entries must be ints or Fractions: {exc}") from exc
+
+
+def require_int(value, what: str) -> int:
+    """`value` itself when it is an int; anything else (bools too) is an InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def primitive(values) -> tuple:
@@ -343,23 +352,27 @@ def fit_rational_function(
             f"need at least {deg_num + deg_den + 1} samples for degrees "
             f"({deg_num}, {deg_den}), got {len(samples)}"
         )
+    n = deg_num + deg_den + 2
     rows = []
     for k, v in samples:
-        v = Fraction(v)
-        row = [Fraction(k) ** e for e in range(deg_num + 1)]
-        row += [-v * Fraction(k) ** e for e in range(deg_den + 1)]
-        rows.append(row)
-    _, nullspace = solve_exact(rows)
-    if not nullspace:
+        v_den, v_num = integer_vector((1, v))  # p(k) - v*q(k), times v_den
+        rows.append(
+            [v_den * k**e for e in range(deg_num + 1)]
+            + [-v_num * k**e for e in range(deg_den + 1)]
+        )
+    pivots = _echelon(rows, n)
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(n) if c not in pivot_cols), None)
+    if free is None:
         return None
-    vec = nullspace[0]
+    vec = _back_substitute(rows, pivots, n, free=free)
     num, den = vec[: deg_num + 1], vec[deg_num + 1 :]
     if not poly_trim(den):
         return None
     fit = RationalFunctionFit.make(num, den)
     for k, v in samples:
-        q = poly_eval(fit.denominator, Fraction(k))
-        if q == 0 or poly_eval(fit.numerator, Fraction(k)) != Fraction(v) * q:
+        q = poly_eval(fit.denominator, k)
+        if q == 0 or poly_eval(fit.numerator, k) != v * q:
             return None
     return fit
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import InputError
+from .exact_arith import require_int
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
@@ -82,11 +83,9 @@ class MonomialIdeal:
     @staticmethod
     def from_json_dict(data: dict) -> "MonomialIdeal":
         try:
-            num_vars = int(data["num_vars"])
-            gens = [tuple(int(e) for e in g) for g in data["generators"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            return make_ideal(data["num_vars"], data["generators"])
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ideal JSON: {exc}") from exc
-        return make_ideal(num_vars, gens)
 
     def __str__(self) -> str:
         return ", ".join(monomial_to_str(g) for g in self.generators)
@@ -94,7 +93,8 @@ class MonomialIdeal:
 
 def make_ideal(num_vars: int, generators) -> MonomialIdeal:
     """Build an ideal from arbitrary generators, minimalizing and sorting."""
-    gens = [tuple(int(e) for e in g) for g in generators]
+    require_int(num_vars, "num_vars")
+    gens = [tuple(require_int(e, "exponent") for e in g) for g in generators]
     if not gens:
         raise InputError("ideal needs at least one generator")
     for g in gens:

@@ -1,8 +1,12 @@
+import inspect
 import json
 
-from bettistab.cli import main
+import pytest
+
+from bettistab.cli import build_parser, main
 from bettistab.diagram import BettiDiagram, parse_table
 from bettistab.path_formula import path_diagram
+from bettistab.stability import scan_powers
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +89,7 @@ def test_scan_writes_report(tmp_path, capsys):
     report = json.loads(out_file.read_text(encoding="utf-8"))
     assert report["stable_window"] == [1, 5]
     assert report["verdict"]["stabilized_in_range"]
+    assert report["verdict"]["all_trajectories_fit"]
     assert "stable window" in err
 
 
@@ -98,25 +103,6 @@ def test_scan_deterministic_output(tmp_path, capsys):
         capsys, "scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5"
     )
     assert first == second
-
-
-def test_scan_fit_deg_flag(tmp_path, capsys):
-    ideal_file = tmp_path / "ideal.txt"
-    ideal_file.write_text("x1*x2", encoding="utf-8")
-    code, out, _ = run_cli(
-        capsys,
-        "scan", "--ideal", str(ideal_file),
-        "--kmin", "1", "--kmax", "5", "--fit-deg", "1,1",
-    )
-    assert code == 0
-    assert json.loads(out)["verdict"]["all_trajectories_fit"]
-    code, out, _ = run_cli(
-        capsys,
-        "scan", "--ideal", str(ideal_file),
-        "--kmin", "1", "--kmax", "5", "--fit-deg", "bogus",
-    )
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_scan_formula_requires_path_family(tmp_path, capsys):
@@ -166,3 +152,52 @@ def test_usage_error_exit_code(capsys):
     assert main(["formula", "--n", "6"]) == 2
     assert main([]) == 2
     assert main(["oracle", "--ideal", "ideal.txt", "--no-filter"]) == 2
+    assert main(["formula", "--n", "6", "--k", "2", "--json"]) == 2
+    assert main(
+        ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--fit-deg", "1,1"]
+    ) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"num_vars": 2, "generators": [[1.7, 1], [0, 2]]},
+        {"num_vars": 2.9, "generators": [[1, 1], [0, 2]]},
+        {"num_vars": 2, "generators": [[True, 1], [0, 2]]},
+        {"num_vars": 2, "generators": [["1", 1], [0, 2]]},
+    ],
+)
+def test_oracle_rejects_non_integer_json(tmp_path, capsys, data):
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+OPTION_INVENTORY = {
+    "formula": ["--k", "--n", "--table"],
+    "oracle": ["--degree-bound", "--ideal", "--num-vars", "--power"],
+    "decompose": ["--diagram"],
+    "polytope": ["--diagram", "--prune"],
+    "scan": ["--formula", "--ideal", "--json", "--kmax", "--kmin", "--num-vars"],
+    "verify-paper": ["--kmax", "--kmin", "--n"],
+}
+
+
+def test_option_inventory():
+    # Every settable value is listed here: a new knob needs a visible edit.
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "subcommand"
+    ).choices
+    options = {
+        name: sorted(
+            s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")
+        )
+        for name, p in subparsers.items()
+    }
+    assert options == OPTION_INVENTORY
+    assert str(inspect.signature(scan_powers)) == (
+        "(ideal: 'MonomialIdeal', k_min: 'int', k_max: 'int', "
+        "use_formula: 'bool' = False) -> 'StabilityReport'"
+    )

@@ -133,6 +133,15 @@ def test_diagram_rejects_float_entries():
         BettiDiagram({(0, 0): 1, (1, 2): 0.1})
 
 
+@pytest.mark.parametrize("i, j", [(1.5, 2.2), (1, 2.0), (True, 2), ("1", 2)])
+def test_diagram_rejects_non_integer_indices(i, j):
+    # int() would truncate these silently: [1.5, 2.2, "1"] -> entry (1, 2)
+    with pytest.raises(InputError):
+        BettiDiagram.from_json_dict({"entries": [[0, 0, "1"], [i, j, "1"]]})
+    with pytest.raises(InputError):
+        BettiDiagram({(0, 0): 1, (i, j): 1})
+
+
 def test_diagram_drops_zeros():
     diagram = BettiDiagram({(0, 0): 1, (1, 2): 0})
     assert diagram.support() == ((0, 0),)

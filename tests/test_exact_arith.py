@@ -16,6 +16,7 @@ from bettistab.exact_arith import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_trim,
     primitive,
     solve_exact,
 )
@@ -204,6 +205,53 @@ def test_fit_round_trip(num, den, hold):
     assert fit is not None
     if poly_eval(den, hold) != 0:
         assert fit.evaluate(hold) == poly_eval(num, hold) / poly_eval(den, hold)
+
+
+def _reference_fit(samples, deg_num, deg_den):
+    """Slow reference: Fraction rows and the first kernel vector of solve_exact."""
+    rows = []
+    for k, v in samples:
+        v = Fraction(v)
+        row = [Fraction(k) ** e for e in range(deg_num + 1)]
+        row += [-v * Fraction(k) ** e for e in range(deg_den + 1)]
+        rows.append(row)
+    _, nullspace = solve_exact(rows)
+    if not nullspace:
+        return None
+    vec = nullspace[0]
+    num, den = vec[: deg_num + 1], vec[deg_num + 1 :]
+    if not poly_trim(den):
+        return None
+    fit = RationalFunctionFit.make(num, den)
+    for k, v in samples:
+        q = poly_eval(fit.denominator, Fraction(k))
+        if q == 0 or poly_eval(fit.numerator, Fraction(k)) != Fraction(v) * q:
+            return None
+    return fit
+
+
+@st.composite
+def fit_samples(draw):
+    """Distinct integer abscissae with either random values or the values of a
+    random rational function (so that fits exist), sometimes with one value moved."""
+    ks = draw(st.lists(st.integers(-6, 30), min_size=1, max_size=9, unique=True))
+    if draw(st.booleans()):
+        return [(k, draw(small_fractions)) for k in ks]
+    coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+    num, den = draw(coeffs), draw(coeffs.filter(any))
+    samples = [(k, poly_eval(num, k) / poly_eval(den, k)) for k in ks if poly_eval(den, k)]
+    if samples and draw(st.booleans()):
+        k, v = samples[-1]
+        samples[-1] = (k, v + draw(small_fractions))
+    return samples
+
+
+@given(fit_samples())
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_reference(samples):
+    for dn in range(len(samples)):
+        for dd in range(len(samples) - dn):
+            assert fit_rational_function(samples, dn, dd) == _reference_fit(samples, dn, dd)
 
 
 @given(polys, polys)

@@ -90,6 +90,18 @@ def test_json_round_trip():
     assert MonomialIdeal.from_json_dict(ideal.to_json_dict()) == ideal
 
 
+@pytest.mark.parametrize(
+    "num_vars, gens",
+    [(2, [(1.7, 1)]), (2.9, [(1, 1)]), (2, [(True, 1)]), (2, [("1", 1)])],
+)
+def test_make_ideal_rejects_non_integers(num_vars, gens):
+    # int() would truncate these silently: 1.7 -> 1, 2.9 -> 2, True -> 1
+    with pytest.raises(InputError):
+        make_ideal(num_vars, gens)
+    with pytest.raises(InputError):
+        MonomialIdeal.from_json_dict({"num_vars": num_vars, "generators": gens})
+
+
 def test_monomial_to_str():
     assert monomial_to_str((2, 0, 1)) == "x1^2*x3"
     assert monomial_to_str((0, 0)) == "1"

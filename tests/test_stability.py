@@ -16,6 +16,7 @@ from bettistab.exact_arith import RationalFunctionFit
 from bettistab.monomial_ideal import make_ideal
 from bettistab.path_formula import path_diagram, path_ideal
 from bettistab.stability import (
+    _fit_trajectory,
     combinatorial_signature,
     compare_reference,
     match_templates,
@@ -178,6 +179,19 @@ def test_scan_linear_powers_single_points():
     for record in report.records:
         assert record.signature.vertex_count == 1
         assert record.signature.dimension == 0
+
+
+def test_fit_trajectory_degree_from_window():
+    # (k+1)(k+2)(k+3)(k+5) / ((2k+1)^2 (k^2+1)): degree (4, 4) needs 9 fit
+    # points plus one held out, beyond any fixed (3, 3) degree cap.
+    num = (30, 61, 41, 11, 1)
+    den = (1, 4, 5, 4, 4)
+    target = RationalFunctionFit.make(num, den)
+    assert (len(target.numerator), len(target.denominator)) == (5, 5)
+    samples = [(k, target.evaluate(k)) for k in range(1, 11)]
+    assert _fit_trajectory(samples) == target
+    assert _fit_trajectory(samples[:-1]) is None  # 8 fit points cannot pin it down
+    assert _fit_trajectory(samples, polynomial=True) is None
 
 
 def test_column_sum_fits(path6_report):
