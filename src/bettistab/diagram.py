@@ -113,7 +113,7 @@ def validate_cyclic(diagram: BettiDiagram) -> bool:
 
 
 def check_degrees(degrees) -> tuple:
-    d = tuple(int(x) for x in degrees)
+    d = tuple(require_int(x, "degree") for x in degrees)
     if not d:
         raise InputError("empty degree sequence")
     if any(b <= a for a, b in zip(d, d[1:])):

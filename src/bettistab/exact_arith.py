@@ -30,8 +30,6 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with the convention used throughout this package.

@@ -19,39 +19,52 @@ in degree i equals the multigraded Betti number of the quotient,
 
     dim H_i = nullity(d_i) - rank(d_{i+1}) = beta_{i,a}(S/I),
 
-computed here by exact integer rank.  Aggregating dim H_i into (i, |a|) over
-all candidate multidegrees yields the graded Betti diagram.  Candidates are
-the exponent vectors bounded componentwise by the lcm of the generators
-(Betti multidegrees of a monomial ideal lie in its lcm lattice) whose
-support the tight sets cover: every positive coordinate of a must be
-attained by some generator dividing x^a.  Candidates are visited once, in
-lexicographic order, in a single thread.
+computed here by exact integer rank, and dim H_i summed into (i, |a|) over
+the Betti multidegrees is the graded Betti diagram.  These lie in the lcm
+lattice L(I), the lcms of sets of generators (Gasharov, Peeva & Welker,
+"The lcm-lattice in monomial resolutions", 1999), which `_lcm_lattice`
+builds as the closure of {0} under lcm with each generator.  Since sigma
+lies in supp(a) and meets a tight set whenever it meets a subset of it, the
+strand depends only on supp(a) and the inclusion-minimal tight sets cut down
+to supp(a): `_strand_key`.  `betti_oracle` computes the homology once per
+key, in a single thread.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from operator import le
 
 from .diagram import BettiDiagram
 from .errors import InputError
-from .exact_arith import matrix_rank
+from .exact_arith import matrix_rank, require_int
 from .monomial_ideal import MonomialIdeal
 
 
-def _tight_masks(ideal: MonomialIdeal, a) -> list:
-    """Bitmask {t : g_t = a_t} of each generator g dividing x^a."""
-    return [
-        sum(1 << t for t, (gt, at) in enumerate(zip(g, a)) if gt == at)
+def _lcm_lattice(ideal: MonomialIdeal) -> set:
+    """L(I): every lcm of a set of generators (the empty set gives 0)."""
+    lattice = frontier = {(0,) * ideal.num_vars}
+    while frontier:
+        frontier = {tuple(map(max, a, g)) for a in frontier for g in ideal.generators} - lattice
+        lattice |= frontier
+    return lattice
+
+
+def _strand_key(ideal: MonomialIdeal, a) -> tuple:
+    """(supp(a), inclusion-minimal tight sets within it) as bitmasks."""
+    support = sum(1 << t for t, at in enumerate(a) if at > 0)
+    masks = {
+        sum(1 << t for t, (gt, at) in enumerate(zip(g, a)) if gt == at > 0)
         for g in ideal.generators
         if all(map(le, g, a))
-    ]
+    }
+    return support, frozenset(m for m in masks if not any(s & m == s != m for s in masks))
 
 
 def _strand_bases(ideal: MonomialIdeal, a):
     """Per homological degree, the surviving subsets sigma (sorted tuples)."""
-    masks = _tight_masks(ideal, a)
-    support = [t for t, at in enumerate(a) if at > 0]
+    bits, masks = _strand_key(ideal, a)
+    support = [t for t in range(ideal.num_vars) if bits >> t & 1]
     return [
         [
             sigma
@@ -77,7 +90,7 @@ def _boundary_matrix(target, source):
 
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     """Homology dimensions (h_0, ..., h_n) of the strand in multidegree a."""
-    a = tuple(int(x) for x in a)
+    a = tuple(require_int(x, "multidegree entry") for x in a)
     if len(a) != ideal.num_vars:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
@@ -91,30 +104,22 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     return tuple(len(bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _attained_everywhere(ideal: MonomialIdeal, a) -> bool:
-    """Every positive coordinate of a is hit exactly by a dividing generator."""
-    covered = 0
-    for m in _tight_masks(ideal, a):
-        covered |= m
-    return all(covered >> t & 1 for t, at in enumerate(a) if at > 0)
-
-
 def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
     """Graded Betti diagram of S/I, complete up to the degree bound.
 
-    The default bound (total degree of the generators' lcm) never truncates,
-    because every Betti multidegree divides that lcm.  A smaller explicit
-    bound silently yields a diagram complete only up to it.
+    `None` never truncates.  An explicit bound silently yields a diagram
+    complete only up to it.
     """
-    cap = ideal.exponent_lcm()
-    bound = sum(cap) if degree_bound is None else int(degree_bound)
-
+    homology = {}  # strand key -> strand_homology of any point with that key
     totals = {}
-    for a in product(*(range(c + 1) for c in cap)):
+    for a in _lcm_lattice(ideal):
         d = sum(a)
-        if d > bound or not _attained_everywhere(ideal, a):
+        if degree_bound is not None and d > degree_bound:
             continue
-        for i, h in enumerate(strand_homology(ideal, a)):
+        key = _strand_key(ideal, a)
+        if key not in homology:
+            homology[key] = strand_homology(ideal, a)
+        for i, h in enumerate(homology[key]):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h
     return BettiDiagram(totals)

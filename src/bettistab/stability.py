@@ -230,37 +230,26 @@ def _zero_pattern(vector) -> tuple:
 def _pair_vertices(window_records):
     """Assign stable labels to vertices across the window by zero pattern.
 
-    Within a power, vertices sharing a pattern are ordered lexicographically
-    (the tie break; ties do not occur in the reference family).
+    Patterns never tie: a vertex of {w >= 0 : Aw = b} is the unique solution
+    of Aw = b on its support (its support columns are independent), so two
+    vertices of one power have different zero patterns.  Labels v1, v2, ...
+    follow the sorted patterns.
     """
-    groups_per_k = []
-    for record in window_records:
-        groups = {}
-        for v in record.polytope.vertices:
-            groups.setdefault(_zero_pattern(v), []).append(v)
-        groups_per_k.append({p: sorted(vs) for p, vs in groups.items()})
-
-    base = groups_per_k[0]
-    shape = {p: len(vs) for p, vs in base.items()}
-    for record, groups in zip(window_records, groups_per_k):
-        if {p: len(vs) for p, vs in groups.items()} != shape:
+    by_pattern = [
+        {_zero_pattern(v): v for v in record.polytope.vertices} for record in window_records
+    ]
+    patterns = sorted(by_pattern[0])
+    for record, vertices in zip(window_records, by_pattern):
+        if sorted(vertices) != patterns:
             raise StabilityError(
                 f"zero patterns at k={record.k} do not match the stable window"
             )
-
-    labels = []
-    values = {}
-    counter = 0
-    for pattern in sorted(base):
-        for idx in range(shape[pattern]):
-            counter += 1
-            label = f"v{counter}"
-            labels.append(label)
-            values[label] = {
-                record.k: groups[pattern][idx]
-                for record, groups in zip(window_records, groups_per_k)
-            }
-    return tuple(labels), values
+    labels = tuple(f"v{i}" for i in range(1, len(patterns) + 1))
+    values = {
+        label: {record.k: vertices[p] for record, vertices in zip(window_records, by_pattern)}
+        for label, p in zip(labels, patterns)
+    }
+    return labels, values
 
 
 def _fit_trajectory(samples, polynomial: bool = False):

@@ -37,6 +37,10 @@ def test_pure_rejects_bad_sequence():
         pure_diagram((0, 2, 2))
     with pytest.raises(InputError):
         pure_diagram(())
+    with pytest.raises(InputError):
+        pure_diagram((0, 2.5, 4))
+    with pytest.raises(InputError):
+        pure_diagram((0, True, 2))
 
 
 def _power_sum_solution(degrees):

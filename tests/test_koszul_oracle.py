@@ -1,12 +1,17 @@
 import random
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bettistab.diagram import BettiDiagram, validate_cyclic
+from bettistab.errors import InputError
+from bettistab.exact_arith import matrix_rank
 from bettistab.koszul_oracle import (
     _boundary_matrix,
+    _lcm_lattice,
     _strand_bases,
+    _strand_key,
     betti_oracle,
     strand_homology,
 )
@@ -30,6 +35,12 @@ def test_strand_linear_syzygy_of_square_ideal():
     assert strand_homology(ideal, (2, 1)) == (0, 0, 1)
     assert strand_homology(ideal, (1, 2)) == (0, 0, 1)
     assert strand_homology(ideal, (1, 1)) == (0, 1, 0)
+
+
+def test_strand_rejects_non_integer_multidegree():
+    ideal = make_ideal(2, [(1, 0), (0, 1)])
+    with pytest.raises(InputError):
+        strand_homology(ideal, (1.7, 1.2))
 
 
 def test_oracle_two_variables():
@@ -170,3 +181,32 @@ def test_strand_bases_match_membership_reference(ideal):
 @settings(max_examples=60, deadline=None)
 def test_oracle_matches_unfiltered_reference(ideal):
     assert betti_oracle(ideal) == _unfiltered_oracle(ideal)
+
+
+def _reference_attained(ideal, a):
+    """Box filter of the earlier oracle: each positive a_t equals g_t for a g dividing x^a."""
+    dividing = [g for g in ideal.generators if all(gt <= at for gt, at in zip(g, a))]
+    return all(any(g[t] == at for g in dividing) for t, at in enumerate(a) if at > 0)
+
+
+def _reference_homology(ideal, a):
+    """Strand homology on the membership bases, independent of `_strand_key`."""
+    bases = _reference_strand_bases(ideal, a)
+    ranks = [0] + [
+        matrix_rank(_boundary_matrix(target, source)) if target and source else 0
+        for target, source in zip(bases, bases[1:])
+    ] + [0]
+    return tuple(len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(bases))
+
+
+@given(non_path_ideals())
+@settings(max_examples=150, deadline=None)
+def test_lcm_lattice_and_strand_key_match_references(ideal):
+    box = list(product(*(range(c + 1) for c in ideal.exponent_lcm())))
+    assert _lcm_lattice(ideal) == {a for a in box if _reference_attained(ideal, a)}
+    # equal keys, equal homology (the premise of the oracle's per-key cache),
+    # over the whole box so that keys also collide off the lattice
+    homology_of_key = {}
+    for a in box:
+        homology = _reference_homology(ideal, a)
+        assert homology_of_key.setdefault(_strand_key(ideal, a), homology) == homology
