@@ -86,9 +86,9 @@ def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
     """Exact check that sum(w_c * pure(candidates[c])) equals the diagram."""
     if len(weights) != len(candidates):
         raise InputError("weights and candidates differ in length")
+    integer_vector(weights)  # InputError unless every weight is an int or Fraction
     total = {}
     for w, degrees in zip(weights, candidates):
-        w = Fraction(w)
         if w < 0:
             return False
         if w == 0:

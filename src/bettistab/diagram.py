@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import InputError
-from .exact_arith import format_rational, parse_rational, primitive, require_int
+from .exact_arith import format_rational, parse_rational, require_int
 
 ELLIPSIS_ROW = "⋮"  # vertical ellipsis used by the table renderer
 
@@ -91,7 +91,7 @@ class BettiDiagram:
     def from_json_dict(data: dict) -> "BettiDiagram":
         try:
             raw = data["entries"]
-            entries = [((i, j), parse_rational(str(v))) for i, j, v in raw]
+            entries = [((i, j), v if type(v) is int else parse_rational(v)) for i, j, v in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed diagram JSON: {exc}") from exc
         return BettiDiagram(entries)
@@ -130,10 +130,6 @@ class PureDiagram:
 
     def as_diagram(self) -> BettiDiagram:
         return BettiDiagram({(i, d): v for i, (d, v) in enumerate(zip(self.degrees, self.values))})
-
-    def integral_values(self) -> tuple:
-        """Smallest positive integer vector proportional to the values."""
-        return primitive(self.values)
 
 
 def pure_diagram(degrees) -> PureDiagram:

@@ -47,10 +47,10 @@ def binom(a: int, b: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a plain integer string into a Fraction."""
+    """Parse "num/den" or a plain integer string into a Fraction; non-strings are rejected."""
     try:
         value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
     return value
 
@@ -207,11 +207,6 @@ def poly_trim(coeffs) -> tuple:
     return tuple(cs)
 
 
-def poly_degree(p) -> int:
-    """Degree of the polynomial; the zero polynomial has degree -1."""
-    return len(p) - 1
-
-
 def poly_eval(p, x) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -281,7 +276,7 @@ class RationalFunctionFit:
         ints = integer_vector((*num, *den))
         num, den = ints[: len(num)], ints[len(num) :]
         g = poly_gcd(num, den)
-        if poly_degree(g) > 0:
+        if len(g) > 1:
             num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
         joint = primitive((*num, *den))
         if joint[-1] < 0:
@@ -289,44 +284,17 @@ class RationalFunctionFit:
         return RationalFunctionFit(joint[: len(num)], joint[len(num) :])
 
     def evaluate(self, x) -> Fraction:
-        q = poly_eval(self.denominator, Fraction(x))
+        require_int(x, "evaluation point")
+        q = poly_eval(self.denominator, x)
         if q == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return poly_eval(self.numerator, Fraction(x)) / q
-
-    def is_zero(self) -> bool:
-        return not self.numerator
+        return poly_eval(self.numerator, x) / q
 
     def to_json_dict(self) -> dict:
         return {
             "numerator": [int(c) for c in self.numerator],
             "denominator": [int(c) for c in self.denominator],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "RationalFunctionFit":
-        return RationalFunctionFit.make(data["numerator"], data["denominator"])
-
-    def __str__(self) -> str:
-        def fmt(p):
-            if not p:
-                return "0"
-            parts = []
-            for e in range(len(p) - 1, -1, -1):
-                c = p[e]
-                if c == 0:
-                    continue
-                if e == 0:
-                    parts.append(f"{c}")
-                elif e == 1:
-                    parts.append("k" if c == 1 else f"{c}*k")
-                else:
-                    parts.append(f"k^{e}" if c == 1 else f"{c}*k^{e}")
-            return " + ".join(parts).replace("+ -", "- ")
-
-        if self.denominator == (1,):
-            return fmt(self.numerator)
-        return f"({fmt(self.numerator)}) / ({fmt(self.denominator)})"
 
 
 def fit_rational_function(
@@ -342,7 +310,7 @@ def fit_rational_function(
     """
     if deg_num < 0 or deg_den < 0:
         raise InputError("negative degree bound")
-    ks = [k for k, _ in samples]
+    ks = [require_int(k, "sample abscissa") for k, _ in samples]
     if len(set(ks)) != len(ks):
         raise InputError("duplicate sample abscissae")
     if len(samples) < deg_num + deg_den + 1:

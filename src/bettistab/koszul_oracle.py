@@ -23,7 +23,9 @@ computed here by exact integer rank, and dim H_i summed into (i, |a|) over
 the Betti multidegrees is the graded Betti diagram.  These lie in the lcm
 lattice L(I), the lcms of sets of generators (Gasharov, Peeva & Welker,
 "The lcm-lattice in monomial resolutions", 1999), which `_lcm_lattice`
-builds as the closure of {0} under lcm with each generator.  Since sigma
+builds as a fold over the generators: starting from {0}, each generator g
+adds lcm(a, g) for every point a so far, so after g_1..g_j the set is
+exactly {lcm(S) : S a subset of {g_1..g_j}}.  Since sigma
 lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
 to supp(a): `_strand_key`.  `betti_oracle` computes the homology once per
@@ -43,10 +45,9 @@ from .monomial_ideal import MonomialIdeal
 
 def _lcm_lattice(ideal: MonomialIdeal) -> set:
     """L(I): every lcm of a set of generators (the empty set gives 0)."""
-    lattice = frontier = {(0,) * ideal.num_vars}
-    while frontier:
-        frontier = {tuple(map(max, a, g)) for a in frontier for g in ideal.generators} - lattice
-        lattice |= frontier
+    lattice = {(0,) * ideal.num_vars}
+    for g in ideal.generators:
+        lattice |= {tuple(map(max, a, g)) for a in lattice}
     return lattice
 
 
@@ -110,6 +111,8 @@ def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> Betti
     `None` never truncates.  An explicit bound silently yields a diagram
     complete only up to it.
     """
+    if degree_bound is not None:
+        require_int(degree_bound, "degree bound")
     homology = {}  # strand key -> strand_homology of any point with that key
     totals = {}
     for a in _lcm_lattice(ideal):

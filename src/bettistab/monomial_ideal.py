@@ -26,16 +26,6 @@ def monomial_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_to_str(m) -> str:
-    parts = []
-    for idx, e in enumerate(m, start=1):
-        if e == 1:
-            parts.append(f"x{idx}")
-        elif e > 1:
-            parts.append(f"x{idx}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def _minimalize(gens):
     """Keep only generators minimal under divisibility, deduplicated."""
     unique = sorted(set(gens))
@@ -52,14 +42,14 @@ class MonomialIdeal:
     generators: tuple
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        if require_int(self.num_vars, "num_vars") < 1:
             raise InputError("num_vars must be positive")
         if not self.generators:
             raise InputError("ideal needs at least one generator")
         for g in self.generators:
             if len(g) != self.num_vars:
                 raise InputError("generator length does not match num_vars")
-            if any(e < 0 for e in g):
+            if any(require_int(e, "exponent") < 0 for e in g):
                 raise InputError("negative exponent in generator")
             if all(e == 0 for e in g):
                 raise InputError("unit generator makes the quotient zero")
@@ -87,16 +77,11 @@ class MonomialIdeal:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ideal JSON: {exc}") from exc
 
-    def __str__(self) -> str:
-        return ", ".join(monomial_to_str(g) for g in self.generators)
-
 
 def make_ideal(num_vars: int, generators) -> MonomialIdeal:
     """Build an ideal from arbitrary generators, minimalizing and sorting."""
-    require_int(num_vars, "num_vars")
+    # Checked here too: _minimalize may drop a generator before the constructor sees it.
     gens = [tuple(require_int(e, "exponent") for e in g) for g in generators]
-    if not gens:
-        raise InputError("ideal needs at least one generator")
     for g in gens:
         if len(g) != num_vars:
             raise InputError("generator length does not match num_vars")

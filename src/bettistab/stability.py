@@ -122,9 +122,6 @@ class StabilityReport:
     column_sum_fits: tuple  # RationalFunctionFit | None per column
     verdict: dict
 
-    def trajectory_map(self) -> dict:
-        return {(t.vertex, t.coordinate): t for t in self.trajectories}
-
     def to_json_dict(self) -> dict:
         return {
             "ideal": self.ideal.to_json_dict(),
@@ -509,7 +506,7 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
 
     first_k = report.window[0]
     window_ks = [r.k for r in report.records if r.k >= first_k]
-    trajectory = report.trajectory_map()
+    trajectory = {(t.vertex, t.coordinate): t for t in report.trajectories}
 
     pattern_of_label = {
         label: _zero_pattern(report.vertex_values[label][first_k])
@@ -577,7 +574,6 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
     reconstruction_ok = all(
         verify_decomposition(r.diagram, v, r.polytope.candidates)
         for r in report.records
-        if r.polytope.vertices is not None
         for v in r.polytope.vertices
     )
     return {

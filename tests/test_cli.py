@@ -1,8 +1,10 @@
 import inspect
 import json
+import types
 
 import pytest
 
+import bettistab
 from bettistab.cli import build_parser, main
 from bettistab.diagram import BettiDiagram, parse_table
 from bettistab.path_formula import path_diagram
@@ -201,3 +203,31 @@ def test_option_inventory():
         "(ideal: 'MonomialIdeal', k_min: 'int', k_max: 'int', "
         "use_formula: 'bool' = False) -> 'StabilityReport'"
     )
+
+
+PUBLIC_API = [
+    "BettiDiagram", "BettiStabError", "CombinatorialSignature", "ConeError",
+    "Decomposition", "DecompositionPolytope", "InputError", "MonomialIdeal",
+    "NotEquigeneratedError", "PureDiagram", "RationalFunctionFit",
+    "ReferenceVertexFamily", "StabilityError", "StabilityReport",
+    "TranslationTemplate", "betti_oracle", "binom", "build_polytope",
+    "candidate_degree_sequences", "column_sums", "combinatorial_signature",
+    "compare_reference", "enumerate_vertices", "fit_polynomial",
+    "fit_rational_function", "format_rational", "greedy_decompose",
+    "is_equigenerated", "make_ideal", "match_templates", "matrix_rank",
+    "parse_ideal", "parse_rational", "parse_table", "path6_reference",
+    "path_betti", "path_diagram", "path_family_size", "path_ideal", "power",
+    "prune", "pure_diagram", "render_table", "scan_powers", "solve_exact",
+    "strand_homology", "validate_cyclic", "verify_decomposition",
+]
+
+
+def test_public_api_inventory():
+    # Every name the package exports is listed here: adding or removing one
+    # needs a visible edit.  Submodules are attributes too, but not exports.
+    names = sorted(
+        name
+        for name, value in vars(bettistab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_API

@@ -88,6 +88,8 @@ def test_verify_rejects_perturbation():
     assert not verify_decomposition(diagram, [-w for w in weights], candidates)
     with pytest.raises(InputError):
         verify_decomposition(diagram, weights[:-1], candidates)
+    with pytest.raises(InputError):
+        verify_decomposition(BettiDiagram({(0, 0): 1}), [1.0], [(0,)])
 
 
 def test_candidates_small_support():

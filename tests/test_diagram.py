@@ -13,7 +13,7 @@ from bettistab.diagram import (
     validate_cyclic,
 )
 from bettistab.errors import InputError
-from bettistab.exact_arith import solve_exact
+from bettistab.exact_arith import primitive, solve_exact
 from bettistab.path_formula import path_diagram
 
 
@@ -72,7 +72,7 @@ def test_pure_matches_power_sum_solve(degrees):
 def test_integral_rescaling():
     pd = pure_diagram((0, 1, 3))
     assert pd.values == (1, Fraction(3, 2), Fraction(1, 2))
-    assert pd.integral_values() == (2, 3, 1)
+    assert primitive(pd.values) == (2, 3, 1)
 
 
 def test_instantiate_examples():
@@ -135,6 +135,13 @@ def test_diagram_rejects_float_entries():
     # Fraction(0.1) would store the binary expansion 3602879701896397/2**55
     with pytest.raises(InputError):
         BettiDiagram({(0, 0): 1, (1, 2): 0.1})
+    # a JSON float is not its decimal: str(0.30000000000000001) reads as 3/10
+    for value in (0.1, 0.30000000000000001, 2.0, True):
+        with pytest.raises(InputError):
+            BettiDiagram.from_json_dict({"entries": [[0, 0, 1], [1, 2, value]]})
+    data = {"entries": [[0, 0, 1], [1, 2, 3], [2, 3, "1/2"]]}
+    expected = BettiDiagram({(0, 0): 1, (1, 2): 3, (2, 3): Fraction(1, 2)})
+    assert BettiDiagram.from_json_dict(data) == expected
 
 
 @pytest.mark.parametrize("i, j", [(1.5, 2.2), (1, 2.0), (True, 2), ("1", 2)])

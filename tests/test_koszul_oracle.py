@@ -41,6 +41,8 @@ def test_strand_rejects_non_integer_multidegree():
     ideal = make_ideal(2, [(1, 0), (0, 1)])
     with pytest.raises(InputError):
         strand_homology(ideal, (1.7, 1.2))
+    with pytest.raises(InputError):
+        betti_oracle(path_ideal(4), degree_bound=2.5)
 
 
 def test_oracle_two_variables():

@@ -7,7 +7,6 @@ from bettistab.monomial_ideal import (
     is_equigenerated,
     make_ideal,
     monomial_divides,
-    monomial_to_str,
     parse_ideal,
     power,
 )
@@ -92,7 +91,15 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize(
     "num_vars, gens",
-    [(2, [(1.7, 1)]), (2.9, [(1, 1)]), (2, [(True, 1)]), (2, [("1", 1)])],
+    [
+        (2, [(1.7, 1)]),
+        (2.9, [(1, 1)]),
+        (2, [(True, 1)]),
+        (2, [("1", 1)]),
+        (2, [(1.5, 0)]),
+        (2.0, [(1, 0)]),
+        (2, [(1, 0), (1.5, 1)]),  # (1, 0) divides it: minimalization would drop it
+    ],
 )
 def test_make_ideal_rejects_non_integers(num_vars, gens):
     # int() would truncate these silently: 1.7 -> 1, 2.9 -> 2, True -> 1
@@ -100,11 +107,8 @@ def test_make_ideal_rejects_non_integers(num_vars, gens):
         make_ideal(num_vars, gens)
     with pytest.raises(InputError):
         MonomialIdeal.from_json_dict({"num_vars": num_vars, "generators": gens})
-
-
-def test_monomial_to_str():
-    assert monomial_to_str((2, 0, 1)) == "x1^2*x3"
-    assert monomial_to_str((0, 0)) == "1"
+    with pytest.raises(InputError):
+        MonomialIdeal(num_vars, tuple(map(tuple, gens)))
 
 
 small_ideals = st.builds(
