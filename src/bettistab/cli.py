@@ -131,11 +131,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "oracle":
-        ideal = _load_ideal(args.ideal, args.num_vars)
-        if args.power > 1:
-            ideal = power(ideal, args.power)
-        elif args.power < 1:
-            raise InputError("--power must be >= 1")
+        ideal = power(_load_ideal(args.ideal, args.num_vars), args.power)
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
         diagram = betti_oracle(ideal, degree_bound=args.degree_bound)
         _emit_json(diagram.to_json_dict())

@@ -3,7 +3,7 @@
 `greedy_decompose` runs the classical elimination: repeatedly read off the
 minimal-shift degree sequence, subtract the largest multiple of its pure
 diagram that keeps the residual nonnegative, and record the weight.  Each
-step zeroes at least one support position, so the loop terminates.
+step zeroes a support position and adds none: at most |support| steps.
 
 The polytope of all decompositions fixes a candidate list of degree
 sequences and collects every nonnegative weight vector w with A w = b, where
@@ -48,10 +48,7 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
         raise InputError("cannot decompose the zero diagram")
     entries = {pos: v for pos, v in diagram.items()}
     terms = []
-    max_steps = len(entries)
-    for _ in range(max_steps + 1):
-        if not entries:
-            return Decomposition(tuple(terms))
+    while entries:
         columns = sorted({i for i, _ in entries})
         if columns != list(range(len(columns))):
             raise ConeError(
@@ -72,14 +69,12 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
         )
         for i, (d, v) in enumerate(zip(degrees, pure.values)):
             residual = entries[(i, d)] - weight * v
-            if residual < 0:
-                raise ConeError("negative residual: diagram not in the cone")
             if residual == 0:
                 del entries[(i, d)]
             else:
                 entries[(i, d)] = residual
         terms.append((weight, degrees))
-    raise ConeError("elimination did not terminate: diagram not in the cone")
+    return Decomposition(tuple(terms))
 
 
 def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:

@@ -90,7 +90,7 @@ def make_ideal(num_vars: int, generators) -> MonomialIdeal:
 
 def parse_ideal(text: str, num_vars: int) -> MonomialIdeal:
     """Parse the comma-separated generator syntax into a canonical ideal."""
-    if num_vars < 1:
+    if require_int(num_vars, "num_vars") < 1:
         raise InputError("num_vars must be positive")
     chunks = [c.strip() for c in text.split(",")]
     if chunks == [""]:
@@ -117,7 +117,7 @@ def parse_ideal(text: str, num_vars: int) -> MonomialIdeal:
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """The k-th power: minimalized k-fold products of the generators."""
-    if k < 1:
+    if require_int(k, "power exponent") < 1:
         raise InputError("power exponent must be >= 1")
     if k == 1:
         return ideal

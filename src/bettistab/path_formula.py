@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from .diagram import BettiDiagram
 from .errors import InputError
-from .exact_arith import binom
+from .exact_arith import binom, require_int
 from .monomial_ideal import MonomialIdeal, make_ideal
 
 
 def path_ideal(n: int) -> MonomialIdeal:
     """Edge ideal of the path on n vertices: <x1*x2, ..., x_{n-1}*x_n>."""
-    if n < 2:
+    if require_int(n, "n") < 2:
         raise InputError("path ideal needs n >= 2")
     gens = []
     for i in range(n - 1):
@@ -41,6 +41,8 @@ def path_family_size(ideal: MonomialIdeal):
 
 
 def path_betti(n: int, k: int, i: int, j: int) -> int:
+    for name, value in (("n", n), ("k", k), ("i", i), ("j", j)):
+        require_int(value, name)
     if n < 2 or k < 1 or i < 0 or j < 0:
         raise InputError(f"parameters out of range: n={n}, k={k}, i={i}, j={j}")
     if i == 0:
@@ -54,6 +56,8 @@ def path_betti(n: int, k: int, i: int, j: int) -> int:
 
 def path_diagram(n: int, k: int) -> BettiDiagram:
     """Assemble all nonzero values over the scan box 0 <= i <= n, i <= j <= 2k+n."""
+    require_int(n, "n")
+    require_int(k, "k")
     entries = {}
     for i in range(n + 1):
         for j in range(i, 2 * k + n + 1):

@@ -49,6 +49,7 @@ from .exact_arith import (
     fit_rational_function,
     format_rational,
     poly_mul,
+    require_int,
 )
 from .koszul_oracle import betti_oracle
 from .monomial_ideal import MonomialIdeal, is_equigenerated, power
@@ -227,26 +228,18 @@ def _zero_pattern(vector) -> tuple:
 def _pair_vertices(window_records):
     """Assign stable labels to vertices across the window by zero pattern.
 
-    Patterns never tie: a vertex of {w >= 0 : Aw = b} is the unique solution
-    of Aw = b on its support (its support columns are independent), so two
-    vertices of one power have different zero patterns.  Labels v1, v2, ...
-    follow the sorted patterns.
+    Labels v1, v2, ... follow the signature's sorted patterns, which every
+    window record shares (the window is a run of equal signatures), so no
+    record is checked.  Patterns never tie: a vertex of {w >= 0 : Aw = b} is
+    the unique solution of Aw = b on its support, so each names one vertex.
     """
-    by_pattern = [
-        {_zero_pattern(v): v for v in record.polytope.vertices} for record in window_records
-    ]
-    patterns = sorted(by_pattern[0])
-    for record, vertices in zip(window_records, by_pattern):
-        if sorted(vertices) != patterns:
-            raise StabilityError(
-                f"zero patterns at k={record.k} do not match the stable window"
-            )
-    labels = tuple(f"v{i}" for i in range(1, len(patterns) + 1))
-    values = {
-        label: {record.k: vertices[p] for record, vertices in zip(window_records, by_pattern)}
-        for label, p in zip(labels, patterns)
-    }
-    return labels, values
+    patterns = window_records[0].signature.zero_patterns
+    values = {f"v{i}": {} for i in range(1, len(patterns) + 1)}
+    label_of = dict(zip(patterns, values))
+    for record in window_records:
+        for v in record.polytope.vertices:
+            values[label_of[_zero_pattern(v)]][record.k] = v
+    return tuple(values), values
 
 
 def _fit_trajectory(samples, polynomial: bool = False):
@@ -281,9 +274,9 @@ def scan_powers(
         raise NotEquigeneratedError(
             "scan requires all generators of the same degree"
         )
-    if k_min < 1:
+    if require_int(k_min, "k_min") < 1:
         raise InputError("k_min must be >= 1")
-    if k_max - k_min < 4:
+    if require_int(k_max, "k_max") - k_min < 4:
         raise InputError("scan range must satisfy k_max - k_min >= 4")
     n = None
     if use_formula:
@@ -465,24 +458,19 @@ def path6_reference() -> ReferenceVertexFamily:
 
 def _constant_ratio(computed, reference_fit):
     """(flag, ratio) for computed/reference over the window; ratio None if mixed."""
-    expected = []
-    for k, _ in computed:
+    ratios = set()
+    for k, c in computed:
         try:
-            expected.append(reference_fit.evaluate(k))
+            p = reference_fit.evaluate(k)
         except ZeroDivisionError:
             return False, None
-    if all(p == 0 for p in expected):
-        return all(c == 0 for _, c in computed), None
-    ratios = set()
-    for (_, c), p in zip(computed, expected):
-        if p == 0:
-            if c != 0:
-                return False, None
-        else:
+        if p != 0:
             ratios.add(c / p)
-    if len(ratios) == 1:
-        return True, ratios.pop()
-    return False, None
+        elif c != 0:
+            return False, None
+    if len(ratios) > 1:
+        return False, None
+    return True, next(iter(ratios), None)
 
 
 def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily) -> dict:
@@ -493,7 +481,7 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
         raise StabilityError(
             f"window must lie in k >= {reference.min_k}, got start {report.window[0]}"
         )
-    if report.templates is None or len(report.templates) != len(reference.templates):
+    if len(report.templates) != len(reference.templates):
         raise StabilityError("computed candidate templates do not match the reference")
 
     by_positions = {t.positions: c for c, t in enumerate(report.templates)}
@@ -504,36 +492,27 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
             raise StabilityError(f"reference template {label} not found in the scan")
         coordinate_of[label] = c
 
-    first_k = report.window[0]
-    window_ks = [r.k for r in report.records if r.k >= first_k]
+    window_ks = [r.k for r in report.records if r.k >= report.window[0]]
     trajectory = {(t.vertex, t.coordinate): t for t in report.trajectories}
 
-    pattern_of_label = {
-        label: _zero_pattern(report.vertex_values[label][first_k])
-        for label in report.vertex_labels
-    }
+    # The last record lies in the window, whose records share one signature.
+    label_of_pattern = dict(
+        zip(report.records[-1].signature.zero_patterns, report.vertex_labels)
+    )
 
     vertices_out = []
-    all_patterns_match = True
     for vi, ref_vertex in enumerate(reference.vertex_labels):
         ref_pattern = tuple(
             sorted(coordinate_of[l] for l in reference.zero_patterns[vi])
         )
-        matched = next(
-            (lbl for lbl, pat in pattern_of_label.items() if pat == ref_pattern), None
-        )
-        all_patterns_match = all_patterns_match and matched is not None
+        matched = label_of_pattern.get(ref_pattern)
         coords_out = []
         for ti, label in enumerate(reference.template_labels):
             c = coordinate_of[label]
             formula = reference.coordinate_formulas[vi][ti]
-            if matched is None:
-                exact = False
-                ratio_flag, ratio = False, None
-                fit = None
-            else:
+            fit, ratio_flag, ratio = None, False, None
+            if matched is not None:
                 fit = trajectory[(matched, c)].fit
-                exact = fit is not None and fit == formula
                 computed_values = [
                     (k, report.vertex_values[matched][k][c]) for k in window_ks
                 ]
@@ -541,7 +520,7 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
             coords_out.append(
                 {
                     "template": label,
-                    "exact_equal": exact,
+                    "exact_equal": fit == formula,
                     "constant_ratio": ratio_flag,
                     "ratio": format_rational(ratio) if ratio is not None else None,
                     "computed_fit": fit.to_json_dict() if fit else None,
@@ -580,7 +559,7 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
         "window": list(report.window),
         "coordinate_of_template": dict(coordinate_of),
         "vertices": vertices_out,
-        "all_zero_patterns_match": all_patterns_match,
+        "all_zero_patterns_match": all(v["zero_pattern_match"] for v in vertices_out),
         "sum_check": {
             "computed_vertex_sums": computed_sums,
             "note": (

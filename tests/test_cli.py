@@ -51,6 +51,15 @@ def test_oracle_json_ideal_with_power(tmp_path, capsys):
     assert BettiDiagram.from_json_dict(json.loads(out)) == path_diagram(3, 2)
 
 
+def test_oracle_rejects_power_zero(tmp_path, capsys):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1*x2, x2*x3\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", "0")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "InputError", "message": "power exponent must be >= 1"}
+
+
 def test_decompose_round_trip(tmp_path, capsys):
     diagram_file = tmp_path / "diagram.json"
     diagram_file.write_text(json.dumps(path_diagram(5, 1).to_json_dict()), encoding="utf-8")

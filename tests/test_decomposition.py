@@ -277,6 +277,43 @@ def test_greedy_reconstructs_random_combinations(terms):
     assert len(set(sequences)) == len(sequences)
 
 
+@st.composite
+def cyclic_diagrams(draw):
+    """(0, 0) = 1 plus positive entries, random or a cone point with one moved."""
+    positive = st.fractions(min_value=0, max_value=20, max_denominator=6).filter(bool)
+    entries = {(0, 0): Fraction(1)}
+    if draw(st.booleans()):
+        for i in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
+            degrees = draw(st.sets(st.integers(min_value=i, max_value=i + 5), max_size=3))
+            for j in degrees:
+                entries[(i, j)] = draw(positive)
+        return BettiDiagram(entries)
+    weights = draw(st.lists(positive, min_size=1, max_size=3))
+    for w in weights:
+        tail = draw(st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=4))
+        degrees = (0, *sorted(tail))
+        for i, (d, v) in enumerate(zip(degrees[1:], pure_diagram(degrees).values[1:]), 1):
+            entries[(i, d)] = entries.get((i, d), 0) + w * v / sum(weights)
+    moved = draw(st.sampled_from(sorted(entries)[1:]))
+    entries[moved] *= draw(st.sampled_from([1, Fraction(1, 2), Fraction(3, 2), 2]))
+    return BettiDiagram(entries)
+
+
+@given(cyclic_diagrams())
+@settings(max_examples=200, deadline=None)
+def test_greedy_terminates_or_rejects(diagram):
+    # Each step zeroes a support position, so there is no step cap, and the
+    # weight is a minimum ratio, so no residual goes negative.
+    try:
+        dec = greedy_decompose(diagram)
+    except ConeError:
+        return
+    assert len(dec.terms) <= len(diagram.support())
+    assert verify_decomposition(
+        diagram, [w for w, _ in dec.terms], [d for _, d in dec.terms]
+    )
+
+
 def test_greedy_oracle_diagrams_reconstruct():
     rng = random.Random(11)
     for _ in range(6):

@@ -36,6 +36,8 @@ def test_parse_errors():
         parse_ideal("x1*y2", 3)
     with pytest.raises(InputError):
         parse_ideal("x1^0", 3)
+    with pytest.raises(InputError):
+        parse_ideal("x1*x2", 2.5)
 
 
 def test_power_of_two_generator_path():
@@ -65,6 +67,10 @@ def test_power_p4_squared():
 def test_power_rejects_zero():
     with pytest.raises(InputError):
         power(path_ideal(3), 0)
+    # True would return the ideal itself and 2.0 fail inside itertools
+    for k in (True, 2.0):
+        with pytest.raises(InputError):
+            power(path_ideal(3), k)
 
 
 def test_is_equigenerated():

@@ -28,6 +28,13 @@ def test_path_betti_rejects_bad_parameters():
         path_betti(4, 0, 0, 0)
     with pytest.raises(InputError):
         path_betti(4, 1, -1, 0)
+    # True would run as k = 1; floats would reach binom or range
+    for args in ((6, True, 1, 3), (6.0, 2, 1, 4), (6, 2, 1.0, 4), (6, 2, 1, 4.0)):
+        with pytest.raises(InputError):
+            path_betti(*args)
+    for n, k in ((6, 2.0), (6.0, 2), (6, True)):
+        with pytest.raises(InputError):
+            path_diagram(n, k)
 
 
 def test_path_diagram_small_cases():
@@ -83,3 +90,5 @@ def test_path_family_detection():
 def test_path_ideal_requires_two_vertices():
     with pytest.raises(InputError):
         path_ideal(1)
+    with pytest.raises(InputError):
+        path_ideal(3.0)

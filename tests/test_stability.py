@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,9 +10,10 @@ from bettistab.decomposition import (
     candidate_degree_sequences,
     enumerate_vertices,
     prune,
+    verify_decomposition,
 )
 from bettistab.diagram import TranslationTemplate, column_sums
-from bettistab.errors import NotEquigeneratedError, StabilityError
+from bettistab.errors import InputError, NotEquigeneratedError, StabilityError
 from bettistab.exact_arith import RationalFunctionFit
 from bettistab.monomial_ideal import make_ideal
 from bettistab.path_formula import path_diagram, path_ideal
@@ -111,6 +113,13 @@ def test_scan_requires_equigenerated():
     mixed = make_ideal(2, [(1, 0), (0, 2)])
     with pytest.raises(NotEquigeneratedError):
         scan_powers(mixed, 1, 6)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(True, 5), (1, 5.0), (1.0, 6)])
+def test_scan_rejects_non_integer_range(k_min, k_max):
+    # True would be written into the report as "k_min": true
+    with pytest.raises(InputError):
+        scan_powers(path_ideal(3), k_min, k_max)
 
 
 def test_scan_report_structure(path6_report):
@@ -301,3 +310,50 @@ def test_translation_template_used_in_reference():
         assert isinstance(template, TranslationTemplate)
         assert template.positions[0] == (0, 0)
         assert template.positions[1] == (2, 0)
+
+
+QUADRATICS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+NON_PATH_IDEALS = [
+    make_ideal(3, gens)
+    for size in range(1, len(QUADRATICS) + 1)
+    for gens in combinations(QUADRATICS, size)
+] + [
+    make_ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]),  # C4
+    make_ideal(4, [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]),  # star K_{1,3}
+]
+
+
+def _zeros(vector):
+    return tuple(c for c, x in enumerate(vector) if x == 0)
+
+
+def _ideal_id(ideal):
+    return "_".join(
+        "".join(f"x{t + 1}" * e for t, e in enumerate(g)) for g in ideal.generators
+    )
+
+
+@pytest.mark.parametrize("ideal", NON_PATH_IDEALS, ids=_ideal_id)
+def test_oracle_scans_of_non_path_ideals(ideal):
+    # Every quadratic monomial ideal in three variables, C4 and the star:
+    # the window, labels, fits and templates must agree with the records.
+    report = scan_powers(ideal, 1, 5)
+    for record in report.records:
+        for v in record.polytope.vertices:
+            assert verify_decomposition(record.diagram, v, record.polytope.candidates)
+    assert report.window is not None
+    window = [r for r in report.records if r.k >= report.window[0]]
+    labels = report.vertex_labels
+    for record in window:
+        signature = record.signature
+        assert len(labels) == signature.vertex_count
+        vertices = [report.vertex_values[label][record.k] for label in labels]
+        assert sorted(vertices) == sorted(record.polytope.vertices)
+        assert tuple(_zeros(v) for v in vertices) == signature.zero_patterns
+        for c, template in enumerate(report.templates):
+            assert template.instantiate(record.k) == record.polytope.candidates[c]
+    for t in report.trajectories:
+        if t.fit is not None:
+            for record in window:
+                value = report.vertex_values[t.vertex][record.k][t.coordinate]
+                assert t.fit.evaluate(record.k) == value
