@@ -3,7 +3,9 @@
 Subcommands: formula, oracle, decompose, polytope, scan, verify-paper.
 Results go to stdout (JSON unless --table), logs to stderr.  Exit codes:
 0 success, 1 domain error (with a machine-readable error object on stdout),
-2 usage error.  Every subcommand runs in a single thread.
+2 usage error.  Every subcommand runs in a single thread.  `scan` and
+`verify-paper` take diagrams of the labelled path ideal from the closed form
+and those of any other ideal from the Koszul oracle.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--num-vars", type=int, help="variable count for text input")
-    p.add_argument("--formula", action="store_true", help="use the path closed form")
     p.add_argument("--json", metavar="OUT", help="write the report to this file")
 
     p = sub.add_parser(
@@ -154,7 +155,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.subcommand == "scan":
         ideal = _load_ideal(args.ideal, args.num_vars)
-        report = scan_powers(ideal, args.kmin, args.kmax, use_formula=args.formula)
+        report = scan_powers(ideal, args.kmin, args.kmax)
         _log(
             "scan done: "
             + ("stable window %s..%s" % report.window if report.window else "not stabilized in range")
@@ -165,9 +166,7 @@ def run(args: argparse.Namespace) -> int:
     if args.subcommand == "verify-paper":
         if args.n != 6:
             raise InputError("the built-in reference family covers n = 6 only")
-        if args.kmin < 4:
-            raise InputError("reference comparison needs kmin >= 4")
-        report = scan_powers(path_ideal(6), args.kmin, args.kmax, use_formula=True)
+        report = scan_powers(path_ideal(6), args.kmin, args.kmax)
         record = compare_reference(report, path6_reference())
         _log(
             "zero patterns match: %s; reconstruction ok: %s"

@@ -133,7 +133,9 @@ class DecompositionPolytope:
 
     @property
     def dimension(self) -> int:
-        return len(self.candidates) - self.rank
+        """m - rank of the pruned system: the polytope's dimension once it has vertices."""
+        system = prune(self) if self.vertices else self
+        return len(system.candidates) - system.rank
 
     def to_json_dict(self) -> dict:
         if self.vertices is None:

@@ -42,12 +42,11 @@ class BettiDiagram:
             j = require_int(j, "diagram index")
             if i < 0 or j < 0:
                 raise InputError(f"negative diagram index {(i, j)}")
-            try:
-                v = Fraction(value.numerator, value.denominator)
-            except AttributeError as exc:
+            if type(value) not in (int, Fraction):
                 raise InputError(
                     f"Betti entry at {(i, j)} must be an int or Fraction: {value!r}"
-                ) from exc
+                )
+            v = Fraction(value)
             if v < 0:
                 raise InputError(f"negative Betti entry at {(i, j)}")
             if v == 0:

@@ -37,7 +37,8 @@ def binom(a: int, b: int) -> int:
     C(a, 0) = 1 for every integer a (negative included); C(a, b) = 0 when
     b < 0 or when b > 0 and a < b; otherwise the ordinary value.
     """
-    if b < 0:
+    require_int(a, "binom a")
+    if require_int(b, "binom b") < 0:
         return 0
     if b == 0:
         return 1

@@ -1,14 +1,15 @@
 """Stabilization scans across powers of an ideal.
 
-`scan_powers` computes, for each power k in a range, the Betti diagram, the
-pruned polytope of its decompositions, and a combinatorial signature (vertex
-count, dimension, and the multiset of vertex zero patterns over the sorted
-candidate list).  It then detects the largest stable suffix window (at least
-three consecutive equal signatures with equal candidate counts), matches the
-candidate families across the window as affine-in-k templates, pairs
-vertices across k by zero pattern, and fits each vertex coordinate with an
-exact rational function of k.  A finite scan can only certify "stable in
-range", never stability itself.
+`scan_powers` computes, for each power k in a range, the Betti diagram (by
+the closed form for the labelled path ideal, by the Koszul oracle otherwise;
+`use_formula` records which), the pruned polytope of its decompositions,
+and a combinatorial signature (vertex count, dimension, and the multiset of
+vertex zero patterns over the sorted candidate list).  It then detects the
+largest stable suffix window (at least three consecutive equal signatures
+with equal candidate counts), matches the candidate families across the
+window as affine-in-k templates, pairs vertices across k by zero pattern,
+and fits each vertex coordinate with an exact rational function of k.  A
+finite scan can only certify "stable in range", never stability itself.
 
 Every trajectory fit is validated on a held-out sample: the fit uses all
 window samples except the last and must reproduce the last exactly.  The
@@ -178,7 +179,7 @@ def match_templates(candidate_sets) -> tuple:
     sorted; alignment is by sorted order.  Slopes and intercepts are fitted
     from the first two powers and verified on all the rest.
     """
-    sets = [(k, [tuple(c) for c in cands]) for k, cands in candidate_sets]
+    sets = [(require_int(k, "k"), [tuple(c) for c in cands]) for k, cands in candidate_sets]
     if len(sets) < 3:
         raise StabilityError("need at least 3 consecutive candidate sets")
     counts = {len(cands) for _, cands in sets}
@@ -262,12 +263,7 @@ def _fit_trajectory(samples, polynomial: bool = False):
     return None
 
 
-def scan_powers(
-    ideal: MonomialIdeal,
-    k_min: int,
-    k_max: int,
-    use_formula: bool = False,
-) -> StabilityReport:
+def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport:
     """Full stabilization scan over powers k_min .. k_max."""
     ok, _ = is_equigenerated(ideal)
     if not ok:
@@ -278,15 +274,11 @@ def scan_powers(
         raise InputError("k_min must be >= 1")
     if require_int(k_max, "k_max") - k_min < 4:
         raise InputError("scan range must satisfy k_max - k_min >= 4")
-    n = None
-    if use_formula:
-        n = path_family_size(ideal)
-        if n is None:
-            raise InputError("formula mode requires a path edge ideal")
+    n = path_family_size(ideal)
 
     records = []
     for k in range(k_min, k_max + 1):
-        if use_formula:
+        if n is not None:
             diagram = path_diagram(n, k)
         else:
             diagram = betti_oracle(power(ideal, k))
@@ -348,7 +340,7 @@ def scan_powers(
         ideal=ideal,
         k_min=k_min,
         k_max=k_max,
-        use_formula=use_formula,
+        use_formula=n is not None,
         records=tuple(records),
         k0=k0,
         window=window,

@@ -33,7 +33,7 @@ AC2_PAIRS = [
 
 @pytest.fixture(scope="module")
 def scan_4_11():
-    return scan_powers(path_ideal(6), 4, 11, use_formula=True)
+    return scan_powers(path_ideal(6), 4, 11)
 
 
 def _pipeline(diagram):

@@ -116,18 +116,6 @@ def test_scan_deterministic_output(tmp_path, capsys):
     assert first == second
 
 
-def test_scan_formula_requires_path_family(tmp_path, capsys):
-    ideal_file = tmp_path / "ideal.txt"
-    ideal_file.write_text("x1^2, x1*x2, x2^2", encoding="utf-8")
-    code, out, _ = run_cli(
-        capsys,
-        "scan", "--ideal", str(ideal_file),
-        "--kmin", "1", "--kmax", "5", "--formula",
-    )
-    assert code == 1
-    assert json.loads(out)["error"]["type"] == "InputError"
-
-
 def test_verify_paper(capsys):
     code, out, err = run_cli(capsys, "verify-paper", "--kmin", "4", "--kmax", "8")
     assert code == 0
@@ -167,6 +155,9 @@ def test_usage_error_exit_code(capsys):
     assert main(
         ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--fit-deg", "1,1"]
     ) == 2
+    assert main(
+        ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--formula"]
+    ) == 2
 
 
 @pytest.mark.parametrize(
@@ -191,7 +182,7 @@ OPTION_INVENTORY = {
     "oracle": ["--degree-bound", "--ideal", "--num-vars", "--power"],
     "decompose": ["--diagram"],
     "polytope": ["--diagram", "--prune"],
-    "scan": ["--formula", "--ideal", "--json", "--kmax", "--kmin", "--num-vars"],
+    "scan": ["--ideal", "--json", "--kmax", "--kmin", "--num-vars"],
     "verify-paper": ["--kmax", "--kmin", "--n"],
 }
 
@@ -209,8 +200,7 @@ def test_option_inventory():
     }
     assert options == OPTION_INVENTORY
     assert str(inspect.signature(scan_powers)) == (
-        "(ideal: 'MonomialIdeal', k_min: 'int', k_max: 'int', "
-        "use_formula: 'bool' = False) -> 'StabilityReport'"
+        "(ideal: 'MonomialIdeal', k_min: 'int', k_max: 'int') -> 'StabilityReport'"
     )
 
 

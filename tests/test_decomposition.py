@@ -16,7 +16,7 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
-from bettistab.exact_arith import solve_exact
+from bettistab.exact_arith import matrix_rank, solve_exact
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal
 from bettistab.path_formula import path_diagram
@@ -399,3 +399,36 @@ def test_vertices_match_reference_scan_on_chains(system):
     vertices = enumerate_vertices(polytope).vertices
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
+
+
+def _affine_rank(vertices):
+    """Dimension of the vertices' affine hull: the rank of their differences."""
+    return matrix_rank([[x - y for x, y in zip(v, vertices[0])] for v in vertices])
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2), (6, 4)])
+def test_dimension_is_affine_rank_on_path_diagrams(n, k):
+    # unpruned path(6)^4 has m - rank = 3, yet its vertices span a triangle
+    polytope = _pipeline(path_diagram(n, k))
+    assert polytope.dimension == prune(polytope).dimension
+    assert polytope.dimension == _affine_rank(polytope.vertices)
+
+
+@given(chain_systems())
+@settings(max_examples=120, deadline=None)
+def test_dimension_is_affine_rank_on_chains(system):
+    terms, candidates = system
+    total = {}
+    for weight, degrees in terms:
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+            total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
+    diagram = BettiDiagram(total)
+    if diagram.is_zero() or not candidates:
+        return
+    polytope = enumerate_vertices(build_polytope(diagram, candidates))
+    if polytope.vertices:
+        assert polytope.dimension == prune(polytope).dimension
+        assert polytope.dimension == _affine_rank(polytope.vertices)
+    else:
+        # no vertices: nothing to prune against, m - rank is reported
+        assert polytope.dimension == len(polytope.candidates) - polytope.rank

@@ -129,6 +129,8 @@ def test_diagram_rejects_bad_entries():
         BettiDiagram({(-1, 0): 1})
     with pytest.raises(InputError):
         BettiDiagram([((0, 0), 1), ((0, 0), 2)])
+    with pytest.raises(InputError):
+        BettiDiagram({(0, 0): True})
 
 
 def test_diagram_rejects_float_entries():

@@ -103,6 +103,11 @@ def test_float_entries_are_rejected():
         fit_rational_function([(Fraction(1, 2), 1), (2, 2)], 1, 0)
     with pytest.raises(InputError):
         fit_rational_function([(True, 1), (2, 2)], 1, 0)
+    # binom takes integers only; C(a, 0) = 1 still holds for negative a
+    for a, b in ((True, 1), (4.0, 2), (4, 2.0), (4, False)):
+        with pytest.raises(InputError):
+            binom(a, b)
+    assert binom(-5, 0) == 1
 
 
 @given(matrices, st.data())

@@ -32,7 +32,7 @@ RUNS = {
     "verify_paper_n6_k4_11": ["verify-paper", "--n", "6", "--kmin", "4", "--kmax", "11"],
     "scan_c4_oracle_k1_7": ["scan", "--ideal", "{c4}", "--kmin", "1", "--kmax", "7"],
     "scan_path6_formula_k4_11": [
-        "scan", "--ideal", "{path6}", "--kmin", "4", "--kmax", "11", "--formula",
+        "scan", "--ideal", "{path6}", "--kmin", "4", "--kmax", "11",
     ],
 }
 
@@ -54,6 +54,17 @@ def test_cli_output_matches_golden(name, tmp_path):
     code, out = run_stdout(name, tmp_path)
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_verify_paper_from_k1_matches_golden():
+    # The window still starts at k = 4, so a scan from k = 1 prints the same
+    # record as the default 4..11 run.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify-paper", "--kmin", "1", "--kmax", "11"])
+    assert code == 0
+    golden = GOLDEN_DIR / "verify_paper_n6_k4_11.json"
+    assert out.getvalue() == golden.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

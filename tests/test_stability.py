@@ -31,7 +31,7 @@ REFERENCE = path6_reference()
 
 @pytest.fixture(scope="module")
 def path6_report():
-    return scan_powers(path_ideal(6), 4, 11, use_formula=True)
+    return scan_powers(path_ideal(6), 4, 11)
 
 
 def _pruned(diagram):
@@ -71,6 +71,8 @@ def test_match_templates_mismatch():
         match_templates([(4, [(0, 8)]), (5, [(0, 10)])])
     with pytest.raises(StabilityError):
         match_templates([(4, [(0, 8)]), (5, [(0, 10), (0, 10, 11)]), (6, [(0, 12)])])
+    with pytest.raises(InputError):
+        match_templates([(True, [(0, 2)]), (2, [(0, 4)]), (3, [(0, 6)])])
 
 
 def test_signature_single_point():
@@ -159,7 +161,7 @@ def test_scan_shared_coordinates_across_vertices(path6_report):
 
 def test_scan_detects_maximal_window():
     # scanning from k=1 keeps the unstable low powers out of the window
-    report = scan_powers(path_ideal(6), 1, 10, use_formula=True)
+    report = scan_powers(path_ideal(6), 1, 10)
     assert report.window == (4, 10)
     assert report.k0 == 3
     stable = report.records[-1].signature
@@ -171,13 +173,27 @@ def test_scan_detects_maximal_window():
 
 def test_scan_without_stable_window():
     # only two stable powers at the top of the range: no window is claimed
-    report = scan_powers(path_ideal(6), 1, 5, use_formula=True)
+    report = scan_powers(path_ideal(6), 1, 5)
     assert report.window is None
     assert report.k0 is None
     assert not report.verdict["stabilized_in_range"]
     assert report.templates is None
     assert report.column_sum_fits == ()
     assert report.verdict["all_column_sums_fit"] is False
+
+
+@pytest.mark.parametrize("n, k_max", [(4, 7), (5, 6)])
+def test_scan_route_does_not_change_the_report(n, k_max):
+    # The labelled path takes the closed form; swapping x1 and x2 gives an
+    # isomorphic ideal that is not the labelled path, so it takes the oracle.
+    path = path_ideal(n)
+    swapped = make_ideal(n, [(g[1], g[0]) + g[2:] for g in path.generators])
+    reports = [scan_powers(ideal, 1, k_max) for ideal in (path, swapped)]
+    assert [r.use_formula for r in reports] == [True, False]
+    dicts = [r.to_json_dict() for r in reports]
+    for d in dicts:
+        del d["ideal"], d["use_formula"]
+    assert dicts[0] == dicts[1]
 
 
 def test_scan_linear_powers_single_points():
@@ -274,7 +290,7 @@ def test_compare_reference_window_guard():
 def test_report_json_deterministic(path6_report):
     data = path6_report.to_json_dict()
     text = json.dumps(data, indent=2, sort_keys=True)
-    again = scan_powers(path_ideal(6), 4, 11, use_formula=True)
+    again = scan_powers(path_ideal(6), 4, 11)
     assert json.dumps(again.to_json_dict(), indent=2, sort_keys=True) == text
     # rationals serialize as strings
     assert all(
