@@ -10,21 +10,24 @@ sequences and collects every nonnegative weight vector w with A w = b, where
 column c of A holds the pure diagram values of candidate c at the support
 positions of the source diagram.  Because every candidate is normalized to
 1 at its first position, the (0, 0) row forces sum(w) = beta_{0,0} and the
-polytope is bounded.  Vertices are enumerated exactly as basic feasible
-solutions over column subsets of size rank(A), each eliminated over the
-integer rows of [A | b] cleared once per polytope (`matrix` and `rhs` stay
-rational), so a dependent or inconsistent subset builds no Fraction.
+polytope is bounded.  Vertices are enumerated exactly by the double
+description method over the integers: the extreme rays of the cone
+{(w, s) >= 0 : A w = s b} are built one constraint at a time from a kernel
+basis of the integer rows of [A | -b] (`matrix` and `rhs` stay rational),
+and the rays with s > 0, divided by s, are the vertices.  The work follows
+the number of rays, not the C(m, rank(A)) column subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .diagram import BettiDiagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
-from .exact_arith import basic_solution, format_rational, integer_vector, matrix_rank
+from .exact_arith import (
+    _back_substitute, _echelon, format_rational, integer_vector, matrix_rank, primitive,
+)
 
 
 @dataclass(frozen=True)
@@ -176,25 +179,64 @@ def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
 
 
 def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope:
-    """All vertices of {w >= 0 : A w = b} as basic feasible solutions.
+    """All vertices of {w >= 0 : A w = b}, by exact double description.
 
-    Scans column subsets of size rank(A) over [A | b] cleared once; a subset
-    contributes when its columns are independent and the restricted system
-    is consistent with a nonnegative solution.  Returns an empty vertex list
-    iff infeasible.
+    The cone {(w, s) >= 0 : A w = s b} has the vertices, scaled by s, as its
+    extreme rays with s > 0; those with s = 0 span the recession cone.  One
+    echelon of the integer rows of [A | -b] gives a kernel basis, one
+    primitive integer ray per free column f: the extreme rays of the kernel
+    cut by every x_f >= 0.  Each pivot column's x_c >= 0 is then added in
+    turn (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most
+    rays on its negative side first.  Returns an empty vertex list iff
+    infeasible.
     """
     m = len(polytope.candidates)
-    rows = [integer_vector((*row, b)) for row, b in zip(polytope.matrix, polytope.rhs)]
-    found = set()
-    for subset in combinations(range(m), polytope.rank):
-        solution = basic_solution(rows, subset)
-        if solution is None or any(x < 0 for x in solution):
-            continue
-        full = [Fraction(0)] * m
-        for c, x in zip(subset, solution):
-            full[c] = x
-        found.add(tuple(full))
-    return replace(polytope, vertices=tuple(sorted(found)))
+    rows = [integer_vector((*row, -b)) for row, b in zip(polytope.matrix, polytope.rhs)]
+    pivots = _echelon(rows, m + 1)
+    todo = [c for _, c in pivots]
+    free = [c for c in range(m + 1) if c not in todo]
+    rays = [primitive(_back_substitute(rows, pivots, m + 1, free=f)) for f in free]
+    done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
+    zeros = [done ^ 1 << f for f in free]  # each ray's zero set within `done`
+    while todo:
+        c = max(todo, key=lambda k: sum(r[k] < 0 for r in rays))
+        todo.remove(c)
+        rays, zeros = _cut(rays, zeros, done, c, len(free) - 2)
+        done |= 1 << c
+    vertices = (tuple(Fraction(x, r[m]) for x in r[:m]) for r in rays if r[m] > 0)
+    return replace(polytope, vertices=tuple(sorted(vertices)))
+
+
+def _cut(rays, zeros, done, c, need):
+    """Extreme rays, with their zero sets, of the cone cut by x_c >= 0.
+
+    Rays p (x_c > 0) and q (x_c < 0) are adjacent iff their zero sets share
+    at least `need` = dim - 2 constraints and no third ray is zero on them all;
+    each adjacent pair gives the ray p_c q - q_c p, which has x_c = 0.
+    """
+    bit = 1 << c
+    out = [(r, z | bit if r[c] == 0 else z) for r, z in zip(rays, zeros) if r[c] >= 0]
+    neg = [(j, z) for j, (r, z) in enumerate(zip(rays, zeros)) if r[c] < 0]
+    if neg:
+        holders = {}  # constraint bit -> bitmask of the rays zero on it
+        for k in range(done.bit_length()):
+            if done >> k & 1:
+                holders[1 << k] = int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
+        everyone = (1 << len(rays)) - 1
+        for i, (p, zp) in enumerate(zip(rays, zeros)):
+            if p[c] <= 0:
+                continue
+            for j, shared in [(j, zp & zq) for j, zq in neg if (zp & zq).bit_count() >= need]:
+                pair, common, rest = 1 << i | 1 << j, everyone, shared
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= holders[low]
+                    rest ^= low
+                if common == pair:
+                    q = rays[j]
+                    new = [p[c] * y - q[c] * x for x, y in zip(p, q)]
+                    out.append((primitive(new), shared | bit))
+    return [r for r, _ in out], [z for _, z in out]
 
 
 def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:

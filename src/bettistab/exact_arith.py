@@ -8,8 +8,8 @@ This module supplies the shared numeric machinery:
 * `integer_vector` / `primitive` -- the one place where rationals become
   integers (lcm scaling, and its content-1 form); `require_int` admits an
   input integer without truncating anything,
-* `solve_exact` / `matrix_rank` / `basic_solution` -- fraction-free
-  Gaussian elimination on rows cleared once each,
+* `solve_exact` / `matrix_rank` -- fraction-free Gaussian elimination on
+  rows cleared once each,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation, product, division and primitive gcd,
 * `fit_rational_function` -- exact rational interpolation: one integer
@@ -179,21 +179,6 @@ def matrix_rank(matrix) -> int:
     if not matrix:
         return 0
     return len(_echelon([integer_vector(row) for row in matrix], len(matrix[0])))
-
-
-def basic_solution(rows, columns) -> Optional[list]:
-    """The unique solution of A[:, columns] x = b, or None.
-
-    `rows` are integer augmented rows [A | b].  None means the columns are
-    dependent or the system is inconsistent; both are read off the echelon
-    pivots before any Fraction is built.
-    """
-    n = len(columns)
-    sub = [[row[c] for c in columns] + [row[-1]] for row in rows]
-    pivots = _echelon(sub, n)
-    if len(pivots) < n or any(row[n] for row in sub[n:]):
-        return None
-    return _back_substitute(sub, pivots, n)
 
 
 # ---------------------------------------------------------------------------

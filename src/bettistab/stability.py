@@ -179,7 +179,10 @@ def match_templates(candidate_sets) -> tuple:
     sorted; alignment is by sorted order.  Slopes and intercepts are fitted
     from the first two powers and verified on all the rest.
     """
-    sets = [(require_int(k, "k"), [tuple(c) for c in cands]) for k, cands in candidate_sets]
+    sets = [
+        (require_int(k, "k"), [tuple(require_int(d, "degree") for d in c) for c in cands])
+        for k, cands in candidate_sets
+    ]
     if len(sets) < 3:
         raise StabilityError("need at least 3 consecutive candidate sets")
     counts = {len(cands) for _, cands in sets}

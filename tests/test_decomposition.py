@@ -18,7 +18,7 @@ from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
 from bettistab.exact_arith import matrix_rank, solve_exact
 from bettistab.koszul_oracle import betti_oracle
-from bettistab.monomial_ideal import make_ideal
+from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_diagram
 
 
@@ -399,6 +399,54 @@ def test_vertices_match_reference_scan_on_chains(system):
     vertices = enumerate_vertices(polytope).vertices
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
+
+
+def _system(matrix, rhs, rank):
+    m = len(matrix[0])
+    return DecompositionPolytope(
+        candidates=tuple((0, d) for d in range(1, m + 1)),
+        support=tuple((1, i) for i in range(len(matrix))),
+        matrix=tuple(tuple(Fraction(x) for x in row) for row in matrix),
+        rhs=tuple(Fraction(b) for b in rhs),
+        rank=rank,
+    )
+
+
+@pytest.mark.parametrize(
+    "polytope,expected",
+    [
+        (_system(((0, 0), (0, 0)), (0, 0), 0), ((0, 0),)),
+        (_system(((0, 0), (0, 0)), (0, 3), 0), ()),
+        # unbounded: no sum row, so w = (1, 0) + t (1, 1) is feasible for all t >= 0
+        (_system(((1, -1),), (1,), 1), ((1, 0),)),
+        # degenerate: (0, 1, 0) is the basic solution of two column subsets
+        (_system(((1, 1, 1), (1, 2, 3)), (1, 2), 2), ((0, 1, 0), (Fraction(1, 2), 0, Fraction(1, 2)))),
+    ],
+)
+def test_vertices_match_reference_scan_on_degenerate_systems(polytope, expected):
+    assert enumerate_vertices(polytope).vertices == _reference_vertices(polytope) == expected
+
+
+def test_path8_square_vertices():
+    diagram = path_diagram(8, 2)
+    polytope = _pipeline(diagram)
+    assert len(polytope.vertices) == 828
+    assert len(prune(polytope).candidates) == 19
+    for v in polytope.vertices:
+        assert verify_decomposition(diagram, v, polytope.candidates)
+
+
+@pytest.mark.parametrize("k,count", [(1, 337), (2, 505)])
+def test_vertices_of_a_non_path_ideal(k, count):
+    # x4^3, x2^2 x3, x1 x3^2, x1^2 x3: m = 20, rank 8, so C(20, 8) column subsets
+    ideal = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
+    diagram = betti_oracle(power(ideal, k))
+    polytope = _pipeline(diagram)
+    assert len(polytope.vertices) == count
+    for v in polytope.vertices:
+        support = [c for c, x in enumerate(v) if x]
+        assert matrix_rank([[row[c] for c in support] for row in polytope.matrix]) == len(support)
+        assert verify_decomposition(diagram, v, polytope.candidates)
 
 
 def _affine_rank(vertices):

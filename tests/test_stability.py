@@ -73,6 +73,10 @@ def test_match_templates_mismatch():
         match_templates([(4, [(0, 8)]), (5, [(0, 10), (0, 10, 11)]), (6, [(0, 12)])])
     with pytest.raises(InputError):
         match_templates([(True, [(0, 2)]), (2, [(0, 4)]), (3, [(0, 6)])])
+    with pytest.raises(InputError):
+        match_templates([(1, [(0, True)]), (2, [(0, 2)]), (3, [(0, 3)])])
+    with pytest.raises(InputError):
+        match_templates([(1, [(0, 1.0)]), (2, [(0, 2)]), (3, [(0, 3)])])
 
 
 def test_signature_single_point():
