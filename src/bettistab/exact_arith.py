@@ -8,8 +8,12 @@ This module supplies the shared numeric machinery:
 * `integer_vector` / `primitive` -- the one place where rationals become
   integers (lcm scaling, and its content-1 form); `require_int` admits an
   input integer without truncating anything,
-* `solve_exact` / `matrix_rank` -- fraction-free Gaussian elimination on
-  rows cleared once each,
+* `solve_exact` -- dense fraction-free (Bareiss) elimination, `_echelon`,
+  on rows cleared once each; `_echelon` also serves kernel work,
+* `matrix_rank` -- the one rank routine: a sparse fraction-free echelon on
+  rows cleared once each and kept as {column: int}.  A unit pivot reduces
+  without scaling; any other pivot takes the gcd-normalised integer
+  combination, so the rank is exact with no Fractions, mod-p or floats,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation, product, division and primitive gcd,
 * `fit_rational_function` -- exact rational interpolation: one integer
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -175,10 +180,42 @@ def solve_exact(matrix, rhs=None):
 
 
 def matrix_rank(matrix) -> int:
-    """Exact rank of a rational matrix."""
-    if not matrix:
-        return 0
-    return len(_echelon([integer_vector(row) for row in matrix], len(matrix[0])))
+    """Exact rank of a rational matrix, by sparse fraction-free echelon.
+
+    Each row is cleared to integers once and kept as {column: entry}.  It is
+    reduced on its leading column c against the pivot row leading there,
+    until it vanishes or leads in a new column and becomes a pivot row,
+    stored with a positive leading entry p.  With p = 1 the row loses e
+    times the pivot row, e its entry at c, with no scaling.  Otherwise it
+    becomes (p/g) row - (e/g) pivot row, g = gcd(p, e), divided by its
+    content.  Every step stays in the integers; the rank is the number of
+    pivot rows.
+    """
+    pivots = {}  # leading column -> pivot row
+    for values in matrix:
+        row = dict(filter(itemgetter(1), enumerate(integer_vector(values))))
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row if row[c] > 0 else {j: -x for j, x in row.items()}
+                break
+            p, factor = pivot[c], row[c]
+            if p != 1:
+                g = math.gcd(p, factor)
+                factor //= g
+                row = {j: p // g * x for j, x in row.items()}
+            for j, x in pivot.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            if p != 1:
+                content = math.gcd(*row.values())
+                if content > 1:
+                    row = {j: x // content for j, x in row.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

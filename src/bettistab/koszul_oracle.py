@@ -30,12 +30,31 @@ lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
 to supp(a): `_strand_key`.  `betti_oracle` computes the homology once per
 key, in a single thread.
+
+Monomials are packed into one int each, in unary.  Variable t owns a field
+of w_t = M_t + 1 bits, and a_t is stored as the run (1 << a_t) - 1 at the
+bottom of its field.  M_t bounds a_t for every monomial packed: it is the
+largest g_t on the lattice, and a_t itself in `_strand_key`, which packs
+one multidegree a and only the generators dividing x^a.  Then lcm is `|`, g
+divides x^a iff `not g & ~a`, and |a| is `a.bit_count()`.  Since a_t <= M_t,
+the top bit of every field is 0: a guard bit.  In `a & ~(a >> 1)` the shift
+moves the lowest bit of field t + 1 onto the guard of field t, where a is
+0, so what is left is the top bit of each run, one per t in supp(a), and no
+bit leaks across fields.  A divisor g has that bit set iff g_t = a_t > 0,
+so `g & a & ~(a >> 1)` is g's tight set.  The keys keep the variable
+bitmasks (supp(a), minimal tight sets).
+
+Cone rule: when a != 0 and some t in supp(a) lies in no minimal tight set,
+adding or removing t never changes whether sigma meets every minimal tight
+set.  So sigma <-> sigma xor {t} pairs the basis, K^a is a cone with apex t,
+and the strand is exact.  `betti_oracle` skips those keys without building
+a basis; the tests check the rule against the full computation.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import le
+from functools import reduce
+from operator import le, or_
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -43,37 +62,89 @@ from .exact_arith import matrix_rank, require_int
 from .monomial_ideal import MonomialIdeal
 
 
-def _lcm_lattice(ideal: MonomialIdeal) -> set:
-    """L(I): every lcm of a set of generators (the empty set gives 0)."""
-    lattice = {(0,) * ideal.num_vars}
-    for g in ideal.generators:
-        lattice |= {tuple(map(max, a, g)) for a in lattice}
+def _fields(bounds) -> list:
+    """Bit mask of each variable's field: bounds[t] + 1 bits, variable 0 lowest."""
+    fields, offset = [], 0
+    for bound in bounds:
+        fields.append(((2 << bound) - 1) << offset)
+        offset += bound + 1
+    return fields
+
+
+def _pack(fields, a) -> int:
+    """x^a as one int: a_t ones at the bottom of field t."""
+    return sum(((1 << at) - 1) * (field & -field) for field, at in zip(fields, a))
+
+
+def _unpack(fields, x) -> tuple:
+    """The exponent tuple of a packed monomial (inverse of `_pack`)."""
+    return tuple((x & field).bit_count() for field in fields)
+
+
+def _variables(fields, x) -> int:
+    """Bitmask of the variables whose field meets x."""
+    return sum(1 << t for t, field in enumerate(fields) if x & field)
+
+
+def _lcm_lattice(generators, degree_bound=None) -> set:
+    """Packed L(I) up to the degree bound: every lcm of a set of packed generators.
+
+    A point above the bound is dropped as soon as it appears: an lcm only
+    grows, so nothing folded from it can come back under the bound.
+    """
+    lattice = {0}
+    for g in generators:
+        if degree_bound is None:
+            lattice |= {a | g for a in lattice}
+        else:
+            lattice |= {b for a in lattice if (b := a | g).bit_count() <= degree_bound}
     return lattice
 
 
+def _packed_key(fields, generators, a) -> tuple:
+    """(supp(a), inclusion-minimal tight sets within it) as variable bitmasks.
+
+    Tight sets are taken smallest first, so a set is minimal iff it
+    contains none of the minimal sets found before it.
+    """
+    outside, top = ~a, a & ~(a >> 1)
+    minimal = []
+    for m in sorted({g & top for g in generators if not g & outside}, key=int.bit_count):
+        for s in minimal:
+            if s & m == s:
+                break
+        else:
+            minimal.append(m)
+    return _variables(fields, top), frozenset(_variables(fields, m) for m in minimal)
+
+
 def _strand_key(ideal: MonomialIdeal, a) -> tuple:
-    """(supp(a), inclusion-minimal tight sets within it) as bitmasks."""
-    support = sum(1 << t for t, at in enumerate(a) if at > 0)
-    masks = {
-        sum(1 << t for t, (gt, at) in enumerate(zip(g, a)) if gt == at > 0)
-        for g in ideal.generators
-        if all(map(le, g, a))
-    }
-    return support, frozenset(m for m in masks if not any(s & m == s != m for s in masks))
+    """`_packed_key` of a multidegree tuple, on fields of width a_t + 1.
+
+    Only the generators dividing x^a are packed: they fit those fields.
+    """
+    fields = _fields(a)
+    divisors = [_pack(fields, g) for g in ideal.generators if all(map(le, g, a))]
+    return _packed_key(fields, divisors, _pack(fields, a))
+
+
+def _is_cone(key) -> bool:
+    """Some t in supp(a) lies in no minimal tight set, so the strand is exact."""
+    support, masks = key
+    return bool(support & ~reduce(or_, masks, 0))
 
 
 def _strand_bases(ideal: MonomialIdeal, a):
-    """Per homological degree, the surviving subsets sigma (sorted tuples)."""
-    bits, masks = _strand_key(ideal, a)
-    support = [t for t in range(ideal.num_vars) if bits >> t & 1]
-    return [
-        [
-            sigma
-            for sigma in combinations(support, i)
-            if all(any(m >> t & 1 for t in sigma) for m in masks)
-        ]
-        for i in range(ideal.num_vars + 1)
-    ]
+    """Per homological degree, the surviving subsets sigma as variable bitmasks."""
+    support, masks = _strand_key(ideal, a)
+    bases = [[] for _ in range(ideal.num_vars + 1)]
+    sigma = support
+    while True:
+        if all(sigma & m for m in masks):
+            bases[sigma.bit_count()].append(sigma)
+        if not sigma:
+            return bases
+        sigma = (sigma - 1) & support
 
 
 def _boundary_matrix(target, source):
@@ -81,11 +152,14 @@ def _boundary_matrix(target, source):
     index = {sigma: r for r, sigma in enumerate(target)}
     rows = [[0] * len(source) for _ in target]
     for c, sigma in enumerate(source):
-        for pos, l in enumerate(sigma):
-            face = sigma[:pos] + sigma[pos + 1 :]
-            r = index.get(face)
+        rest, sign = sigma, 1
+        while rest:
+            low = rest & -rest
+            r = index.get(sigma ^ low)
             if r is not None:
-                rows[r][c] = -1 if pos % 2 else 1
+                rows[r][c] = sign
+            rest ^= low
+            sign = -sign
     return rows
 
 
@@ -108,20 +182,20 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
 def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
     """Graded Betti diagram of S/I, complete up to the degree bound.
 
-    `None` never truncates.  An explicit bound silently yields a diagram
-    complete only up to it.
+    `None` never truncates.  An explicit bound must be nonnegative, and
+    silently yields a diagram complete only up to it.
     """
-    if degree_bound is not None:
-        require_int(degree_bound, "degree bound")
-    homology = {}  # strand key -> strand_homology of any point with that key
+    if degree_bound is not None and require_int(degree_bound, "degree bound") < 0:
+        raise InputError("degree bound must be nonnegative")
+    fields = _fields(ideal.exponent_lcm())
+    generators = [_pack(fields, g) for g in ideal.generators]
+    homology = {}  # strand key -> strand_homology of any point with it; () for a cone
     totals = {}
-    for a in _lcm_lattice(ideal):
-        d = sum(a)
-        if degree_bound is not None and d > degree_bound:
-            continue
-        key = _strand_key(ideal, a)
+    for a in _lcm_lattice(generators, degree_bound):
+        key = _packed_key(fields, generators, a)
         if key not in homology:
-            homology[key] = strand_homology(ideal, a)
+            homology[key] = () if _is_cone(key) else strand_homology(ideal, _unpack(fields, a))
+        d = a.bit_count()
         for i, h in enumerate(homology[key]):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h

@@ -10,7 +10,9 @@ from bettistab.exact_arith import (
     binom,
     fit_polynomial,
     fit_rational_function,
+    _echelon,
     format_rational,
+    integer_vector,
     matrix_rank,
     parse_rational,
     poly_eval,
@@ -89,6 +91,51 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
         )
     )
 )
+
+
+def _reference_rank(matrix):
+    """Dense Bareiss count through `_echelon`, independent of the sparse `matrix_rank`."""
+    if not matrix:
+        return 0
+    return len(_echelon([integer_vector(row) for row in matrix], len(matrix[0])))
+
+
+@st.composite
+def rank_matrices(draw):
+    """Int or Fraction matrices: random (dense or sparse) or of bounded rank, plus zero rows."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.sampled_from([0, 0, 0, 1, -1, 2, 3]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    ]))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    else:  # a product of m x r and r x n factors: rank at most r, rows dependent
+        r = draw(st.integers(0, min(m, n)))
+        left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+        rows = [[sum(x * y[j] for x, y in zip(row, right)) for j in range(n)] for row in left]
+    for i in draw(st.lists(st.integers(0, m), max_size=2)):
+        rows.insert(i, [0] * n)
+    return rows
+
+
+@given(rank_matrices())
+@settings(max_examples=250, deadline=None)
+def test_matrix_rank_matches_dense_reference(matrix):
+    rank = matrix_rank(matrix)
+    assert rank == _reference_rank(matrix)
+    assert matrix_rank([list(col) for col in zip(*matrix)]) == rank
+
+
+def test_matrix_rank_edge_shapes():
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[]]) == 0
+    assert matrix_rank([[0, 0], [0, 0]]) == 0
+    assert matrix_rank([[2, 4], [3, 6]]) == 1  # non-unit pivot, dependent row
+    assert matrix_rank([[2, 3], [3, 5]]) == 2
+    assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
 def test_float_entries_are_rejected():

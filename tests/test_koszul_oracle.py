@@ -6,17 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from bettistab.diagram import BettiDiagram, validate_cyclic
 from bettistab.errors import InputError
-from bettistab.exact_arith import matrix_rank
 from bettistab.koszul_oracle import (
     _boundary_matrix,
+    _fields,
+    _is_cone,
     _lcm_lattice,
+    _pack,
+    _packed_key,
     _strand_bases,
     _strand_key,
+    _unpack,
     betti_oracle,
     strand_homology,
 )
 from bettistab.monomial_ideal import make_ideal, monomial_degree, power
-from bettistab.path_formula import path_ideal
+from bettistab.path_formula import path_diagram, path_ideal
+from test_exact_arith import _reference_rank
+from test_stability import NON_PATH_IDEALS
 
 
 def test_strand_two_variable_koszul():
@@ -147,6 +153,14 @@ def test_degree_bound_truncates():
     ideal = make_ideal(2, [(1, 0), (0, 1)])
     truncated = betti_oracle(ideal, degree_bound=1)
     assert dict(truncated.items()) == {(0, 0): 1, (1, 1): 2}
+    assert dict(betti_oracle(ideal, degree_bound=0).items()) == {(0, 0): 1}
+
+
+def test_degree_bound_rejects_negative():
+    # a negative bound used to return the empty diagram, which has no beta_00
+    for bound in (-1, -5):
+        with pytest.raises(InputError):
+            betti_oracle(path_ideal(4), degree_bound=bound)
 
 
 def _reference_strand_bases(ideal, a):
@@ -171,12 +185,18 @@ def non_path_ideals(draw):
     return make_ideal(n, draw(st.lists(exponents.filter(any), min_size=1, max_size=5)))
 
 
+def _as_tuples(bases):
+    """Bitmask bases as sorted lists of sorted variable tuples."""
+    return [sorted(tuple(t for t in range(sigma.bit_length()) if sigma >> t & 1) for sigma in level)
+            for level in bases]
+
+
 @given(non_path_ideals())
 @settings(max_examples=300, deadline=None)
 def test_strand_bases_match_membership_reference(ideal):
     # every multidegree of the lcm box and one step past it
     for a in product(*(range(c + 2) for c in ideal.exponent_lcm())):
-        assert _strand_bases(ideal, a) == _reference_strand_bases(ideal, a)
+        assert _as_tuples(_strand_bases(ideal, a)) == _reference_strand_bases(ideal, a)
 
 
 @given(non_path_ideals())
@@ -191,24 +211,98 @@ def _reference_attained(ideal, a):
     return all(any(g[t] == at for g in dividing) for t, at in enumerate(a) if at > 0)
 
 
+def _reference_boundary(target, source):
+    """Differential on sorted variable tuples, independent of the bitmask code."""
+    index = {sigma: r for r, sigma in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for c, sigma in enumerate(source):
+        for pos in range(len(sigma)):
+            r = index.get(sigma[:pos] + sigma[pos + 1 :])
+            if r is not None:
+                rows[r][c] = -1 if pos % 2 else 1
+    return rows
+
+
 def _reference_homology(ideal, a):
     """Strand homology on the membership bases, independent of `_strand_key`."""
     bases = _reference_strand_bases(ideal, a)
     ranks = [0] + [
-        matrix_rank(_boundary_matrix(target, source)) if target and source else 0
+        _reference_rank(_reference_boundary(target, source)) if target and source else 0
         for target, source in zip(bases, bases[1:])
     ] + [0]
     return tuple(len(b) - ranks[i] - ranks[i + 1] for i, b in enumerate(bases))
+
+
+def _decoded_lattice(ideal, degree_bound=None):
+    """The packed lattice's points as exponent tuples."""
+    fields = _fields(ideal.exponent_lcm())
+    generators = [_pack(fields, g) for g in ideal.generators]
+    return {_unpack(fields, x) for x in _lcm_lattice(generators, degree_bound)}
 
 
 @given(non_path_ideals())
 @settings(max_examples=150, deadline=None)
 def test_lcm_lattice_and_strand_key_match_references(ideal):
     box = list(product(*(range(c + 1) for c in ideal.exponent_lcm())))
-    assert _lcm_lattice(ideal) == {a for a in box if _reference_attained(ideal, a)}
+    assert _decoded_lattice(ideal) == {a for a in box if _reference_attained(ideal, a)}
     # equal keys, equal homology (the premise of the oracle's per-key cache),
     # over the whole box so that keys also collide off the lattice
     homology_of_key = {}
     for a in box:
         homology = _reference_homology(ideal, a)
         assert homology_of_key.setdefault(_strand_key(ideal, a), homology) == homology
+
+
+@given(non_path_ideals())
+@settings(max_examples=100, deadline=None)
+def test_degree_bound_restricts_the_full_diagram(ideal):
+    full = betti_oracle(ideal)
+    top = sum(ideal.exponent_lcm())
+    for bound in range(top + 1):
+        expected = BettiDiagram({(i, d): v for (i, d), v in full.items() if d <= bound})
+        assert betti_oracle(ideal, degree_bound=bound) == expected
+        assert _decoded_lattice(ideal, bound) == {
+            a for a in _decoded_lattice(ideal) if sum(a) <= bound
+        }
+
+
+def _relabelled(ideal, seed):
+    perm = list(range(ideal.num_vars))
+    random.Random(seed).shuffle(perm)
+    return make_ideal(ideal.num_vars, [tuple(g[perm[t]] for t in range(ideal.num_vars))
+                                       for g in ideal.generators])
+
+
+def _assert_cones_are_exact(ideal):
+    """Every lattice point the oracle skips as a cone has zero reference homology."""
+    fields = _fields(ideal.exponent_lcm())
+    generators = [_pack(fields, g) for g in ideal.generators]
+    cones = 0
+    for x in _lcm_lattice(generators):
+        key = _packed_key(fields, generators, x)
+        assert key == _strand_key(ideal, _unpack(fields, x))
+        if _is_cone(key):
+            cones += 1
+            assert not any(_reference_homology(ideal, _unpack(fields, x)))
+    return cones
+
+
+@given(non_path_ideals())
+@settings(max_examples=150, deadline=None)
+def test_cone_keys_have_zero_reference_homology(ideal):
+    _assert_cones_are_exact(ideal)
+
+
+def test_cone_keys_on_named_ideals():
+    # the 63 quadratic ideals in three variables, C4, the star K_{1,3},
+    # and a relabelled path(5)^2
+    ideals = NON_PATH_IDEALS + [power(_relabelled(path_ideal(5), 3), 2)]
+    cones = [_assert_cones_are_exact(ideal) for ideal in ideals]
+    assert cones[-1] > 0 and sum(cones) > len(ideals)
+
+
+@pytest.mark.parametrize("n, k", [(6, 5), (7, 4)])
+def test_oracle_reaches_path_powers(n, k):
+    ideal = power(_relabelled(path_ideal(n), n), k)
+    assert ideal != power(path_ideal(n), k)
+    assert betti_oracle(ideal) == path_diagram(n, k)
