@@ -19,7 +19,8 @@ in degree i equals the multigraded Betti number of the quotient,
 
     dim H_i = nullity(d_i) - rank(d_{i+1}) = beta_{i,a}(S/I),
 
-computed here by exact integer rank, and dim H_i summed into (i, |a|) over
+computed here by exact integer rank on the critical cells of a Morse
+matching (below), and dim H_i summed into (i, |a|) over
 the Betti multidegrees is the graded Betti diagram.  These lie in the lcm
 lattice L(I), the lcms of sets of generators (Gasharov, Peeva & Welker,
 "The lcm-lattice in monomial resolutions", 1999), which `_lcm_lattice`
@@ -44,11 +45,26 @@ bit leaks across fields.  A divisor g has that bit set iff g_t = a_t > 0,
 so `g & a & ~(a >> 1)` is g's tight set.  The keys keep the variable
 bitmasks (supp(a), minimal tight sets).
 
-Cone rule: when a != 0 and some t in supp(a) lies in no minimal tight set,
-adding or removing t never changes whether sigma meets every minimal tight
-set.  So sigma <-> sigma xor {t} pairs the basis, K^a is a cone with apex t,
-and the strand is exact.  `betti_oracle` skips those keys without building
-a basis; the tests check the rule against the full computation.
+Morse matching: the surviving sets S form an up-set in supp(a), and
+`strand_homology` computes on the critical cells of one element matching
+(Forman, "Morse theory for cell complexes", 1998; Joellenbeck & Welker,
+"Minimal resolutions via algebraic discrete Morse theory", Mem. AMS 2009).
+For an apex t in supp(a), pair sigma - {t} with sigma whenever both
+survive; an element matching is acyclic.  A surviving sigma without t is
+always matched upward, since S is an up-set, so the critical cells are
+C_t = {sigma : t in sigma in S, sigma - {t} not in S}.  A face sigma - {l}
+of a critical cell with l != t still contains t: it is critical or the
+upper end of a pair, never a lower end, so no gradient path runs between
+critical cells and the Morse differential is d restricted to C_t, with the
+same signs.  The homology is that of the strand, by exact rank on the
+smaller matrices.  The apex is the support variable in the fewest minimal
+tight sets, lowest index on ties.
+
+Cone rule: when the apex lies in no minimal tight set (and a != 0), every
+set is matched and C_t is empty, so the strand is exact: sigma <-> sigma
+xor {t} pairs the basis and K^a is a cone with apex t.  `betti_oracle`
+skips those keys without calling `strand_homology`; the tests check the
+rule, and every apex, against the full computation.
 """
 
 from __future__ import annotations
@@ -134,17 +150,37 @@ def _is_cone(key) -> bool:
     return bool(support & ~reduce(or_, masks, 0))
 
 
-def _strand_bases(ideal: MonomialIdeal, a):
-    """Per homological degree, the surviving subsets sigma as variable bitmasks."""
-    support, masks = _strand_key(ideal, a)
-    bases = [[] for _ in range(ideal.num_vars + 1)]
-    sigma = support
+def _apex(key) -> int:
+    """The support variable in the fewest minimal tight sets, lowest on ties, as a bit."""
+    support, masks = key
+    bits = [1 << t for t in range(support.bit_length()) if support >> t & 1]
+    return min(bits, key=lambda bit: sum(1 for m in masks if m & bit), default=0)
+
+
+def _critical_bases(n, key, apex):
+    """Per homological degree, the critical cells of the apex matching, as bitmasks.
+
+    sigma = rho | apex with rho in supp - apex is critical iff rho meets
+    every mask without the apex (so sigma survives) and misses some mask
+    with it (so sigma - apex does not).  The one cell of an empty support
+    survives iff there are no masks.
+    """
+    support, masks = key
+    bases = [[] for _ in range(n + 1)]
+    if not support:
+        if not masks:
+            bases[0].append(0)
+        return bases
+    outer = [m for m in masks if not m & apex]
+    inner = [m ^ apex for m in masks if m & apex]
+    rest = support ^ apex
+    rho = rest
     while True:
-        if all(sigma & m for m in masks):
-            bases[sigma.bit_count()].append(sigma)
-        if not sigma:
+        if all(rho & m for m in outer) and not all(rho & m for m in inner):
+            bases[rho.bit_count() + 1].append(rho | apex)
+        if not rho:
             return bases
-        sigma = (sigma - 1) & support
+        rho = (rho - 1) & rest
 
 
 def _boundary_matrix(target, source):
@@ -163,20 +199,27 @@ def _boundary_matrix(target, source):
     return rows
 
 
+def _homology(bases) -> tuple:
+    """Homology dimensions of the complex on `bases` under the restricted differential."""
+    ranks = [0] * (len(bases) + 1)
+    for i in range(1, len(bases)):
+        if bases[i] and bases[i - 1]:
+            ranks[i] = matrix_rank(_boundary_matrix(bases[i - 1], bases[i]))
+    return tuple(len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases))
+
+
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
-    """Homology dimensions (h_0, ..., h_n) of the strand in multidegree a."""
+    """Homology dimensions (h_0, ..., h_n) of the strand in multidegree a.
+
+    Computed on the critical cells of the matching on `_apex`'s variable.
+    """
     a = tuple(require_int(x, "multidegree entry") for x in a)
     if len(a) != ideal.num_vars:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
         raise InputError("multidegree must be componentwise nonnegative")
-    bases = _strand_bases(ideal, a)
-    n = ideal.num_vars
-    ranks = [0] * (n + 2)
-    for i in range(1, n + 1):
-        if bases[i] and bases[i - 1]:
-            ranks[i] = matrix_rank(_boundary_matrix(bases[i - 1], bases[i]))
-    return tuple(len(bases[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
+    key = _strand_key(ideal, a)
+    return _homology(_critical_bases(ideal.num_vars, key, _apex(key)))
 
 
 def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 from .errors import InputError
 from .exact_arith import require_int
@@ -27,13 +27,19 @@ def monomial_divides(a, b) -> bool:
 
 
 def _minimalize(gens):
-    """Keep only generators minimal under divisibility, deduplicated."""
-    unique = sorted(set(gens))
-    out = []
-    for g in unique:
-        if not any(h != g and monomial_divides(h, g) for h in unique):
+    """Keep only generators minimal under divisibility, deduplicated.
+
+    A proper divisor has a strictly smaller total degree, so taken by degree,
+    g is tested only against the first `lower` kept generators, those of
+    lower degree: an equigenerated set makes no divisibility test at all.
+    """
+    out, lower, degree = [], 0, None
+    for g in sorted(set(gens), key=monomial_degree):
+        if monomial_degree(g) != degree:
+            degree, lower = monomial_degree(g), len(out)
+        if not any(monomial_divides(h, g) for h in islice(out, lower)):
             out.append(g)
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ from bettistab.diagram import BettiDiagram, validate_cyclic
 from bettistab.errors import InputError
 from bettistab.koszul_oracle import (
     _boundary_matrix,
+    _critical_bases,
     _fields,
+    _homology,
     _is_cone,
     _lcm_lattice,
     _pack,
     _packed_key,
-    _strand_bases,
     _strand_key,
     _unpack,
     betti_oracle,
@@ -100,31 +101,48 @@ multidegrees = st.tuples(
 )
 
 
-@given(small_ideals, multidegrees)
-@settings(max_examples=80, deadline=None)
-def test_boundary_squares_to_zero(ideal, a):
-    bases = _strand_bases(ideal, a)
+def _strand_bases(ideal, a):
+    """Full-strand reference: per homological degree, every surviving sigma as a bitmask."""
+    support, masks = _strand_key(ideal, a)
+    bases = [[] for _ in range(ideal.num_vars + 1)]
+    sigma = support
+    while True:
+        if all(sigma & m for m in masks):
+            bases[sigma.bit_count()].append(sigma)
+        if not sigma:
+            return bases
+        sigma = (sigma - 1) & support
+
+
+def _assert_squares_to_zero(bases):
+    """d_{i-1} d_i = 0 for the differential restricted to `bases`."""
     for i in range(2, len(bases)):
-        if not bases[i] or not bases[i - 2]:
+        if not bases[i] or not bases[i - 1] or not bases[i - 2]:
             continue
-        d_i = _boundary_matrix(bases[i - 1], bases[i]) if bases[i - 1] else None
-        d_prev = _boundary_matrix(bases[i - 2], bases[i - 1]) if bases[i - 1] else None
-        if d_i is None or d_prev is None:
-            continue
+        d_i = _boundary_matrix(bases[i - 1], bases[i])
+        d_prev = _boundary_matrix(bases[i - 2], bases[i - 1])
         rows, mid, cols = len(bases[i - 2]), len(bases[i - 1]), len(bases[i])
         for r in range(rows):
             for c in range(cols):
                 assert sum(d_prev[r][m] * d_i[m][c] for m in range(mid)) == 0
 
 
+def _euler(bases):
+    return sum((-1) ** i * len(b) for i, b in enumerate(bases))
+
+
+@given(small_ideals, multidegrees)
+@settings(max_examples=80, deadline=None)
+def test_boundary_squares_to_zero(ideal, a):
+    _assert_squares_to_zero(_strand_bases(ideal, a))
+
+
 @given(small_ideals, multidegrees)
 @settings(max_examples=80, deadline=None)
 def test_strand_euler_characteristic(ideal, a):
-    bases = _strand_bases(ideal, a)
     homology = strand_homology(ideal, a)
-    chi_basis = sum((-1) ** i * len(b) for i, b in enumerate(bases))
     chi_homology = sum((-1) ** i * h for i, h in enumerate(homology))
-    assert chi_basis == chi_homology
+    assert _euler(_strand_bases(ideal, a)) == chi_homology
 
 
 def _unfiltered_oracle(ideal):
@@ -301,7 +319,35 @@ def test_cone_keys_on_named_ideals():
     assert cones[-1] > 0 and sum(cones) > len(ideals)
 
 
-@pytest.mark.parametrize("n, k", [(6, 5), (7, 4)])
+def _assert_matching_is_exact(ideal):
+    """On the lcm box plus one step, every apex's critical cells give the reference homology."""
+    n = ideal.num_vars
+    for a in product(*(range(c + 2) for c in ideal.exponent_lcm())):
+        expected = _reference_homology(ideal, a)
+        assert strand_homology(ideal, a) == expected
+        key = _strand_key(ideal, a)
+        full = _strand_bases(ideal, a)
+        for t in range(n):
+            if not key[0] >> t & 1:
+                continue
+            critical = _critical_bases(n, key, 1 << t)
+            assert _homology(critical) == expected
+            assert _euler(critical) == _euler(full)
+            _assert_squares_to_zero(critical)
+
+
+@given(non_path_ideals())
+@settings(max_examples=200, deadline=None)
+def test_critical_cells_match_reference_homology(ideal):
+    _assert_matching_is_exact(ideal)
+
+
+def test_critical_cells_on_named_ideals():
+    for ideal in NON_PATH_IDEALS + [power(_relabelled(path_ideal(5), 3), 2)]:
+        _assert_matching_is_exact(ideal)
+
+
+@pytest.mark.parametrize("n, k", [(6, 5), (7, 4), (8, 3), (9, 2)])
 def test_oracle_reaches_path_powers(n, k):
     ideal = power(_relabelled(path_ideal(n), n), k)
     assert ideal != power(path_ideal(n), k)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from bettistab.errors import InputError
 from bettistab.monomial_ideal import (
     MonomialIdeal,
+    _minimalize,
     is_equigenerated,
     make_ideal,
     monomial_divides,
@@ -158,3 +159,25 @@ def test_equigenerated_power_degree(n, k):
     ideal = path_ideal(n)
     ok, degree = is_equigenerated(power(ideal, k))
     assert ok and degree == 2 * k
+
+
+def _reference_minimalize(gens):
+    """Brute force: each distinct monomial that no other one divides, sorted."""
+    unique = sorted(set(gens))
+    return tuple(g for g in unique if not any(h != g and monomial_divides(h, g) for h in unique))
+
+
+@st.composite
+def monomial_lists(draw):
+    """Monomials of mixed degree in 1-4 variables, every other one repeated."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=3)] * n), max_size=12))
+    return gens + gens[::2]
+
+
+@given(monomial_lists())
+@settings(max_examples=300, deadline=None)
+def test_minimalize_matches_brute_force(gens):
+    minimal = _minimalize(gens)
+    assert minimal == _reference_minimalize(gens)
+    assert all(any(monomial_divides(h, g) for h in minimal) for g in gens)
