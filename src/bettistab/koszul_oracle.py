@@ -29,24 +29,39 @@ adds lcm(a, g) for every point a so far, so after g_1..g_j the set is
 exactly {lcm(S) : S a subset of {g_1..g_j}}.  Since sigma
 lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
-to supp(a): `_strand_key`.  `betti_oracle` computes the homology once per
-key, in a single thread.
+to supp(a): the strand key.  `betti_oracle` counts the lattice points per
+(key, degree) and computes the homology once per distinct key, in a single
+thread; a key's homology, times the number of its points of degree d, adds
+into the diagram's column d.
 
 Monomials are packed into one int each, in unary.  Variable t owns a field
 of w_t = M_t + 1 bits, and a_t is stored as the run (1 << a_t) - 1 at the
-bottom of its field.  M_t bounds a_t for every monomial packed: it is the
-largest g_t on the lattice, and a_t itself in `_strand_key`, which packs
-one multidegree a and only the generators dividing x^a.  Then lcm is `|`, g
-divides x^a iff `not g & ~a`, and |a| is `a.bit_count()`.  Since a_t <= M_t,
-the top bit of every field is 0: a guard bit.  In `a & ~(a >> 1)` the shift
-moves the lowest bit of field t + 1 onto the guard of field t, where a is
-0, so what is left is the top bit of each run, one per t in supp(a), and no
-bit leaks across fields.  A divisor g has that bit set iff g_t = a_t > 0,
-so `g & a & ~(a >> 1)` is g's tight set.  The keys keep the variable
-bitmasks (supp(a), minimal tight sets).
+bottom of its field.  M_t is the largest g_t on the lattice, and a_t itself
+in `_strand_key`.  Then lcm is `|` and |a| is `a.bit_count()`.  The top bit
+of every field stays 0, a guard bit that the tests' generator-scan
+reference key relies on.
+
+Divisor index: `_divisor_index` maps, per variable t, each packed field
+value a & field_t to two generator bitsets, le_t = {g : g_t <= a_t} and
+eq_t = {g : g_t = a_t > 0}.  At a point a the divisors are D = AND_t le_t,
+n dict lookups and no scan over the generators, and the generators tight
+at t are E_t = eq_t & D, so g in D has the tight set T(g) = {t : g in E_t}.
+
+Descent (`_indexed_key`): start with R = D.  For j in R and tau = T(j),
+above = R & AND_{t in tau} E_t is {g in R : T(g) contains tau}, outside =
+OR_{t not in tau} E_t is {g : T(g) not inside tau}, so below = R - outside -
+above is {g in R : T(g) strictly inside tau}.  While below is non-empty, j
+moves into it and |tau| drops; when it is empty, no tight set in R lies
+strictly inside tau.  None removed earlier does either: a removed g has
+T(g) containing an earlier emitted tau', and T(g) strictly inside tau would
+put j, with T(j) = tau containing tau', among the generators removed with
+tau'.  So tau is minimal over D.  R then loses `above`, the generators whose
+tight set contains tau: none of them carries another minimal set, and no
+later round can emit tau again.  Each round removes j, so the rounds emit
+exactly the minimal tight sets, as variable bitmasks.
 
 Morse matching: the surviving sets S form an up-set in supp(a), and
-`strand_homology` computes on the critical cells of one element matching
+`_key_homology` computes on the critical cells of one element matching
 (Forman, "Morse theory for cell complexes", 1998; Joellenbeck & Welker,
 "Minimal resolutions via algebraic discrete Morse theory", Mem. AMS 2009).
 For an apex t in supp(a), pair sigma - {t} with sigma whenever both
@@ -63,14 +78,15 @@ tight sets, lowest index on ties.
 Cone rule: when the apex lies in no minimal tight set (and a != 0), every
 set is matched and C_t is empty, so the strand is exact: sigma <-> sigma
 xor {t} pairs the basis and K^a is a cone with apex t.  `betti_oracle`
-skips those keys without calling `strand_homology`; the tests check the
-rule, and every apex, against the full computation.
+skips those keys without building their cells; the tests check the rule,
+and every apex, against the full computation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from operator import le, or_
+from operator import or_
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -92,16 +108,6 @@ def _pack(fields, a) -> int:
     return sum(((1 << at) - 1) * (field & -field) for field, at in zip(fields, a))
 
 
-def _unpack(fields, x) -> tuple:
-    """The exponent tuple of a packed monomial (inverse of `_pack`)."""
-    return tuple((x & field).bit_count() for field in fields)
-
-
-def _variables(fields, x) -> int:
-    """Bitmask of the variables whose field meets x."""
-    return sum(1 << t for t, field in enumerate(fields) if x & field)
-
-
 def _lcm_lattice(generators, degree_bound=None) -> set:
     """Packed L(I) up to the degree bound: every lcm of a set of packed generators.
 
@@ -117,31 +123,64 @@ def _lcm_lattice(generators, degree_bound=None) -> set:
     return lattice
 
 
-def _packed_key(fields, generators, a) -> tuple:
-    """(supp(a), inclusion-minimal tight sets within it) as variable bitmasks.
+def _divisor_index(fields, generators) -> list:
+    """Per variable t: (1 << t, field_t, {packed a_t: (le_t, eq_t)}).
 
-    Tight sets are taken smallest first, so a set is minimal iff it
-    contains none of the minimal sets found before it.
+    le_t and eq_t are bitsets over the positions of the exponent tuples in
+    `generators`: g_t <= a_t, and g_t = a_t > 0.  One entry for each a_t
+    from 0 to the field's bound; a generator above the bound is in no le_t.
     """
-    outside, top = ~a, a & ~(a >> 1)
-    minimal = []
-    for m in sorted({g & top for g in generators if not g & outside}, key=int.bit_count):
-        for s in minimal:
-            if s & m == s:
+    index = []
+    for t, field in enumerate(fields):
+        low, table, le = field & -field, {}, 0
+        for v in range(field.bit_count()):
+            eq = sum(1 << j for j, g in enumerate(generators) if g[t] == v)
+            le |= eq
+            table[((1 << v) - 1) * low] = (le, eq if v else 0)
+        index.append((1 << t, field, table))
+    return index
+
+
+def _indexed_key(index, a) -> tuple:
+    """(supp(a), inclusion-minimal tight sets of the divisors) as variable bitmasks.
+
+    The divisors are the AND of le_t and the generators tight at t are
+    eq_t & divisors.  The minimal sets are found by descent (module
+    docstring), without a scan over the generators.
+    """
+    divisors, support, eqs = -1, 0, []
+    for bit, field, table in index:
+        x = a & field
+        le, eq = table[x]
+        divisors &= le
+        if x:
+            support |= bit
+            eqs.append((bit, eq))
+    tight = [(bit, e) for bit, eq in eqs if (e := eq & divisors)]
+    minimal, rest = [], divisors
+    while rest:
+        j = rest & -rest
+        while True:
+            tau, above, outside = 0, rest, 0
+            for bit, e in tight:
+                if j & e:
+                    tau |= bit
+                    above &= e
+                else:
+                    outside |= e
+            below = rest & ~(outside | above)
+            if not below:
                 break
-        else:
-            minimal.append(m)
-    return _variables(fields, top), frozenset(_variables(fields, m) for m in minimal)
+            j = below & -below
+        minimal.append(tau)
+        rest &= ~above
+    return support, frozenset(minimal)
 
 
 def _strand_key(ideal: MonomialIdeal, a) -> tuple:
-    """`_packed_key` of a multidegree tuple, on fields of width a_t + 1.
-
-    Only the generators dividing x^a are packed: they fit those fields.
-    """
+    """`_indexed_key` of a multidegree tuple, on fields of width a_t + 1."""
     fields = _fields(a)
-    divisors = [_pack(fields, g) for g in ideal.generators if all(map(le, g, a))]
-    return _packed_key(fields, divisors, _pack(fields, a))
+    return _indexed_key(_divisor_index(fields, ideal.generators), _pack(fields, a))
 
 
 def _is_cone(key) -> bool:
@@ -208,6 +247,11 @@ def _homology(bases) -> tuple:
     return tuple(len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases))
 
 
+def _key_homology(n, key) -> tuple:
+    """Homology of the strand with this key, on the critical cells of `_apex`'s matching."""
+    return _homology(_critical_bases(n, key, _apex(key)))
+
+
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     """Homology dimensions (h_0, ..., h_n) of the strand in multidegree a.
 
@@ -218,8 +262,7 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
         raise InputError("multidegree must be componentwise nonnegative")
-    key = _strand_key(ideal, a)
-    return _homology(_critical_bases(ideal.num_vars, key, _apex(key)))
+    return _key_homology(ideal.num_vars, _strand_key(ideal, a))
 
 
 def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
@@ -231,15 +274,17 @@ def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> Betti
     if degree_bound is not None and require_int(degree_bound, "degree bound") < 0:
         raise InputError("degree bound must be nonnegative")
     fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
-    homology = {}  # strand key -> strand_homology of any point with it; () for a cone
+    points = Counter(
+        (_indexed_key(index, a), a.bit_count()) for a in _lcm_lattice(generators, degree_bound)
+    )
+    homology = {}  # strand key -> its homology; () for a cone
     totals = {}
-    for a in _lcm_lattice(generators, degree_bound):
-        key = _packed_key(fields, generators, a)
+    for (key, d), count in points.items():
         if key not in homology:
-            homology[key] = () if _is_cone(key) else strand_homology(ideal, _unpack(fields, a))
-        d = a.bit_count()
+            homology[key] = () if _is_cone(key) else _key_homology(ideal.num_vars, key)
         for i, h in enumerate(homology[key]):
             if h:
-                totals[(i, d)] = totals.get((i, d), 0) + h
+                totals[(i, d)] = totals.get((i, d), 0) + h * count
     return BettiDiagram(totals)

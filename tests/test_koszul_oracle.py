@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,14 @@ from bettistab.errors import InputError
 from bettistab.koszul_oracle import (
     _boundary_matrix,
     _critical_bases,
+    _divisor_index,
     _fields,
     _homology,
+    _indexed_key,
     _is_cone,
     _lcm_lattice,
     _pack,
-    _packed_key,
     _strand_key,
-    _unpack,
     betti_oracle,
     strand_homology,
 )
@@ -99,6 +100,37 @@ multidegrees = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=3),
 )
+
+
+def _unpack(fields, x) -> tuple:
+    """The exponent tuple of a packed monomial (inverse of `_pack`)."""
+    return tuple((x & field).bit_count() for field in fields)
+
+
+def _variables(fields, x) -> int:
+    """Bitmask of the variables whose field meets x."""
+    return sum(1 << t for t, field in enumerate(fields) if x & field)
+
+
+def _packed_key(fields, generators, a) -> tuple:
+    """Reference strand key: a scan over every packed generator.
+
+    g divides x^a iff `not g & ~a`.  In `a & ~(a >> 1)` the shift moves the
+    lowest bit of field t + 1 onto the guard bit of field t, where a is 0,
+    so what is left is the top bit of each run, one per t in supp(a), and a
+    divisor g has that bit iff g_t = a_t > 0: `g & top` is its tight set.
+    Tight sets are taken smallest first, so a set is minimal iff it
+    contains none of the minimal sets found before it.
+    """
+    outside, top = ~a, a & ~(a >> 1)
+    minimal = []
+    for m in sorted({g & top for g in generators if not g & outside}, key=int.bit_count):
+        for s in minimal:
+            if s & m == s:
+                break
+        else:
+            minimal.append(m)
+    return _variables(fields, top), frozenset(_variables(fields, m) for m in minimal)
 
 
 def _strand_bases(ideal, a):
@@ -294,15 +326,72 @@ def _relabelled(ideal, seed):
 def _assert_cones_are_exact(ideal):
     """Every lattice point the oracle skips as a cone has zero reference homology."""
     fields = _fields(ideal.exponent_lcm())
-    generators = [_pack(fields, g) for g in ideal.generators]
+    index = _divisor_index(fields, ideal.generators)
     cones = 0
-    for x in _lcm_lattice(generators):
-        key = _packed_key(fields, generators, x)
-        assert key == _strand_key(ideal, _unpack(fields, x))
-        if _is_cone(key):
+    for x in _lcm_lattice([_pack(fields, g) for g in ideal.generators]):
+        if _is_cone(_indexed_key(index, x)):
             cones += 1
             assert not any(_reference_homology(ideal, _unpack(fields, x)))
     return cones
+
+
+def _reference_strand_key(ideal, a):
+    """`_packed_key` of a multidegree tuple: fields of width a_t + 1, dividing generators only."""
+    fields = _fields(a)
+    divisors = [_pack(fields, g) for g in ideal.generators if all(map(le, g, a))]
+    return _packed_key(fields, divisors, _pack(fields, a))
+
+
+def _assert_keys_match_reference(ideal, degree_bound=None):
+    """On every lattice point under the bound, the indexed key equals the scan reference."""
+    fields = _fields(ideal.exponent_lcm())
+    generators = [_pack(fields, g) for g in ideal.generators]
+    index = _divisor_index(fields, ideal.generators)
+    lattice = _lcm_lattice(generators, degree_bound)
+    for x in lattice:
+        key = _indexed_key(index, x)
+        assert key == _packed_key(fields, generators, x)
+        assert key == _strand_key(ideal, _unpack(fields, x))
+    return len(lattice)
+
+
+@given(non_path_ideals(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_indexed_key_matches_scan_reference(ideal, data):
+    _assert_keys_match_reference(ideal)
+    _assert_keys_match_reference(ideal, data.draw(st.integers(0, sum(ideal.exponent_lcm()))))
+    # off the lattice too, where strand_homology builds its index on a's own fields
+    for a in product(*(range(c + 2) for c in ideal.exponent_lcm())):
+        assert _strand_key(ideal, a) == _reference_strand_key(ideal, a)
+
+
+def test_indexed_key_matches_scan_reference_on_named_ideals():
+    # the 63 quadratic ideals in three variables, C4, the star K_{1,3},
+    # and relabelled path(5)^2 and path(9)^2, whole and under half their top degree
+    paths = [power(_relabelled(path_ideal(n), n), 2) for n in (5, 9)]
+    for ideal in NON_PATH_IDEALS + paths:
+        points = _assert_keys_match_reference(ideal)
+        assert _assert_keys_match_reference(ideal, sum(ideal.exponent_lcm()) // 2) < points
+
+
+def test_indexed_key_edge_cases():
+    ideal = make_ideal(2, [(2, 0), (0, 1)])
+    # a = 0: no divisors, so no tight sets
+    assert _strand_key(ideal, (0, 0)) == (0, frozenset())
+    # both generators divide x^a and neither is tight anywhere: the key {0}, a cone
+    assert _strand_key(ideal, (3, 2)) == (0b11, frozenset({0}))
+    assert _is_cone(_strand_key(ideal, (3, 2)))
+    # in this order the descent starts at tight set {0, 1}, steps down to
+    # {0}, then to the empty set, which is the only minimal one
+    generators = [(2, 2, 0, 0), (2, 0, 1, 1), (1, 1, 1, 0)]
+    a = (2, 2, 2, 2)
+    fields = _fields(a)
+    packed = [_pack(fields, g) for g in generators]
+    key = _indexed_key(_divisor_index(fields, generators), _pack(fields, a))
+    assert key == _packed_key(fields, packed, _pack(fields, a)) == (0b1111, frozenset({0}))
+    # with the last generator dropped, {0} is the minimal set reached in one step
+    key = _indexed_key(_divisor_index(fields, generators[:2]), _pack(fields, a))
+    assert key == (0b1111, frozenset({0b1}))
 
 
 @given(non_path_ideals())
@@ -352,3 +441,14 @@ def test_oracle_reaches_path_powers(n, k):
     ideal = power(_relabelled(path_ideal(n), n), k)
     assert ideal != power(path_ideal(n), k)
     assert betti_oracle(ideal) == path_diagram(n, k)
+
+
+def test_oracle_reach_on_uneven_exponents():
+    # <x4^3, x2^2 x3, x1 x3^2, x1^2 x3>^10: the exponent lcm is (20, 20, 20, 30),
+    # so the index's per-variable tables differ in length
+    ideal = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
+    relabelled = [power(_relabelled(ideal, seed), 10) for seed in (1, 2)]
+    assert relabelled[0].exponent_lcm() != relabelled[1].exponent_lcm()
+    diagrams = [betti_oracle(power_ideal) for power_ideal in relabelled]
+    assert diagrams[0] == diagrams[1]
+    assert validate_cyclic(diagrams[0])
