@@ -25,9 +25,7 @@ from fractions import Fraction
 
 from .diagram import BettiDiagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
-from .exact_arith import (
-    _back_substitute, _echelon, format_rational, integer_vector, matrix_rank, primitive,
-)
+from .exact_arith import format_rational, integer_vector, kernel_basis, matrix_rank, primitive
 
 
 @dataclass(frozen=True)
@@ -182,20 +180,19 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     """All vertices of {w >= 0 : A w = b}, by exact double description.
 
     The cone {(w, s) >= 0 : A w = s b} has the vertices, scaled by s, as its
-    extreme rays with s > 0; those with s = 0 span the recession cone.  One
-    echelon of the integer rows of [A | -b] gives a kernel basis, one
-    primitive integer ray per free column f: the extreme rays of the kernel
-    cut by every x_f >= 0.  Each pivot column's x_c >= 0 is then added in
-    turn (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most
-    rays on its negative side first.  Returns an empty vertex list iff
+    extreme rays with s > 0; those with s = 0 span the recession cone.
+    `kernel_basis` of the integer rows of [A | -b] gives one primitive
+    integer ray per free column f: the extreme rays of the kernel cut by
+    every x_f >= 0.  Each pivot column's x_c >= 0 is then added in turn
+    (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
+    on its negative side first.  Returns an empty vertex list iff
     infeasible.
     """
     m = len(polytope.candidates)
     rows = [integer_vector((*row, -b)) for row, b in zip(polytope.matrix, polytope.rhs)]
-    pivots = _echelon(rows, m + 1)
-    todo = [c for _, c in pivots]
-    free = [c for c in range(m + 1) if c not in todo]
-    rays = [primitive(_back_substitute(rows, pivots, m + 1, free=f)) for f in free]
+    basis = kernel_basis(rows, m + 1)
+    free, rays = list(basis), list(basis.values())
+    todo = [c for c in range(m + 1) if c not in basis]
     done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
     zeros = [done ^ 1 << f for f in free]  # each ray's zero set within `done`
     while todo:

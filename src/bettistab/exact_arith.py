@@ -8,17 +8,20 @@ This module supplies the shared numeric machinery:
 * `integer_vector` / `primitive` -- the one place where rationals become
   integers (lcm scaling, and its content-1 form); `require_int` admits an
   input integer without truncating anything,
-* `solve_exact` -- dense fraction-free (Bareiss) elimination, `_echelon`,
-  on rows cleared once each; `_echelon` also serves kernel work,
-* `matrix_rank` -- the one rank routine: a sparse fraction-free echelon on
-  rows cleared once each and kept as {column: int}.  A unit pivot reduces
-  without scaling; any other pivot takes the gcd-normalised integer
-  combination, so the rank is exact with no Fractions, mod-p or floats,
+* `_pivot_rows` -- the one elimination routine: a sparse fraction-free
+  echelon on rows cleared once each and kept as {column: int}.  A unit
+  pivot reduces without scaling; any other pivot takes the gcd-normalised
+  integer combination, so it uses only ring operations, sign and content:
+  no Fractions, mod-p or floats,
+* `matrix_rank` -- the number of pivot rows,
+* `kernel_basis` -- one primitive integer kernel vector per free column,
+  by integer back substitution on the pivot rows; `solve_exact` takes the
+  kernel of [A | -b] and divides each vector by its free entry,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation, product, division and primitive gcd,
 * `fit_rational_function` -- exact rational interpolation: one integer
-  row per sample through `_echelon`, and the kernel vector of the first
-  free column (`fit_polynomial` is its denominator-degree-0 case).
+  row per sample, and the kernel vector of the first free column
+  (`fit_polynomial` is its denominator-degree-0 case).
 
 Serialized forms: a rational is the string "num/den" ("n" when integral);
 a polynomial is its coefficient list, lowest degree first, with no trailing
@@ -97,103 +100,24 @@ def primitive(values) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def _echelon(rows, ncols):
-    """Fraction-free (Bareiss) row echelon form of integer augmented rows.
+def _pivot_rows(rows) -> dict:
+    """Sparse fraction-free echelon of integer rows: {leading column: pivot row}.
 
-    Only the first `ncols` columns are eligible as pivots; the remaining
-    columns (the right-hand side) are carried along.  Returns the list of
-    pivot (row, column) pairs; `rows` is reduced in place.
+    Each row is kept as {column: entry} and reduced on its leading column c
+    against the pivot row leading there, until it vanishes or leads in a new
+    column and becomes a pivot row, stored with a positive leading entry p.
+    With p = 1 the row loses e times the pivot row, e its entry at c, with
+    no scaling.  Otherwise it becomes (p/g) row - (e/g) pivot row,
+    g = gcd(p, e), divided by its content.  Every step stays in the
+    integers.  Once every column leads, the remaining rows are left unread.
+    Any echelon basis of a row space has the same leading columns, so the
+    keys do not depend on the row order.
     """
-    m = len(rows)
-    pivots = []
-    r = 0
-    denom = 1
-    width = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        if r >= m:
+    pivots = {}
+    for values in rows:
+        if len(pivots) == len(values):
             break
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            for j in range(c, width):
-                num = pivot * rows[i][j] - f * rows[r][j]
-                q, rem = divmod(num, denom)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                rows[i][j] = q
-        pivots.append((r, c))
-        denom = pivot
-        r += 1
-    return pivots
-
-
-def _back_substitute(rows, pivots, n, free=None) -> list:
-    """Solve echelon rows over their first n columns, bottom row first.
-
-    free=None: A x = b with b in column n and free variables zero.
-    Otherwise: the kernel vector with x[free] = 1, other free variables zero.
-    """
-    x = [Fraction(0)] * n
-    if free is not None:
-        x[free] = Fraction(1)
-    for r, c in reversed(pivots):
-        s = Fraction(rows[r][n]) if free is None else Fraction(0)
-        for j in range(c + 1, n):
-            if x[j]:
-                s -= rows[r][j] * x[j]
-        x[c] = s / rows[r][c]
-    return x
-
-
-def solve_exact(matrix, rhs=None):
-    """Solve A x = b exactly over the rationals.
-
-    Returns (particular, nullspace) where `particular` is one exact solution
-    (free variables set to zero) or None when the system is inconsistent, and
-    `nullspace` is a basis of ker(A) as lists of Fractions.  With rhs=None
-    the system is treated as homogeneous.
-    """
-    m = len(matrix)
-    if m == 0:
-        raise InputError("empty system: variable count is undetermined")
-    n = len(matrix[0])
-    for row in matrix:
-        if len(row) != n:
-            raise InputError("inconsistent row lengths")
-    if rhs is None:
-        rhs = [0] * m
-    elif len(rhs) != m:
-        raise InputError("right-hand side length does not match row count")
-
-    rows = [integer_vector([*row, b]) for row, b in zip(matrix, rhs)]
-    pivots = _echelon(rows, n)
-    particular = None
-    if all(rows[i][n] == 0 for i in range(len(pivots), m)):
-        particular = _back_substitute(rows, pivots, n)
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    return particular, [_back_substitute(rows, pivots, n, free=f) for f in free_cols]
-
-
-def matrix_rank(matrix) -> int:
-    """Exact rank of a rational matrix, by sparse fraction-free echelon.
-
-    Each row is cleared to integers once and kept as {column: entry}.  It is
-    reduced on its leading column c against the pivot row leading there,
-    until it vanishes or leads in a new column and becomes a pivot row,
-    stored with a positive leading entry p.  With p = 1 the row loses e
-    times the pivot row, e its entry at c, with no scaling.  Otherwise it
-    becomes (p/g) row - (e/g) pivot row, g = gcd(p, e), divided by its
-    content.  Every step stays in the integers; the rank is the number of
-    pivot rows.
-    """
-    pivots = {}  # leading column -> pivot row
-    for values in matrix:
-        row = dict(filter(itemgetter(1), enumerate(integer_vector(values))))
+        row = dict(filter(itemgetter(1), enumerate(values)))
         while row:
             c = min(row)
             pivot = pivots.get(c)
@@ -215,7 +139,77 @@ def matrix_rank(matrix) -> int:
                 content = math.gcd(*row.values())
                 if content > 1:
                     row = {j: x // content for j, x in row.items()}
-    return len(pivots)
+    return pivots
+
+
+def matrix_rank(matrix) -> int:
+    """Exact rank of a rational matrix: the number of `_pivot_rows`."""
+    return len(_pivot_rows([integer_vector(row) for row in matrix]))
+
+
+def kernel_basis(rows, ncols) -> dict:
+    """Kernel basis of integer rows of length `ncols`: {free column: vector}.
+
+    For each free (non-leading) column f, in increasing order, the vector is
+    the primitive integer kernel vector with x_f > 0 and every other free
+    entry 0.  Back substitution runs from the last pivot row to the first:
+    with p the row's leading entry at c and s the row's value on the vector
+    so far, the vector is scaled by p/g and x_c set to -s/g, g = gcd(p, s).
+    Starting from x_f = 1, every step keeps the vector primitive.
+    """
+    if any(len(row) != ncols for row in rows):
+        raise InputError(f"kernel rows must have {ncols} entries")
+    pivots = _pivot_rows(rows)
+    order = sorted(pivots, reverse=True)
+    basis = {}
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        for c in order:
+            if c > f:  # the row lies past f, where x is still 0
+                continue
+            row = pivots[c]
+            s = sum(v * x[j] for j, v in row.items() if x[j])
+            if s:
+                p = row[c]
+                g = math.gcd(p, s)
+                if p != g:
+                    x = [p // g * y for y in x]
+                x[c] = -s // g
+        basis[f] = x
+    return basis
+
+
+def solve_exact(matrix, rhs=None):
+    """Solve A x = b exactly over the rationals.
+
+    Returns (particular, nullspace) where `particular` is one exact solution
+    (free variables set to zero) or None when the system is inconsistent, and
+    `nullspace` is a basis of ker(A) as lists of Fractions, each with its
+    free variable 1.  With rhs=None the system is treated as homogeneous.
+    Both come from `kernel_basis` of [A | -b].
+    """
+    m = len(matrix)
+    if m == 0:
+        raise InputError("empty system: variable count is undetermined")
+    n = len(matrix[0])
+    for row in matrix:
+        if len(row) != n:
+            raise InputError("inconsistent row lengths")
+    if rhs is None:
+        rhs = [0] * m
+    elif len(rhs) != m:
+        raise InputError("right-hand side length does not match row count")
+
+    rows = [integer_vector([*row, b]) for row, b in zip(matrix, rhs)]
+    for row in rows:
+        row[n] = -row[n]
+    basis = kernel_basis(rows, n + 1)
+    solutions = [[Fraction(v, x[f]) for v in x[:n]] for f, x in basis.items()]
+    particular = solutions.pop() if n in basis else None  # n is the last column
+    return particular, solutions
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +343,9 @@ def fit_rational_function(
             [v_den * k**e for e in range(deg_num + 1)]
             + [-v_num * k**e for e in range(deg_den + 1)]
         )
-    pivots = _echelon(rows, n)
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(n) if c not in pivot_cols), None)
-    if free is None:
+    vec = next(iter(kernel_basis(rows, n).values()), None)
+    if vec is None:
         return None
-    vec = _back_substitute(rows, pivots, n, free=free)
     num, den = vec[: deg_num + 1], vec[deg_num + 1 :]
     if not poly_trim(den):
         return None

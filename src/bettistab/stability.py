@@ -185,6 +185,8 @@ def match_templates(candidate_sets) -> tuple:
     ]
     if len(sets) < 3:
         raise StabilityError("need at least 3 consecutive candidate sets")
+    if len({k for k, _ in sets}) != len(sets):
+        raise InputError("repeated power k among the candidate sets")
     counts = {len(cands) for _, cands in sets}
     if len(counts) != 1:
         raise StabilityError(f"candidate counts differ across powers: {sorted(counts)}")

@@ -16,10 +16,12 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
-from bettistab.exact_arith import matrix_rank, solve_exact
+from bettistab.exact_arith import matrix_rank
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_diagram
+
+from dense_reference import dense_solve
 
 
 def _scaled_pure(degrees, weight=1):
@@ -340,7 +342,7 @@ def test_polytope_json_shape():
 
 
 def _reference_vertices(polytope):
-    """Slow reference: one rational solve_exact per column subset of size rank."""
+    """Slow reference: one dense Bareiss solve per column subset of size rank."""
     m = len(polytope.candidates)
     r = polytope.rank
     found = set()
@@ -349,7 +351,7 @@ def _reference_vertices(polytope):
             found.add(tuple(Fraction(0) for _ in range(m)))
     for subset in combinations(range(m), r):
         sub = [[row[c] for c in subset] for row in polytope.matrix]
-        solution, nullspace = solve_exact(sub, list(polytope.rhs))
+        solution, nullspace = dense_solve(sub, list(polytope.rhs))
         if solution is None or nullspace:
             continue
         if any(x < 0 for x in solution):

@@ -172,6 +172,13 @@ def test_render_parse_round_trip_examples():
         assert parse_table(render_table(diagram)) == diagram
 
 
+def test_parse_table_rejects_non_integer_labels():
+    with pytest.raises(InputError, match="row label"):
+        parse_table("  | 0\n---\nfoo | 1")
+    with pytest.raises(InputError, match="column header"):
+        parse_table("  | 0  x\n---\n0 | 1")
+
+
 def test_render_elides_rows():
     text = render_table(path_diagram(6, 3))
     assert "⋮" in text

@@ -10,9 +10,9 @@ from bettistab.exact_arith import (
     binom,
     fit_polynomial,
     fit_rational_function,
-    _echelon,
     format_rational,
     integer_vector,
+    kernel_basis,
     matrix_rank,
     parse_rational,
     poly_eval,
@@ -22,6 +22,8 @@ from bettistab.exact_arith import (
     primitive,
     solve_exact,
 )
+
+from dense_reference import _echelon, dense_kernel, dense_solve
 
 small_fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -138,9 +140,36 @@ def test_matrix_rank_edge_shapes():
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
+@given(rank_matrices())
+@settings(max_examples=250, deadline=None)
+def test_kernel_basis_matches_dense_reference(matrix):
+    n = len(matrix[0])
+    basis = kernel_basis([integer_vector(row) for row in matrix], n)
+    assert basis == dense_kernel(matrix, n)
+    for f, x in basis.items():
+        assert all(type(v) is int for v in x) and math.gcd(*x) == 1
+        assert x[f] > 0 and all(x[g] == 0 for g in basis if g != f)
+        assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in matrix)
+    assert len(basis) == n - matrix_rank(matrix)
+
+
+def test_kernel_basis_edge_cases():
+    assert kernel_basis([[0, 0], [0, 0]], 2) == {0: [1, 0], 1: [0, 1]}
+    assert kernel_basis([], 2) == {0: [1, 0], 1: [0, 1]}
+    assert kernel_basis([[2, 1], [1, 3]], 2) == {}  # full rank
+    # the pivot row at 0 has no other set entry: x_0 stays the int 0
+    basis = kernel_basis([[3, 0, 0], [0, 2, 4]], 3)
+    assert basis == {2: [0, -2, 1]}
+    assert all(type(v) is int for v in basis[2])
+    with pytest.raises(InputError):
+        kernel_basis([[1, 2, 3]], 2)
+
+
 def test_float_entries_are_rejected():
     with pytest.raises(InputError):
         matrix_rank([[Fraction(1, 2), 0.5]])
+    with pytest.raises(InputError):  # a row past full rank is still checked
+        matrix_rank([[1, 0], [0, 1], [0.5, 0]])
     with pytest.raises(InputError):
         solve_exact([[1, 2]], [0.5])
     with pytest.raises(InputError):
@@ -163,6 +192,7 @@ def test_solve_exactness_properties(matrix, data):
     m, n = len(matrix), len(matrix[0])
     rhs = data.draw(st.lists(small_fractions, min_size=m, max_size=m))
     x, null = solve_exact(matrix, rhs)
+    assert (x, null) == dense_solve(matrix, rhs)  # free entries 1, as before
     rank = matrix_rank(matrix)
     assert rank == _naive_rank(matrix)
     assert len(null) == n - rank
@@ -266,14 +296,14 @@ def test_fit_round_trip(num, den, hold):
 
 
 def _reference_fit(samples, deg_num, deg_den):
-    """Slow reference: Fraction rows and the first kernel vector of solve_exact."""
+    """Slow reference: Fraction rows and the first kernel vector of a dense solve."""
     rows = []
     for k, v in samples:
         v = Fraction(v)
         row = [Fraction(k) ** e for e in range(deg_num + 1)]
         row += [-v * Fraction(k) ** e for e in range(deg_den + 1)]
         rows.append(row)
-    _, nullspace = solve_exact(rows)
+    _, nullspace = dense_solve(rows)
     if not nullspace:
         return None
     vec = nullspace[0]

@@ -77,6 +77,8 @@ def test_match_templates_mismatch():
         match_templates([(1, [(0, True)]), (2, [(0, 2)]), (3, [(0, 3)])])
     with pytest.raises(InputError):
         match_templates([(1, [(0, 1.0)]), (2, [(0, 2)]), (3, [(0, 3)])])
+    with pytest.raises(InputError):  # a repeated k would divide by k2 - k1 = 0
+        match_templates([(1, [(0, 1)]), (1, [(0, 1)]), (2, [(0, 1)])])
 
 
 def test_signature_single_point():
