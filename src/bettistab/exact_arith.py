@@ -18,7 +18,8 @@ This module supplies the shared numeric machinery:
   by integer back substitution on the pivot rows; `solve_exact` takes the
   kernel of [A | -b] and divides each vector by its free entry,
 * integer polynomials as coefficient tuples (lowest degree first):
-  evaluation, product, division and primitive gcd,
+  evaluation (Horner in the integers at an integer point, one Fraction at
+  the end), product, division and primitive gcd,
 * `fit_rational_function` -- exact rational interpolation: one integer
   row per sample, and the kernel vector of the first free column
   (`fit_polynomial` is its denominator-degree-0 case).
@@ -225,10 +226,11 @@ def poly_trim(coeffs) -> tuple:
 
 
 def poly_eval(p, x) -> Fraction:
-    acc = Fraction(0)
+    """p(x) by Horner's rule, as a Fraction; in the integers when x and p are."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
-    return acc
+    return Fraction(acc)
 
 
 def poly_mul(p, q) -> tuple:

@@ -22,6 +22,12 @@ Column sums (total Betti numbers per homological index) go through the same
 fitter as polynomials (denominator degree 0, Kodiyalam), with the same
 held-out check.
 
+Each scan fits every distinct sample sequence once: many trajectories
+repeat (coordinates shared between vertices, coordinates that vanish on the
+whole window), and a fit is a function of its (k, value) samples and the
+polynomial flag alone, so a dict local to the scan, keyed by both, returns
+exactly the fit that a new search would find.
+
 `compare_reference` reports, per vertex coordinate, whether the fitted
 trajectory equals a reference closed form exactly and whether the two agree
 up to a constant factor over the window, plus per-vertex zero-pattern
@@ -316,12 +322,20 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
             [(r.k, r.polytope.candidates) for r in window_records]
         )
         labels, values = _pair_vertices(window_records)
+        memo = {}  # (samples, polynomial) -> fit
+
+        def fit(samples, polynomial=False):
+            key = (tuple(samples), polynomial)
+            if key not in memo:
+                memo[key] = _fit_trajectory(samples, polynomial)
+            return memo[key]
+
         fits = []
         m = len(window_records[0].polytope.candidates)
         for label in labels:
             for c in range(m):
                 samples = [(r.k, values[label][r.k][c]) for r in window_records]
-                fits.append(TrajectoryFit(label, c, _fit_trajectory(samples)))
+                fits.append(TrajectoryFit(label, c, fit(samples)))
         trajectories = tuple(fits)
         # Kodiyalam check: total Betti numbers are polynomial in k.
         sums = [column_sums(r.diagram) for r in window_records]
@@ -331,7 +345,7 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
                 (r.k, s[c] if c < len(s) else Fraction(0))
                 for r, s in zip(window_records, sums)
             ]
-            fits.append(_fit_trajectory(samples, polynomial=True))
+            fits.append(fit(samples, polynomial=True))
         column_fits = tuple(fits)
 
     verdict = {

@@ -401,3 +401,57 @@ def test_make_is_invariant_under_rational_scaling(num, den, c):
         den = [Fraction(1)]
     scaled = RationalFunctionFit.make([c * x for x in num], [c * x for x in den])
     assert scaled == RationalFunctionFit.make(num, den)
+
+
+def _fraction_horner(p, x):
+    """Reference evaluation: Horner's rule with every step a Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * Fraction(x) + Fraction(c)
+    return acc
+
+
+mixed_polys = st.lists(
+    st.one_of(st.integers(min_value=-10**6, max_value=10**6), small_fractions),
+    max_size=6,
+)
+points = st.one_of(st.integers(min_value=-50, max_value=50), small_fractions)
+
+
+@given(mixed_polys, points)
+@settings(max_examples=300, deadline=None)
+def test_poly_eval_matches_fraction_horner(p, x):
+    # Integer points and coefficients take the integer path, the rest the
+    # Fraction one; both return the same Fraction.
+    value = poly_eval(p, x)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(p, x)
+    assert type(poly_eval(tuple(p), x)) is Fraction
+
+
+@given(polys, polys, st.integers(min_value=-30, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_is_numerator_over_denominator(num, den, k):
+    if not any(den):
+        den = [1]
+    fit = RationalFunctionFit.make(num, den)
+    q = _fraction_horner(fit.denominator, k)
+    if q == 0:
+        with pytest.raises(ZeroDivisionError):
+            fit.evaluate(k)
+        return
+    value = fit.evaluate(k)
+    assert type(value) is Fraction
+    assert value == _fraction_horner(fit.numerator, k) / q
+    if _fraction_horner(den, k):  # make() may cancel a factor vanishing at k
+        assert value == _fraction_horner(num, k) / _fraction_horner(den, k)
+
+
+def test_evaluate_rejects_non_integer_points_and_vanishing_denominators():
+    fit = RationalFunctionFit.make([1], [-2, 1])  # 1/(k - 2)
+    for x in (2.0, 0.5, True, False, Fraction(3)):
+        with pytest.raises(InputError):
+            fit.evaluate(x)
+    with pytest.raises(ZeroDivisionError):
+        fit.evaluate(2)
+    assert fit.evaluate(3) == 1 and type(fit.evaluate(3)) is Fraction

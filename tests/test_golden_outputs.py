@@ -1,10 +1,17 @@
 """Byte-for-byte golden outputs of three CLI runs.
 
-Each file in `tests/golden/` holds the exact stdout of `cli.main` for one
-run: the paper comparison over k = 4..11, an oracle-mode scan of the
-4-cycle over k = 1..7, and a closed-form scan of the six-variable path
-over k = 4..11.  A refactor must leave all three unchanged.  When a change
-alters the output on purpose, regenerate the files with
+Each `.json` file in `tests/golden/` holds the exact stdout of `cli.main`
+for one run: the paper comparison over k = 4..11, an oracle-mode scan of
+the 4-cycle over k = 1..7, and a closed-form scan of the six-variable path
+over k = 4..11.  A refactor must leave all three unchanged.
+
+The closed-form scan of the seven-variable path over k = 31..40 is pinned by
+the SHA-256 of its stdout (about 265 KB), kept in `tests/golden/` as a
+`.sha256` file, together with its window, vertex and candidate counts and
+fits.  It pins a regression, not a truth: there is no n = 7 reference.
+
+When a change alters an output on purpose, regenerate the three files and
+the digest with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -12,7 +19,9 @@ and review the diff of `tests/golden/` together with the change.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -26,6 +35,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 IDEALS = {
     "c4": "x1*x2, x2*x3, x3*x4, x1*x4\n",
     "path6": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6\n",
+    "path7": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7\n",
 }
 
 RUNS = {
@@ -36,13 +46,19 @@ RUNS = {
     ],
 }
 
+DIGEST_RUNS = {
+    "scan_path7_formula_k31_40": [
+        "scan", "--ideal", "{path7}", "--kmin", "31", "--kmax", "40",
+    ],
+}
+
 
 def run_stdout(name, ideal_dir):
     """Exit code and stdout of `cli.main` for the named run."""
     paths = {key: ideal_dir / f"{key}.txt" for key in IDEALS}
     for key, text in IDEALS.items():
         paths[key].write_text(text, encoding="utf-8")
-    argv = [arg.format(**paths) for arg in RUNS[name]]
+    argv = [arg.format(**paths) for arg in {**RUNS, **DIGEST_RUNS}[name]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -67,12 +83,43 @@ def test_verify_paper_from_k1_matches_golden():
     assert out.getvalue() == golden.read_text(encoding="utf-8")
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_path7_scan_matches_digest(tmp_path):
+    name = "scan_path7_formula_k31_40"
+    code, out = run_stdout(name, tmp_path)
+    assert code == 0
+    assert _digest(out) == (GOLDEN_DIR / f"{name}.sha256").read_text(encoding="utf-8").strip()
+    report = json.loads(out)
+    assert report["stable_window"] == [31, 40] and report["k0"] is None
+    assert len(report["vertex_labels"]) == 24
+    for record in report["per_k"]:
+        assert len(record["polytope"]["candidates"]) == 13
+        assert record["signature"]["vertex_count"] == 24
+    assert len(report["trajectories"]) == 24 * 13 == 312
+    assert all(t["fit"] is not None and t["validated"] for t in report["trajectories"])
+    assert report["column_sums"]
+    assert all(c["fit"] is not None for c in report["column_sums"])
+    assert report["verdict"] == {
+        "all_column_sums_fit": True,
+        "all_trajectories_fit": True,
+        "stabilized_in_range": True,
+    }
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(RUNS):
+        for name in sorted(RUNS) + sorted(DIGEST_RUNS):
             code, out = run_stdout(name, pathlib.Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit code {code}")
-            (GOLDEN_DIR / f"{name}.json").write_text(out, encoding="utf-8")
-            print(f"wrote {GOLDEN_DIR / name}.json", file=sys.stderr)
+            if name in RUNS:
+                path = GOLDEN_DIR / f"{name}.json"
+                path.write_text(out, encoding="utf-8")
+            else:
+                path = GOLDEN_DIR / f"{name}.sha256"
+                path.write_text(_digest(out) + "\n", encoding="utf-8")
+            print(f"wrote {path}", file=sys.stderr)

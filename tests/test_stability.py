@@ -16,8 +16,10 @@ from bettistab.diagram import TranslationTemplate, column_sums
 from bettistab.errors import InputError, NotEquigeneratedError, StabilityError
 from bettistab.exact_arith import RationalFunctionFit
 from bettistab.monomial_ideal import make_ideal
+from bettistab import stability
 from bettistab.path_formula import path_diagram, path_ideal
 from bettistab.stability import (
+    TrajectoryFit,
     _fit_trajectory,
     combinatorial_signature,
     compare_reference,
@@ -379,3 +381,92 @@ def test_oracle_scans_of_non_path_ideals(ideal):
             for record in window:
                 value = report.vertex_values[t.vertex][record.k][t.coordinate]
                 assert t.fit.evaluate(record.k) == value
+
+
+def _fits_one_by_one(report):
+    """Reference for the scan's memo: one `_fit_trajectory` search per fit."""
+    window = [r for r in report.records if r.k >= report.window[0]]
+    trajectories = tuple(
+        TrajectoryFit(
+            label,
+            c,
+            _fit_trajectory([(r.k, report.vertex_values[label][r.k][c]) for r in window]),
+        )
+        for label in report.vertex_labels
+        for c in range(len(window[0].polytope.candidates))
+    )
+    sums = [stability.column_sums(r.diagram) for r in window]  # as the scan sees them
+    column_fits = tuple(
+        _fit_trajectory(
+            [(r.k, s[c] if c < len(s) else Fraction(0)) for r, s in zip(window, sums)],
+            polynomial=True,
+        )
+        for c in range(max(len(s) for s in sums))
+    )
+    return trajectories, column_fits
+
+
+@pytest.mark.parametrize(
+    "ideal, k_min, k_max",
+    [
+        (path_ideal(6), 4, 11),
+        (NON_PATH_IDEALS[-2], 1, 7),  # C4, oracle mode
+        (path_ideal(7), 31, 40),
+        (NON_PATH_IDEALS[-1], 1, 5),  # the star K_{1,3}, oracle mode
+    ],
+    ids=["path6", "c4", "path7", "star"],
+)
+def test_scan_fits_match_one_search_per_fit(ideal, k_min, k_max):
+    report = scan_powers(ideal, k_min, k_max)
+    assert report.window is not None
+    assert report.trajectories and report.column_sum_fits
+    trajectories, column_fits = _fits_one_by_one(report)
+    assert report.trajectories == trajectories
+    assert report.column_sum_fits == column_fits
+
+
+def test_scan_searches_each_distinct_sample_sequence_once(monkeypatch):
+    # verify-paper's scan has 24 trajectories and 6 column sums; the w4 and
+    # w8 coordinates repeat across its three vertices, so 18 are distinct.
+    searched = []
+
+    def counting(samples, polynomial=False):
+        searched.append((tuple(samples), polynomial))
+        return _fit_trajectory(samples, polynomial)
+
+    monkeypatch.setattr(stability, "_fit_trajectory", counting)
+    report = scan_powers(path_ideal(6), 4, 11)
+    assert len(report.trajectories) + len(report.column_sum_fits) == 30
+    assert len(searched) == len(set(searched)) == 18
+
+
+def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
+    # Collisions the scans above never meet: a vertex "twin" that differs
+    # from v1 only in its held-out samples, and an extra column sum whose
+    # samples are those of a v1 trajectory that is rational but not
+    # polynomial, so its polynomial search fails where the rational one fits.
+    pair_vertices, sums_of = stability._pair_vertices, stability.column_sums
+    extra = {}
+
+    def pair_with_twin(window_records):
+        labels, values = pair_vertices(window_records)
+        ks = [r.k for r in window_records]
+        v1 = values["v1"]
+        values["twin"] = {k: v1[k] if k != ks[-1] else tuple(x + 1 for x in v1[k]) for k in ks}
+        c = next(
+            c
+            for c in range(len(v1[ks[0]]))
+            if _fit_trajectory([(k, v1[k][c]) for k in ks], polynomial=True) is None
+            and _fit_trajectory([(k, v1[k][c]) for k in ks]) is not None
+        )
+        extra.update({id(r.diagram): v1[r.k][c] for r in window_records})
+        return labels + ("twin",), values
+
+    monkeypatch.setattr(stability, "_pair_vertices", pair_with_twin)
+    monkeypatch.setattr(stability, "column_sums", lambda d: sums_of(d) + (extra[id(d)],))
+    report = scan_powers(path_ideal(6), 4, 11)
+    trajectories, column_fits = _fits_one_by_one(report)
+    assert report.trajectories == trajectories
+    assert report.column_sum_fits == column_fits
+    assert column_fits[-1] is None
+    assert any(t.vertex == "twin" and t.fit is None for t in trajectories)
