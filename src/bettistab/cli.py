@@ -37,8 +37,11 @@ def _log(message: str) -> None:
 def _emit_json(obj, path=None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
         _log(f"wrote {path}")
     else:
         print(text)
@@ -60,7 +63,12 @@ def _load_ideal(path: str, num_vars=None) -> MonomialIdeal:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
-        return MonomialIdeal.from_json_dict(data)
+        ideal = MonomialIdeal.from_json_dict(data)
+        if num_vars is not None and num_vars != ideal.num_vars:
+            raise InputError(
+                f"--num-vars {num_vars} disagrees with num_vars {ideal.num_vars} in {path}"
+            )
+        return ideal
     if num_vars is None:
         indices = [int(m) for m in re.findall(r"x(\d+)", text)]
         if not indices:
@@ -93,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="Betti diagram via Koszul strand homology")
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
     p.add_argument("--power", type=int, default=1, help="power of the ideal")
-    p.add_argument("--num-vars", type=int, help="variable count for text input")
+    p.add_argument(
+        "--num-vars", type=int, help="variable count for text input; must match a JSON ideal"
+    )
     p.add_argument("--degree-bound", type=int, help="truncate at this total degree")
 
     p = sub.add_parser("decompose", help="greedy decomposition of a diagram")
@@ -107,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--num-vars", type=int, help="variable count for text input")
+    p.add_argument(
+        "--num-vars", type=int, help="variable count for text input; must match a JSON ideal"
+    )
     p.add_argument("--json", metavar="OUT", help="write the report to this file")
 
     p = sub.add_parser(

@@ -147,6 +147,41 @@ def test_missing_file_is_domain_error(capsys):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def test_scan_to_unwritable_path_is_domain_error(tmp_path, capsys):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1*x2", encoding="utf-8")
+    out_file = tmp_path / "missing" / "report.json"
+    code, out, _ = run_cli(
+        capsys, "scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5",
+        "--json", str(out_file),
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert str(out_file) in error["message"]
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["oracle", "scan"])
+def test_num_vars_must_match_json_ideal(tmp_path, capsys, subcommand):
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text(
+        json.dumps({"num_vars": 2, "generators": [[1, 0], [0, 1]]}), encoding="utf-8"
+    )
+    argv = [subcommand, "--ideal", str(ideal_file)]
+    if subcommand == "scan":
+        argv += ["--kmin", "1", "--kmax", "5"]
+    code, out, _ = run_cli(capsys, *argv, "--num-vars", "5")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert "--num-vars" in error["message"]
+    # an agreeing count is accepted
+    code, out, _ = run_cli(capsys, *argv, "--num-vars", "2")
+    assert code == 0
+    assert "error" not in json.loads(out)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["formula", "--n", "6"]) == 2
     assert main([]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bettistab.diagram import BettiDiagram, validate_cyclic
 from bettistab.errors import InputError
 from bettistab.koszul_oracle import (
+    _apex,
     _boundary_matrix,
     _critical_bases,
     _divisor_index,
@@ -408,8 +409,48 @@ def test_cone_keys_on_named_ideals():
     assert cones[-1] > 0 and sum(cones) > len(ideals)
 
 
+def _reference_critical_bases(n, key, apex):
+    """Per homological degree, the critical cells of the apex matching, as bitmasks.
+
+    sigma = rho | apex with rho in supp - apex is critical iff rho meets
+    every mask without the apex (so sigma survives) and misses some mask
+    with it (so sigma - apex does not).  The one cell of an empty support
+    survives iff there are no masks.
+    """
+    support, masks = key
+    bases = [[] for _ in range(n + 1)]
+    if not support:
+        if not masks:
+            bases[0].append(0)
+        return bases
+    outer = [m for m in masks if not m & apex]
+    inner = [m ^ apex for m in masks if m & apex]
+    rest = support ^ apex
+    rho = rest
+    while True:
+        if all(rho & m for m in outer) and not all(rho & m for m in inner):
+            bases[rho.bit_count() + 1].append(rho | apex)
+        if not rho:
+            return bases
+        rho = (rho - 1) & rest
+
+
+def _assert_cells_match_reference(n, key, apex):
+    """The truth-table cells equal the submask walk's, as a set in each degree."""
+    cells = _critical_bases(n, key, apex)
+    reference = _reference_critical_bases(n, key, apex)
+    assert len(cells) == len(reference) == n + 1
+    for level, expected in zip(cells, reference):
+        assert len(set(level)) == len(level)
+        assert set(level) == set(expected)
+    return cells
+
+
 def _assert_matching_is_exact(ideal):
-    """On the lcm box plus one step, every apex's critical cells give the reference homology."""
+    """On the lcm box plus one step, every apex's critical cells give the reference homology.
+
+    The cells themselves are checked against the submask walk.
+    """
     n = ideal.num_vars
     for a in product(*(range(c + 2) for c in ideal.exponent_lcm())):
         expected = _reference_homology(ideal, a)
@@ -419,7 +460,7 @@ def _assert_matching_is_exact(ideal):
         for t in range(n):
             if not key[0] >> t & 1:
                 continue
-            critical = _critical_bases(n, key, 1 << t)
+            critical = _assert_cells_match_reference(n, key, 1 << t)
             assert _homology(critical) == expected
             assert _euler(critical) == _euler(full)
             _assert_squares_to_zero(critical)
@@ -436,7 +477,46 @@ def test_critical_cells_on_named_ideals():
         _assert_matching_is_exact(ideal)
 
 
-@pytest.mark.parametrize("n, k", [(6, 5), (7, 4), (8, 3), (9, 2)])
+def test_critical_cells_edge_cases():
+    # an empty support keeps its one cell, the empty set, iff there are no masks
+    assert _assert_cells_match_reference(3, (0, frozenset()), 0) == [[0], [], [], []]
+    assert _assert_cells_match_reference(3, (0, frozenset({0})), 0) == [[], [], [], []]
+    # the support is the apex alone: one table bit, for rho = {}
+    assert _assert_cells_match_reference(2, (0b10, frozenset({0b10})), 0b10) == [[], [0b10], []]
+    assert _assert_cells_match_reference(2, (0b10, frozenset({0})), 0b10) == [[], [], []]
+    # a mask equal to {apex}: its inner mask is empty, met by no rho, so
+    # every rho that meets the outer masks is critical
+    cells = _assert_cells_match_reference(3, (0b111, frozenset({0b001, 0b110})), 0b001)
+    assert [sorted(level) for level in cells] == [[], [], [0b011, 0b101], [0b111]]
+    # no inner mask: the apex lies in no mask, a cone, and no cell is critical
+    for key in [(0b111, frozenset({0b010, 0b100})), (0b111, frozenset()),
+                (0b111, frozenset({0}))]:
+        assert _is_cone(key)
+        assert _assert_cells_match_reference(3, key, 0b001) == [[], [], [], []]
+
+
+@given(st.integers(1, 63), st.lists(st.integers(0, 63), max_size=6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_critical_cells_match_reference_on_arbitrary_masks(support, masks, data):
+    # masks need not be minimal tight sets here: any subsets of the support
+    apex = data.draw(st.sampled_from([1 << t for t in range(6) if support >> t & 1]))
+    _assert_cells_match_reference(6, (support, frozenset(m & support for m in masks)), apex)
+
+
+def test_critical_cells_on_path_10_squared():
+    # supports reach all 10 variables, so the tables hold up to 2^9 bits
+    ideal = power(_relabelled(path_ideal(10), 10), 2)
+    fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
+    keys = {_indexed_key(index, x)
+            for x in _lcm_lattice([_pack(fields, g) for g in ideal.generators])}
+    non_cones = [key for key in keys if not _is_cone(key)]
+    assert max(key[0].bit_count() for key in non_cones) == 10
+    for key in non_cones:
+        _assert_cells_match_reference(10, key, _apex(key))
+
+
+@pytest.mark.parametrize("n, k", [(6, 5), (7, 4), (8, 3), (9, 2), (10, 2)])
 def test_oracle_reaches_path_powers(n, k):
     ideal = power(_relabelled(path_ideal(n), n), k)
     assert ideal != power(path_ideal(n), k)

@@ -179,6 +179,18 @@ def test_scan_detects_maximal_window():
     )
 
 
+def test_path7_transitions():
+    # Pins the breaks of the 3..40 scan as a regression check, not as truth:
+    # the paper has no n = 7 reference.
+    report = scan_powers(path_ideal(7), 3, 40)
+    assert report.window == (31, 40)
+    assert report.k0 == 30
+    by_k = {r.k: r for r in report.records}
+    assert [len(by_k[k].polytope.vertices) for k in (28, 29, 30, 31)] == [30, 28, 24, 24]
+    assert {len(by_k[k].polytope.candidates) for k in (28, 29, 30, 31)} == {13}
+    assert by_k[30].signature != by_k[31].signature
+
+
 def test_scan_without_stable_window():
     # only two stable powers at the top of the range: no window is claimed
     report = scan_powers(path_ideal(6), 1, 5)
