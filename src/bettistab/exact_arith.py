@@ -19,9 +19,14 @@ This module supplies the shared numeric machinery:
   kernel of [A | -b] and divides each vector by its free entry,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation (Horner in the integers at an integer point, one Fraction at
-  the end), product, division and primitive gcd,
-* `fit_rational_function` -- exact rational interpolation: one integer
-  row per sample, and the kernel vector of the first free column
+  the end), product, division and primitive gcd (Euclid on integer
+  pseudo-remainders),
+* `rational_reconstructions` -- the one fitting core: the extended
+  Euclidean algorithm on prod(x - k_i) and the samples' interpolant, run in
+  the integers as a pseudo-remainder sequence; `interpolates` checks an
+  integer pair against samples without Fractions,
+* `fit_rational_function` -- exact rational interpolation under degree
+  bounds: the Euclid pair that answers them, in canonical form
   (`fit_polynomial` is its denominator-degree-0 case).
 
 Serialized forms: a rational is the string "num/den" ("n" when integral);
@@ -227,10 +232,14 @@ def poly_trim(coeffs) -> tuple:
 
 def poly_eval(p, x) -> Fraction:
     """p(x) by Horner's rule, as a Fraction; in the integers when x and p are."""
+    return Fraction(_horner(p, x))
+
+
+def _horner(p, x):
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
-    return Fraction(acc)
+    return acc
 
 
 def poly_mul(p, q) -> tuple:
@@ -259,16 +268,44 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(rem)
 
 
+def _pseudo_remainder_step(r0, t0, r1, t1) -> tuple:
+    """(a r0 - q r1, a t0 - q t1) with deg < deg r1, divided by joint content.
+
+    Each leading term of the running remainder is cancelled by a multiple of
+    r1 after scaling by (lc r1)/g, g its gcd with that term, so every step
+    stays in the integers, as in `_pivot_rows`.
+    """
+    r, t = list(r0), list(t0)
+    d, lead = len(r1) - 1, r1[-1]
+    t += [0] * (len(r) - d - 1 + len(t1) - len(t))  # room for q t1
+    while len(r) > d:
+        g = math.gcd(lead, r[-1])
+        a, b = lead // g, r[-1] // g
+        if a != 1:
+            r = [a * x for x in r]
+            t = [a * x for x in t]
+        shift = len(r) - 1 - d
+        for e, x in enumerate(r1):
+            r[shift + e] -= b * x
+        for e, x in enumerate(t1):
+            t[shift + e] -= b * x
+        while r and r[-1] == 0:
+            r.pop()
+    t = poly_trim(t)
+    content = math.gcd(*r, *t) or 1
+    return tuple(x // content for x in r), tuple(x // content for x in t)
+
+
 def poly_gcd(p, q) -> tuple:
-    """Primitive gcd of two rational polynomials (positive leading coefficient)."""
-    a, b = poly_trim(p), poly_trim(q)
+    """Primitive gcd of two rational polynomials (positive leading coefficient).
+
+    Euclid on their primitive integer forms, each remainder a
+    pseudo-remainder divided by its content.
+    """
+    a, b = primitive(poly_trim(p)), primitive(poly_trim(q))
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    g = primitive(a)
-    return g if g[-1] > 0 else tuple(-x for x in g)
+        a, b = b, _pseudo_remainder_step(a, (), b, ())[0]
+    return a if not a or a[-1] > 0 else tuple(-x for x in a)
 
 
 @dataclass(frozen=True)
@@ -316,53 +353,104 @@ class RationalFunctionFit:
         }
 
 
+def rational_reconstructions(samples: Sequence[tuple]) -> list:
+    """Extended Euclid on m = prod(x - k_i) and the samples' interpolant f.
+
+    Returns the integer pairs (r_j, t_j), j >= 1, with r_j = t_j f mod m,
+    down to the first zero r_j: (r_1, t_1) = (L f, L), L the least common
+    denominator of f's Lagrange coefficients, and each next pair is the
+    pseudo-remainder step on the two before it, from (r_0, t_0) = (m, 0),
+    divided by its joint content.  So each pair is a nonzero multiple of the
+    pair of the Euclidean algorithm over the rationals: deg r_j falls
+    strictly and deg t_j rises.  Abscissae are distinct integers; values
+    are ints or Fractions (bools are not).
+    """
+    ks = [require_int(k, "sample abscissa") for k, _ in samples]
+    if len(set(ks)) != len(ks):
+        raise InputError("duplicate sample abscissae")
+    if any(type(v) is bool for _, v in samples):
+        raise InputError("sample values must be ints or Fractions, not bools")
+    v_den, *v_nums = integer_vector((1, *(v for _, v in samples)))
+    m = [1]
+    for k in ks:
+        m = [a - k * b for a, b in zip([0, *m], [*m, 0])]
+    terms = []  # f = sum of v_num / (v_den w) prod_{j != i} (x - k_j)
+    for k, v_num in zip(ks, v_nums):
+        if v_num:
+            w = math.prod(k - kj for kj in ks if kj != k)
+            g = math.gcd(v_num, w)
+            terms.append((k, v_num // g, w // g))
+    lcd = math.lcm(*(w for _, _, w in terms))
+    f = [0] * len(ks)
+    for k, a, w in terms:
+        scale = a * (lcd // w)
+        q = 0  # synthetic division of m by (x - k), top coefficient first
+        for e in range(len(ks), 0, -1):
+            q = m[e] + k * q
+            f[e - 1] += scale * q
+    f = poly_trim(f)
+    g = math.gcd(*f, v_den * lcd)
+    pairs = [(tuple(c // g for c in f), (v_den * lcd // g,))]
+    r0, t0 = tuple(m), ()
+    while pairs[-1][0]:
+        r1, t1 = pairs[-1]
+        pairs.append(_pseudo_remainder_step(r0, t0, r1, t1))
+        r0, t0 = r1, t1
+    return pairs
+
+
+def interpolates(num, den, samples) -> bool:
+    """Whether num(k) = v den(k) with den(k) != 0 at every (k, v) sample.
+
+    num and den are integer polynomials, each k an int and each v an int or
+    a Fraction: the test runs in the integers.
+    """
+    for k, v in samples:
+        q = _horner(den, k)
+        if q == 0 or _horner(num, k) * v.denominator != v.numerator * q:
+            return False
+    return True
+
+
 def fit_rational_function(
     samples: Sequence[tuple], deg_num: int, deg_den: int
 ) -> Optional[RationalFunctionFit]:
     """Exact rational interpolation of integer-abscissa samples.
 
-    Solves the homogeneous system p(k) - v*q(k) = 0 over the samples with
-    deg p <= deg_num, deg q <= deg_den.  At least deg_num + deg_den + 1
-    samples are required; at that count any two interpolants agree as
-    functions, so the result is well defined.  Returns None when no such
-    function interpolates every sample with a nonvanishing denominator.
+    Finds p/q with deg p <= deg_num, deg q <= deg_den and p(k) = v*q(k) at
+    every sample.  At least deg_num + deg_den + 1 samples are required; at
+    that count any two interpolants agree as functions, so the result is
+    well defined.  Returns None when no such function interpolates every
+    sample with a nonvanishing denominator.
+
+    Every such (p, q) is a polynomial multiple of (r_j, t_j) from
+    `rational_reconstructions`, for the first j with deg r_j <= deg_num (von
+    zur Gathen & Gerhard, Modern Computer Algebra, Thm 5.16), so one exists
+    exactly when deg t_j <= deg_den, and its canonical form is that of
+    r_j/t_j.
     """
+    require_int(deg_num, "numerator degree")
+    require_int(deg_den, "denominator degree")
     if deg_num < 0 or deg_den < 0:
         raise InputError("negative degree bound")
-    ks = [require_int(k, "sample abscissa") for k, _ in samples]
-    if len(set(ks)) != len(ks):
-        raise InputError("duplicate sample abscissae")
     if len(samples) < deg_num + deg_den + 1:
         raise InputError(
             f"need at least {deg_num + deg_den + 1} samples for degrees "
             f"({deg_num}, {deg_den}), got {len(samples)}"
         )
-    n = deg_num + deg_den + 2
-    rows = []
-    for k, v in samples:
-        v_den, v_num = integer_vector((1, v))  # p(k) - v*q(k), times v_den
-        rows.append(
-            [v_den * k**e for e in range(deg_num + 1)]
-            + [-v_num * k**e for e in range(deg_den + 1)]
-        )
-    vec = next(iter(kernel_basis(rows, n).values()), None)
-    if vec is None:
+    r, t = next((r, t) for r, t in rational_reconstructions(samples) if len(r) <= deg_num + 1)
+    if len(t) > deg_den + 1:
         return None
-    num, den = vec[: deg_num + 1], vec[deg_num + 1 :]
-    if not poly_trim(den):
-        return None
-    fit = RationalFunctionFit.make(num, den)
-    for k, v in samples:
-        q = poly_eval(fit.denominator, k)
-        if q == 0 or poly_eval(fit.numerator, k) != v * q:
-            return None
-    return fit
+    fit = RationalFunctionFit.make(r, t)
+    return fit if interpolates(fit.numerator, fit.denominator, samples) else None
 
 
 def fit_polynomial(samples: Sequence[tuple], deg: int) -> Optional[RationalFunctionFit]:
     """Exact polynomial interpolation: fit_rational_function with deg_den = 0.
 
-    The result has a constant positive denominator, so rational-coefficient
-    polynomials like C(k+4,4) stay representable with integer tuples.
+    Only (r_1, t_1) = (L f, L) has deg t = 0, so this is the interpolant f
+    when deg f <= deg.  The result has a constant positive denominator, so
+    rational-coefficient polynomials like C(k+4,4) stay representable with
+    integer tuples.
     """
     return fit_rational_function(samples, deg, 0)

@@ -18,6 +18,19 @@ a window of w samples every pair (dn, dd) with dn + dd <= w - 2 is tried,
 lowest total degree first, so a family of any degree fits once the window
 is wide enough.
 
+The search is one run of the extended Euclidean algorithm, not one linear
+solve per pair.  Let (r_j, t_j) be the Euclid pairs of m = prod(k - k_i)
+and the interpolant of the N = w - 1 fit samples (`rational_reconstructions`).
+For dn + dd <= N - 1, every nonzero (p, q) with deg p <= dn, deg q <= dd and
+p(k_i) = v_i q(k_i) is a polynomial multiple of (r_j, t_j) for the first j
+with deg r_j <= dn (von zur Gathen & Gerhard, Modern Computer Algebra,
+section 5.7, Thm 5.16).  So the pair (dn, dd) has a solution exactly when
+deg t_j <= dd, and every solution has the canonical form of r_j/t_j.  Pair
+j answers the (dn, dd) with max(deg r_j, 0) <= dn < deg r_{j-1} and
+dd >= deg t_j, first in the search order at (max(deg r_j, 0), deg t_j).
+Checking the Euclid pairs in ascending (total, dn) of that first degree
+pair returns exactly the fit that trying every degree pair in turn returns.
+
 Column sums (total Betti numbers per homological index) go through the same
 fitter as polynomials (denominator degree 0, Kodiyalam), with the same
 held-out check.
@@ -53,9 +66,10 @@ from .diagram import BettiDiagram, TranslationTemplate, column_sums
 from .errors import InputError, NotEquigeneratedError, StabilityError
 from .exact_arith import (
     RationalFunctionFit,
-    fit_rational_function,
     format_rational,
+    interpolates,
     poly_mul,
+    rational_reconstructions,
     require_int,
 )
 from .koszul_oracle import betti_oracle
@@ -260,17 +274,27 @@ def _fit_trajectory(samples, polynomial: bool = False):
     Degree pairs (dn, dd) are tried in ascending total degree, then ascending
     dn, up to the largest total that all samples but the last can pin down;
     the fit must reproduce that last sample.  `polynomial` keeps dd = 0.
+    Each Euclid pair stands for the degree pairs it answers (see the module
+    docstring).  Since r_j = v t_j at each fit sample and gcd(r_j, t_j)
+    divides prod(k - k_i), the canonical form of r_j/t_j meets the samples
+    exactly when the pair itself does, so `make` runs only on a pair that
+    passes these integer checks.
     """
-    fit_set, holdout = samples[:-1], samples[-1]
-    for total in range(len(fit_set)):
-        for dn in (total,) if polynomial else range(total + 1):
-            fit = fit_rational_function(fit_set, dn, total - dn)
-            if fit is not None:
-                try:
-                    if fit.evaluate(holdout[0]) == holdout[1]:
-                        return fit
-                except ZeroDivisionError:
-                    pass
+    fit_set = samples[:-1]
+    if not fit_set:
+        return None
+    require_int(samples[-1][0], "sample abscissa")
+    candidates = []
+    for r, t in rational_reconstructions(fit_set):
+        dn = max(len(r) - 1, 0)
+        total = dn + len(t) - 1
+        if total < len(fit_set) and not (polynomial and len(t) > 1):
+            candidates.append((total, dn, r, t))
+    for _, _, r, t in sorted(candidates, key=lambda c: c[:2]):
+        if interpolates(r, t, [samples[-1]]) and interpolates(r, t, fit_set):
+            fit = RationalFunctionFit.make(r, t)
+            if interpolates(fit.numerator, fit.denominator, samples):
+                return fit
     return None
 
 

@@ -12,14 +12,17 @@ from bettistab.exact_arith import (
     fit_rational_function,
     format_rational,
     integer_vector,
+    interpolates,
     kernel_basis,
     matrix_rank,
     parse_rational,
+    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
     poly_trim,
     primitive,
+    rational_reconstructions,
     solve_exact,
 )
 
@@ -179,6 +182,20 @@ def test_float_entries_are_rejected():
         fit_rational_function([(Fraction(1, 2), 1), (2, 2)], 1, 0)
     with pytest.raises(InputError):
         fit_rational_function([(True, 1), (2, 2)], 1, 0)
+    # sample values are ints or Fractions: True is not the value 1
+    samples = [(1, Fraction(1)), (2, Fraction(2)), (3, Fraction(3))]
+    for bad in ([(1, True), (2, 2)], [(1, 0.5), (2, 2)]):
+        with pytest.raises(InputError):
+            fit_rational_function(bad, 1, 0)
+        with pytest.raises(InputError):
+            fit_polynomial(bad, 1)
+    # degree bounds are integers: True is not 1, and 1.0 is not accepted
+    for dn, dd in ((True, 0), (1, False), (1.0, 0), (1, 0.0)):
+        with pytest.raises(InputError):
+            fit_rational_function(samples, dn, dd)
+    for deg in (True, 1.0):
+        with pytest.raises(InputError):
+            fit_polynomial(samples, deg)
     # binom takes integers only; C(a, 0) = 1 still holds for negative a
     for a, b in ((True, 1), (4.0, 2), (4, 2.0), (4, False)):
         with pytest.raises(InputError):
@@ -342,12 +359,55 @@ def test_fit_matches_reference(samples):
             assert fit_rational_function(samples, dn, dd) == _reference_fit(samples, dn, dd)
 
 
+def _reference_poly_gcd(p, q):
+    """Euclid over the rationals, then the primitive form with positive lead."""
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    if not a:
+        return ()
+    g = primitive(a)
+    return g if g[-1] > 0 else tuple(-x for x in g)
+
+
+rational_polys = st.lists(small_fractions, max_size=5)
+
+
+@given(rational_polys, rational_polys, rational_polys)
+def test_poly_gcd_matches_rational_euclid(p, q, common):
+    # a shared factor makes the gcd nontrivial often
+    p, q = poly_mul(p, common), poly_mul(q, common)
+    assert poly_gcd(p, q) == _reference_poly_gcd(p, q)
+
+
+@given(fit_samples())
+@settings(max_examples=100, deadline=None)
+def test_rational_reconstructions_are_euclid_pairs(samples):
+    # r_j = t_j v at every sample, deg r_j falls strictly to the zero
+    # polynomial, deg t_j rises, and t_1 is the constant denominator.
+    pairs = rational_reconstructions(samples)
+    assert len(pairs[0][1]) == 1 and pairs[0][1][0] > 0
+    assert pairs[-1][0] == () and all(r for r, _ in pairs[:-1])
+    for (r0, t0), (r1, t1) in zip(pairs, pairs[1:]):
+        assert len(r1) < len(r0) and len(t1) > len(t0)
+    for r, t in pairs:
+        assert all(type(c) is int for c in r + t)
+        for k, v in samples:
+            assert poly_eval(r, k) == v * poly_eval(t, k)
+
+
+def test_interpolates_in_the_integers():
+    samples = [(0, Fraction(1, 3)), (1, Fraction(2, 5)), (4, Fraction(5, 11))]
+    assert interpolates((1, 1), (3, 2), samples)  # (k + 1) / (2k + 3)
+    assert not interpolates((1, 1), (3, 2), samples + [(3, 1)])
+    assert not interpolates((2,), (-2, 1), [(2, 1)])  # pole at a sample
+    assert interpolates((), (1,), [])
+
+
 @given(polys, polys)
 def test_poly_gcd_divides(p, q):
     g = poly_gcd(p, q)
     if g:
-        from bettistab.exact_arith import poly_divmod
-
         for target in (p, q):
             quot, rem = poly_divmod(target, g)
             assert rem == ()

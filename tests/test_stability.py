@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bettistab.decomposition import (
     DecompositionPolytope,
@@ -14,7 +15,13 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import TranslationTemplate, column_sums
 from bettistab.errors import InputError, NotEquigeneratedError, StabilityError
-from bettistab.exact_arith import RationalFunctionFit
+from bettistab.exact_arith import (
+    RationalFunctionFit,
+    integer_vector,
+    kernel_basis,
+    poly_eval,
+    poly_trim,
+)
 from bettistab.monomial_ideal import make_ideal
 from bettistab import stability
 from bettistab.path_formula import path_diagram, path_ideal
@@ -395,6 +402,15 @@ def test_oracle_scans_of_non_path_ideals(ideal):
                 assert t.fit.evaluate(record.k) == value
 
 
+NAMED_SCANS = [
+    (path_ideal(6), 4, 11),
+    (NON_PATH_IDEALS[-2], 1, 7),  # C4, oracle mode
+    (path_ideal(7), 31, 40),
+    (NON_PATH_IDEALS[-1], 1, 5),  # the star K_{1,3}, oracle mode
+]
+NAMED_SCAN_IDS = ["path6", "c4", "path7", "star"]
+
+
 def _fits_one_by_one(report):
     """Reference for the scan's memo: one `_fit_trajectory` search per fit."""
     window = [r for r in report.records if r.k >= report.window[0]]
@@ -418,16 +434,7 @@ def _fits_one_by_one(report):
     return trajectories, column_fits
 
 
-@pytest.mark.parametrize(
-    "ideal, k_min, k_max",
-    [
-        (path_ideal(6), 4, 11),
-        (NON_PATH_IDEALS[-2], 1, 7),  # C4, oracle mode
-        (path_ideal(7), 31, 40),
-        (NON_PATH_IDEALS[-1], 1, 5),  # the star K_{1,3}, oracle mode
-    ],
-    ids=["path6", "c4", "path7", "star"],
-)
+@pytest.mark.parametrize("ideal, k_min, k_max", NAMED_SCANS, ids=NAMED_SCAN_IDS)
 def test_scan_fits_match_one_search_per_fit(ideal, k_min, k_max):
     report = scan_powers(ideal, k_min, k_max)
     assert report.window is not None
@@ -482,3 +489,144 @@ def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
     assert report.column_sum_fits == column_fits
     assert column_fits[-1] is None
     assert any(t.vertex == "twin" and t.fit is None for t in trajectories)
+
+
+def _kernel_fit(samples, deg_num, deg_den):
+    """Reference for one degree pair: the linear system p(k) - v q(k) = 0.
+
+    One integer row per sample; the kernel vector of the first free column
+    gives (p, q), and its canonical form must meet every sample.
+    """
+    n = deg_num + deg_den + 2
+    rows = []
+    for k, v in samples:
+        v_den, v_num = integer_vector((1, v))  # p(k) - v*q(k), times v_den
+        rows.append(
+            [v_den * k**e for e in range(deg_num + 1)]
+            + [-v_num * k**e for e in range(deg_den + 1)]
+        )
+    vec = next(iter(kernel_basis(rows, n).values()), None)
+    if vec is None:
+        return None
+    num, den = vec[: deg_num + 1], vec[deg_num + 1 :]
+    if not poly_trim(den):
+        return None
+    fit = RationalFunctionFit.make(num, den)
+    for k, v in samples:
+        q = poly_eval(fit.denominator, k)
+        if q == 0 or poly_eval(fit.numerator, k) != v * q:
+            return None
+    return fit
+
+
+def _reference_fit_trajectory(samples, polynomial: bool = False):
+    """Reference for `_fit_trajectory`: the degree search, one solve per pair.
+
+    Degree pairs (dn, dd) are tried in ascending total degree, then ascending
+    dn, up to the largest total that all samples but the last can pin down;
+    the fit must reproduce that last sample.  `polynomial` keeps dd = 0.
+    """
+    fit_set, holdout = samples[:-1], samples[-1]
+    for total in range(len(fit_set)):
+        for dn in (total,) if polynomial else range(total + 1):
+            fit = _kernel_fit(fit_set, dn, total - dn)
+            if fit is not None:
+                try:
+                    if fit.evaluate(holdout[0]) == holdout[1]:
+                        return fit
+                except ZeroDivisionError:
+                    pass
+    return None
+
+
+small_values = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coefficients = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
+
+
+@st.composite
+def trajectory_samples(draw):
+    """Distinct integer powers with random values (mostly unattainable), zero
+    or constant values, or the values of a random rational function or of a
+    polynomial of the highest degree the fit samples can pin down; the last
+    two kinds sometimes with one value moved."""
+    ks = draw(st.lists(st.integers(-6, 40), min_size=1, max_size=10, unique=True))
+    kind = draw(st.sampled_from(["random", "zero", "constant", "rational", "polynomial"]))
+    if kind == "random":
+        return [(k, draw(small_values)) for k in ks]
+    if kind in ("zero", "constant"):
+        value = Fraction(0) if kind == "zero" else draw(small_values)
+        return [(k, value) for k in ks]
+    if kind == "rational":
+        num, den = draw(coefficients), draw(coefficients.filter(any))
+    else:  # every candidate of lower dn at the top total comes first
+        degree = max(len(ks) - 2, 0)
+        num = draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree))
+        num, den = num + [draw(st.integers(1, 6))], [1]
+    samples = [(k, poly_eval(num, k) / poly_eval(den, k)) for k in ks if poly_eval(den, k)]
+    if samples and draw(st.booleans()):
+        i = draw(st.integers(0, len(samples) - 1))
+        k, v = samples[i]
+        samples[i] = (k, v + draw(small_values.filter(bool)))
+    return samples
+
+
+# Fit samples with fits of degree (2, 0) and (0, 3) that agree at k = 12.
+TWO_FITS = [(3, Fraction(2)), (4, Fraction(3)), (6, Fraction(4)), (7, Fraction(4)), (12, Fraction(-1))]
+
+
+@given(trajectory_samples())
+# unattainable point: (k-1)/(k-1) is 1 except at its hole
+@example([(k, Fraction(1)) for k in range(2, 6)] + [(1, Fraction(5)), (6, Fraction(1))])
+# a moved sample: k^2 with the value at k = 3 raised by 1
+@example([(k, Fraction(k * k + (k == 3))) for k in range(6)])
+@example([(k, Fraction(0)) for k in range(4)])  # zero data
+@example([(k, Fraction(2, 3)) for k in range(4)])  # constant data
+# the lowest candidate 2/(2 - k) has a pole at the held-out k = 2; 1 + k fits
+@example([(0, Fraction(1)), (1, Fraction(2)), (2, Fraction(3))])
+# two fits reproduce the held-out sample; the lower total degree wins
+@example(TWO_FITS)
+@settings(max_examples=200, deadline=None)
+def test_fit_trajectory_matches_reference(samples):
+    if not samples:
+        return
+    for polynomial in (False, True):
+        assert _fit_trajectory(samples, polynomial) == _reference_fit_trajectory(
+            samples, polynomial
+        )
+
+
+def test_lowest_candidate_can_fail_the_held_out_sample():
+    # The example above: at total degree 1, (dn, dd) = (0, 1) comes before
+    # (1, 0), fits both fit samples and has a pole at the held-out k = 2.
+    samples = [(0, Fraction(1)), (1, Fraction(2)), (2, Fraction(3))]
+    lowest = _kernel_fit(samples[:-1], 0, 1)
+    assert lowest == RationalFunctionFit((-2,), (-2, 1))
+    with pytest.raises(ZeroDivisionError):
+        lowest.evaluate(2)
+    assert _fit_trajectory(samples) == RationalFunctionFit((1, 1), (1,))
+
+
+def test_lower_total_degree_comes_before_lower_numerator_degree():
+    # Both fits reproduce the held-out sample; (dn, dd) = (2, 0) has total
+    # degree 2 and comes before (0, 3), which has the lower dn.
+    fit_set = TWO_FITS[:-1]
+    quadratic, reciprocal = _kernel_fit(fit_set, 2, 0), _kernel_fit(fit_set, 0, 3)
+    assert quadratic.evaluate(12) == reciprocal.evaluate(12) == -1
+    assert _fit_trajectory(TWO_FITS) == quadratic == RationalFunctionFit((-18, 13, -1), (6,))
+
+
+@pytest.mark.parametrize("ideal, k_min, k_max", NAMED_SCANS, ids=NAMED_SCAN_IDS)
+def test_every_scan_search_matches_the_degree_search(monkeypatch, ideal, k_min, k_max):
+    searched = []
+
+    def recording(samples, polynomial=False):
+        searched.append((samples, polynomial))
+        return _fit_trajectory(samples, polynomial)
+
+    monkeypatch.setattr(stability, "_fit_trajectory", recording)
+    scan_powers(ideal, k_min, k_max)
+    assert searched
+    for samples, polynomial in searched:
+        assert _fit_trajectory(samples, polynomial) == _reference_fit_trajectory(
+            samples, polynomial
+        )
