@@ -10,12 +10,14 @@ sequences and collects every nonnegative weight vector w with A w = b, where
 column c of A holds the pure diagram values of candidate c at the support
 positions of the source diagram.  Because every candidate is normalized to
 1 at its first position, the (0, 0) row forces sum(w) = beta_{0,0} and the
-polytope is bounded.  Vertices are enumerated exactly by the double
-description method over the integers: the extreme rays of the cone
-{(w, s) >= 0 : A w = s b} are built one constraint at a time from a kernel
-basis of the integer rows of [A | -b] (`matrix` and `rhs` stay rational),
-and the rays with s > 0, divided by s, are the vertices.  The work follows
-the number of rays, not the C(m, rank(A)) column subsets.
+polytope is bounded.  The system is held once, as the integer rows of
+[A | -b]: each support row is cleared of denominators when the polytope is
+built, and enumeration and pruning work on those rows.  Vertices are
+enumerated exactly by the double description method over the integers: the
+extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
+at a time from a kernel basis of the rows, and the rays with s > 0, divided
+by s, are the vertices.  The work follows the number of rays, not the
+C(m, rank(A)) column subsets.
 """
 
 from __future__ import annotations
@@ -126,15 +128,15 @@ class DecompositionPolytope:
     """Exact system {A w = b, w >= 0} over candidate pure diagrams."""
 
     candidates: tuple  # degree sequences, lexicographically sorted
-    support: tuple  # row labels: the source diagram's support positions
-    matrix: tuple  # rows of Fractions, one per support position
-    rhs: tuple
-    rank: int
+    rows: tuple  # integer rows of [A | -b], one per support position, in order
+    rank: int  # of A
     vertices: tuple | None = None
 
     @property
     def dimension(self) -> int:
-        """m - rank of the pruned system: the polytope's dimension once it has vertices."""
+        """m - rank of the pruned system once it has vertices; -1 once enumerated empty."""
+        if self.vertices == ():
+            return -1
         system = prune(self) if self.vertices else self
         return len(system.candidates) - system.rank
 
@@ -154,25 +156,15 @@ def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
     cands = sorted({tuple(c) for c in candidates})
     if not cands:
         raise InputError("no candidate degree sequences")
-    support = diagram.support()
-    values = {c: pure_diagram(c) for c in cands}
-    matrix = []
-    for pos in support:
-        i, j = pos
-        row = []
-        for c in cands:
-            v = Fraction(0)
-            if i < len(c) and c[i] == j:
-                v = values[c].values[i]
-            row.append(v)
-        matrix.append(tuple(row))
-    rhs = tuple(diagram.get(i, j) for i, j in support)
+    values = {c: pure_diagram(c).values for c in cands}
+    rows = []
+    for (i, j), b in diagram.items():
+        a = [values[c][i] if i < len(c) and c[i] == j else 0 for c in cands]
+        rows.append(tuple(integer_vector((*a, -b))))
     return DecompositionPolytope(
         candidates=tuple(cands),
-        support=support,
-        matrix=tuple(matrix),
-        rhs=rhs,
-        rank=matrix_rank(matrix),
+        rows=tuple(rows),
+        rank=matrix_rank(row[:-1] for row in rows),
     )
 
 
@@ -183,14 +175,14 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     extreme rays with s > 0; those with s = 0 span the recession cone.
     `kernel_basis` of the integer rows of [A | -b] gives one primitive
     integer ray per free column f: the extreme rays of the kernel cut by
-    every x_f >= 0.  Each pivot column's x_c >= 0 is then added in turn
+    every x_f >= 0.  The basis is primitive, so it does not depend on how
+    the rows are scaled.  Each pivot column's x_c >= 0 is then added in turn
     (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
     on its negative side first.  Returns an empty vertex list iff
     infeasible.
     """
     m = len(polytope.candidates)
-    rows = [integer_vector((*row, -b)) for row, b in zip(polytope.matrix, polytope.rhs)]
-    basis = kernel_basis(rows, m + 1)
+    basis = kernel_basis(polytope.rows, m + 1)
     free, rays = list(basis), list(basis.values())
     todo = [c for c in range(m + 1) if c not in basis]
     done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
@@ -240,9 +232,10 @@ def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:
     """Drop coordinates that vanish at every vertex; reindex everything.
 
     Valid because the polytope is bounded, hence the hull of its vertices.
-    Idempotent; the vertex set only changes by coordinate projection.  A
-    polytope with no vertices is returned unchanged (nothing to prune
-    against).
+    Idempotent; the vertex set only changes by coordinate projection, which
+    keeps it sorted, since every vertex agrees on the dropped coordinates.
+    The integer rows keep their -b column.  A polytope with no vertices is
+    returned unchanged (nothing to prune against).
     """
     if polytope.vertices is None:
         raise InputError("vertices not enumerated")
@@ -252,12 +245,10 @@ def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:
     keep = [c for c in range(m) if any(v[c] != 0 for v in polytope.vertices)]
     if len(keep) == m:
         return polytope
-    matrix = tuple(tuple(row[c] for c in keep) for row in polytope.matrix)
+    rows = tuple(tuple(row[c] for c in (*keep, m)) for row in polytope.rows)
     return DecompositionPolytope(
         candidates=tuple(polytope.candidates[c] for c in keep),
-        support=polytope.support,
-        matrix=matrix,
-        rhs=polytope.rhs,
-        rank=matrix_rank(matrix),
-        vertices=tuple(sorted(tuple(v[c] for c in keep) for v in polytope.vertices)),
+        rows=rows,
+        rank=matrix_rank(row[:-1] for row in rows),
+        vertices=tuple(tuple(v[c] for c in keep) for v in polytope.vertices),
     )

@@ -19,8 +19,9 @@ This module supplies the shared numeric machinery:
   kernel of [A | -b] and divides each vector by its free entry,
 * integer polynomials as coefficient tuples (lowest degree first):
   evaluation (Horner in the integers at an integer point, one Fraction at
-  the end), product, division and primitive gcd (Euclid on integer
-  pseudo-remainders),
+  the end), product and primitive gcd (Euclid on integer
+  pseudo-remainders); `RationalFunctionFit.make` divides by that gcd with
+  an exact integer quotient, so no polynomial routine uses Fractions,
 * `rational_reconstructions` -- the one fitting core: the extended
   Euclidean algorithm on prod(x - k_i) and the samples' interpolant, run in
   the integers as a pseudo-remainder sequence; `interpolates` checks an
@@ -252,22 +253,6 @@ def poly_mul(p, q) -> tuple:
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    """Polynomial division over the rationals; q must be nonzero."""
-    if not q:
-        raise InputError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    for i in range(len(rem) - len(q), -1, -1):
-        factor = rem[i + len(q) - 1] / lead
-        if factor:
-            quot[i] = factor
-            for j, c in enumerate(q):
-                rem[i + j] -= factor * c
-    return poly_trim(quot), poly_trim(rem)
-
-
 def _pseudo_remainder_step(r0, t0, r1, t1) -> tuple:
     """(a r0 - q r1, a t0 - q t1) with deg < deg r1, divided by joint content.
 
@@ -308,6 +293,20 @@ def poly_gcd(p, q) -> tuple:
     return a if not a or a[-1] > 0 else tuple(-x for x in a)
 
 
+def _exact_quotient(p, g) -> list:
+    """p / g for integer polynomials, g primitive and dividing p.
+
+    By Gauss's lemma the quotient is integral: each step divides exactly.
+    """
+    rem, quot = list(p), []
+    while len(rem) >= len(g):
+        quot.append(rem[-1] // g[-1])
+        for j, x in enumerate(g, len(rem) - len(g)):
+            rem[j] -= quot[-1] * x
+        rem.pop()
+    return quot[::-1]
+
+
 @dataclass(frozen=True)
 class RationalFunctionFit:
     """A rational function p/q in canonical form.
@@ -328,12 +327,11 @@ class RationalFunctionFit:
             raise InputError("zero denominator polynomial")
         if not num:
             return RationalFunctionFit((), (1,))
-        # Clear first: poly_divmod would convert a float coefficient silently.
         ints = integer_vector((*num, *den))
         num, den = ints[: len(num)], ints[len(num) :]
         g = poly_gcd(num, den)
         if len(g) > 1:
-            num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+            num, den = _exact_quotient(num, g), _exact_quotient(den, g)
         joint = primitive((*num, *den))
         if joint[-1] < 0:
             joint = tuple(-x for x in joint)

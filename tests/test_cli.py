@@ -80,6 +80,18 @@ def test_polytope_prune(tmp_path, capsys):
     assert data["dimension"] == 2
 
 
+@pytest.mark.parametrize("flags", [(), ("--prune",)])
+def test_polytope_of_infeasible_diagram_is_empty(tmp_path, capsys, flags):
+    # w_(0,1) + w_(0,2) = 1, yet the (1, 1) and (1, 2) rows ask for 1 and 5
+    diagram_file = tmp_path / "diagram.json"
+    diagram_file.write_text(json.dumps({"entries": [[0, 0, "1"], [1, 1, "1"], [1, 2, "5"]]}))
+    code, out, _ = run_cli(capsys, "polytope", "--diagram", str(diagram_file), *flags)
+    assert code == 0
+    assert json.loads(out) == {
+        "candidates": [[0, 1], [0, 2]], "vertices": [], "rank": 2, "dimension": -1,
+    }
+
+
 def test_scan_writes_report(tmp_path, capsys):
     ideal_file = tmp_path / "ideal.txt"
     ideal_file.write_text("x1*x2", encoding="utf-8")

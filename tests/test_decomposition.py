@@ -16,7 +16,7 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
-from bettistab.exact_arith import matrix_rank
+from bettistab.exact_arith import integer_vector, matrix_rank
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_diagram
@@ -116,29 +116,67 @@ def test_candidates_rejects_noncyclic():
         candidate_degree_sequences(BettiDiagram({(0, 0): 2}))
 
 
+def _fraction_system(diagram, candidates):
+    """Reference builder: (A, b) over the Fractions, one row per support position."""
+    cands = sorted({tuple(c) for c in candidates})
+    matrix = []
+    for i, j in diagram.support():
+        row = []
+        for c in cands:
+            v = Fraction(0)
+            if i < len(c) and c[i] == j:
+                v = pure_diagram(c).values[i]
+            row.append(v)
+        matrix.append(tuple(row))
+    rhs = tuple(diagram.get(i, j) for i, j in diagram.support())
+    return tuple(matrix), rhs
+
+
+def _cleared_rows(matrix, rhs):
+    """Each row of [A | -b] scaled by the lcm of its denominators."""
+    return tuple(tuple(integer_vector((*row, -b))) for row, b in zip(matrix, rhs))
+
+
 def test_build_polytope_example():
     diagram = _scaled_pure((0, 2, 3))
     polytope = build_polytope(diagram, [(0, 2), (0, 2, 3)])
-    assert polytope.matrix == ((1, 1), (1, 3), (0, 2))
-    assert polytope.rhs == (1, 3, 2)
-    assert polytope.support == ((0, 0), (1, 2), (2, 3))
+    assert _fraction_system(diagram, polytope.candidates) == (((1, 1), (1, 3), (0, 2)), (1, 3, 2))
+    assert polytope.rows == ((1, 1, -1), (1, 3, -3), (0, 2, -2))
+    assert diagram.support() == ((0, 0), (1, 2), (2, 3))  # the rows' order
 
 
 def test_build_polytope_single_candidate():
     diagram = _scaled_pure((0, 1, 2))
     polytope = build_polytope(diagram, [(0, 1, 2)])
-    assert polytope.matrix == ((1,), (2,), (1,))
-    assert polytope.rhs == (1, 2, 1)
+    assert polytope.rows == ((1, -1), (2, -2), (1, -1))
+    assert polytope.rank == 1
+
+
+def _checked_polytope(diagram, candidates):
+    """build_polytope, after checking its rows against the Fraction reference."""
+    polytope = build_polytope(diagram, candidates)
+    matrix, rhs = _fraction_system(diagram, candidates)
+    assert polytope.rows == _cleared_rows(matrix, rhs)
+    assert all(type(x) is int for row in polytope.rows for x in row)
+    assert polytope.rank == matrix_rank(matrix)
+    return polytope
+
+
+NON_PATH_IDEAL = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [path_diagram(6, 4), path_diagram(7, 6)]
+    + [betti_oracle(power(NON_PATH_IDEAL, k)) for k in (1, 2)],
+    ids=["path6^4", "path7^6", "non-path^1", "non-path^2"],
+)
+def test_rows_are_the_cleared_fraction_system(diagram):
+    _checked_polytope(diagram, candidate_degree_sequences(diagram))
 
 
 def test_enumerate_simplex_segment():
-    polytope = DecompositionPolytope(
-        candidates=((0, 1), (0, 2)),
-        support=((0, 0),),
-        matrix=((Fraction(1), Fraction(1)),),
-        rhs=(Fraction(1),),
-        rank=1,
-    )
+    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
     done = enumerate_vertices(polytope)
     assert done.vertices == ((0, 1), (1, 0))
 
@@ -153,11 +191,7 @@ def test_enumerate_pure_system_single_vertex():
 
 def test_enumerate_infeasible():
     polytope = DecompositionPolytope(
-        candidates=((0, 1), (0, 2)),
-        support=((0, 0), (1, 1)),
-        matrix=((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0))),
-        rhs=(Fraction(1), Fraction(5)),
-        rank=1,
+        candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)), rank=1
     )
     assert enumerate_vertices(polytope).vertices == ()
 
@@ -174,13 +208,7 @@ def test_prune_drops_unused_candidate():
 
 
 def test_prune_keeps_used_polytope():
-    polytope = DecompositionPolytope(
-        candidates=((0, 1), (0, 2)),
-        support=((0, 0),),
-        matrix=((Fraction(1), Fraction(1)),),
-        rhs=(Fraction(1),),
-        rank=1,
-    )
+    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
     done = enumerate_vertices(polytope)
     assert prune(done) == done
 
@@ -214,21 +242,15 @@ def test_vertex_invariants_on_path_diagrams(n, k):
         assert d in polytope.candidates
         weight_of[d] = w
     w_full = [weight_of.get(c, Fraction(0)) for c in polytope.candidates]
-    for row, b in zip(polytope.matrix, polytope.rhs):
-        assert sum(r * x for r, x in zip(row, w_full)) == b
+    for row in polytope.rows:  # A w - b, scaled
+        assert sum(r * x for r, x in zip(row, (*w_full, 1))) == 0
 
 
 def test_prune_preserves_vertices_under_reenumeration():
     diagram = path_diagram(6, 4)
     pruned = prune(_pipeline(diagram))
     redone = enumerate_vertices(
-        DecompositionPolytope(
-            candidates=pruned.candidates,
-            support=pruned.support,
-            matrix=pruned.matrix,
-            rhs=pruned.rhs,
-            rank=pruned.rank,
-        )
+        DecompositionPolytope(candidates=pruned.candidates, rows=pruned.rows, rank=pruned.rank)
     )
     assert redone.vertices == pruned.vertices
 
@@ -345,13 +367,14 @@ def _reference_vertices(polytope):
     """Slow reference: one dense Bareiss solve per column subset of size rank."""
     m = len(polytope.candidates)
     r = polytope.rank
+    rhs = [-row[m] for row in polytope.rows]
     found = set()
     if r == 0:
-        if all(x == 0 for x in polytope.rhs):
+        if all(x == 0 for x in rhs):
             found.add(tuple(Fraction(0) for _ in range(m)))
     for subset in combinations(range(m), r):
-        sub = [[row[c] for c in subset] for row in polytope.matrix]
-        solution, nullspace = dense_solve(sub, list(polytope.rhs))
+        sub = [[row[c] for c in subset] for row in polytope.rows]
+        solution, nullspace = dense_solve(sub, rhs)
         if solution is None or nullspace:
             continue
         if any(x < 0 for x in solution):
@@ -397,7 +420,7 @@ def test_vertices_match_reference_scan_on_chains(system):
     diagram = BettiDiagram(total)
     if diagram.is_zero() or not candidates:
         return
-    polytope = build_polytope(diagram, candidates)
+    polytope = _checked_polytope(diagram, candidates)
     vertices = enumerate_vertices(polytope).vertices
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
@@ -407,9 +430,7 @@ def _system(matrix, rhs, rank):
     m = len(matrix[0])
     return DecompositionPolytope(
         candidates=tuple((0, d) for d in range(1, m + 1)),
-        support=tuple((1, i) for i in range(len(matrix))),
-        matrix=tuple(tuple(Fraction(x) for x in row) for row in matrix),
-        rhs=tuple(Fraction(b) for b in rhs),
+        rows=_cleared_rows(matrix, rhs),
         rank=rank,
     )
 
@@ -441,13 +462,12 @@ def test_path8_square_vertices():
 @pytest.mark.parametrize("k,count", [(1, 337), (2, 505)])
 def test_vertices_of_a_non_path_ideal(k, count):
     # x4^3, x2^2 x3, x1 x3^2, x1^2 x3: m = 20, rank 8, so C(20, 8) column subsets
-    ideal = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
-    diagram = betti_oracle(power(ideal, k))
+    diagram = betti_oracle(power(NON_PATH_IDEAL, k))
     polytope = _pipeline(diagram)
     assert len(polytope.vertices) == count
     for v in polytope.vertices:
         support = [c for c, x in enumerate(v) if x]
-        assert matrix_rank([[row[c] for c in support] for row in polytope.matrix]) == len(support)
+        assert matrix_rank([[row[c] for c in support] for row in polytope.rows]) == len(support)
         assert verify_decomposition(diagram, v, polytope.candidates)
 
 
@@ -480,5 +500,5 @@ def test_dimension_is_affine_rank_on_chains(system):
         assert polytope.dimension == prune(polytope).dimension
         assert polytope.dimension == _affine_rank(polytope.vertices)
     else:
-        # no vertices: nothing to prune against, m - rank is reported
-        assert polytope.dimension == len(polytope.candidates) - polytope.rank
+        # no vertices: the empty polytope
+        assert polytope.dimension == -1

@@ -16,7 +16,6 @@ from bettistab.exact_arith import (
     kernel_basis,
     matrix_rank,
     parse_rational,
-    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -359,6 +358,22 @@ def test_fit_matches_reference(samples):
             assert fit_rational_function(samples, dn, dd) == _reference_fit(samples, dn, dd)
 
 
+def poly_divmod(p, q):
+    """Polynomial division over the rationals; q must be nonzero."""
+    if not q:
+        raise InputError("polynomial division by zero")
+    rem = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
+    lead = Fraction(q[-1])
+    for i in range(len(rem) - len(q), -1, -1):
+        factor = rem[i + len(q) - 1] / lead
+        if factor:
+            quot[i] = factor
+            for j, c in enumerate(q):
+                rem[i + j] -= factor * c
+    return poly_trim(quot), poly_trim(rem)
+
+
 def _reference_poly_gcd(p, q):
     """Euclid over the rationals, then the primitive form with positive lead."""
     a, b = poly_trim(p), poly_trim(q)
@@ -378,6 +393,34 @@ def test_poly_gcd_matches_rational_euclid(p, q, common):
     # a shared factor makes the gcd nontrivial often
     p, q = poly_mul(p, common), poly_mul(q, common)
     assert poly_gcd(p, q) == _reference_poly_gcd(p, q)
+
+
+def _reference_make(num, den):
+    """The canonical form by Fraction division by the primitive gcd."""
+    num, den = poly_trim(num), poly_trim(den)
+    if not num:
+        return RationalFunctionFit((), (1,))
+    ints = integer_vector((*num, *den))
+    num, den = ints[: len(num)], ints[len(num) :]
+    g = poly_gcd(num, den)
+    if len(g) > 1:
+        num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    joint = primitive((*num, *den))
+    if joint[-1] < 0:
+        joint = tuple(-x for x in joint)
+    return RationalFunctionFit(joint[: len(num)], joint[len(num) :])
+
+
+@given(rational_polys, rational_polys, rational_polys)
+@settings(max_examples=300, deadline=None)
+def test_make_matches_fraction_division(p, q, common):
+    # a shared factor makes make() divide by a nontrivial gcd often
+    num, den = poly_mul(p, common), poly_mul(q, common)
+    if not den:
+        den = poly_trim(q) or (Fraction(1),)
+    fit = RationalFunctionFit.make(num, den)
+    assert fit == _reference_make(num, den)
+    assert all(type(c) is int for c in fit.numerator + fit.denominator)
 
 
 @given(fit_samples())

@@ -101,17 +101,20 @@ def test_signature_single_point():
 
 def test_signature_segment():
     polytope = enumerate_vertices(
-        DecompositionPolytope(
-            candidates=((0, 1), (0, 2)),
-            support=((0, 0),),
-            matrix=((Fraction(1), Fraction(1)),),
-            rhs=(Fraction(1),),
-            rank=1,
-        )
+        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
     )
     sig = combinatorial_signature(polytope)
     assert (sig.vertex_count, sig.dimension) == (2, 1)
     assert sig.zero_patterns == ((0,), (1,))
+
+
+def test_signature_empty_polytope():
+    # w1 + w2 = 1 and 0 = 5: no vertices, so the empty polytope's dimension
+    polytope = enumerate_vertices(
+        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)), rank=1)
+    )
+    sig = combinatorial_signature(polytope)
+    assert (sig.vertex_count, sig.dimension, sig.zero_patterns) == (0, -1, ())
 
 
 def test_signature_path6_triangle():
@@ -196,6 +199,21 @@ def test_path7_transitions():
     assert [len(by_k[k].polytope.vertices) for k in (28, 29, 30, 31)] == [30, 28, 24, 24]
     assert {len(by_k[k].polytope.candidates) for k in (28, 29, 30, 31)} == {13}
     assert by_k[30].signature != by_k[31].signature
+
+
+@pytest.mark.slow
+def test_path8_reaches_its_stable_window():
+    # A reach check of about 2 min and 0.5 GB, run with `pytest -m slow`.
+    # Pins the scan as a regression check: the paper has no n = 8 reference.
+    report = scan_powers(path_ideal(8), 45, 64)
+    assert report.window == (51, 64)
+    assert report.k0 == 50
+    window = [r for r in report.records if r.k >= 51]
+    assert {len(r.polytope.vertices) for r in window} == {7296}
+    assert len(report.vertex_labels) == 7296
+    assert report.trajectories and all(t.validated for t in report.trajectories)
+    assert report.column_sum_fits and all(f is not None for f in report.column_sum_fits)
+    assert report.verdict["all_trajectories_fit"] and report.verdict["all_column_sums_fit"]
 
 
 def test_scan_without_stable_window():
