@@ -16,7 +16,6 @@ from .diagram import (
     PureDiagram,
     TranslationTemplate,
     column_sums,
-    parse_table,
     pure_diagram,
     render_table,
     validate_cyclic,

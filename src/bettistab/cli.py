@@ -55,26 +55,20 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_ideal(path: str, num_vars=None) -> MonomialIdeal:
-    """Ideal files hold either the JSON schema or the generator text syntax."""
+def _load_ideal(path: str) -> MonomialIdeal:
+    """Ideal files hold either the JSON schema or the generator text syntax;
+    a text ideal has as many variables as its highest index."""
     text = _read_text(path).strip()
     if text.startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
-        ideal = MonomialIdeal.from_json_dict(data)
-        if num_vars is not None and num_vars != ideal.num_vars:
-            raise InputError(
-                f"--num-vars {num_vars} disagrees with num_vars {ideal.num_vars} in {path}"
-            )
-        return ideal
-    if num_vars is None:
-        indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-        if not indices:
-            raise InputError(f"no variables found in {path}")
-        num_vars = max(indices)
-    return parse_ideal(text, num_vars)
+        return MonomialIdeal.from_json_dict(data)
+    indices = [int(m) for m in re.findall(r"x(\d+)", text)]
+    if not indices:
+        raise InputError(f"no variables found in {path}")
+    return parse_ideal(text, max(indices))
 
 
 def _load_diagram(path: str) -> BettiDiagram:
@@ -101,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="Betti diagram via Koszul strand homology")
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
     p.add_argument("--power", type=int, default=1, help="power of the ideal")
-    p.add_argument(
-        "--num-vars", type=int, help="variable count for text input; must match a JSON ideal"
-    )
     p.add_argument("--degree-bound", type=int, help="truncate at this total degree")
 
     p = sub.add_parser("decompose", help="greedy decomposition of a diagram")
@@ -117,9 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
     p.add_argument("--kmin", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument(
-        "--num-vars", type=int, help="variable count for text input; must match a JSON ideal"
-    )
     p.add_argument("--json", metavar="OUT", help="write the report to this file")
 
     p = sub.add_parser(
@@ -144,7 +132,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "oracle":
-        ideal = power(_load_ideal(args.ideal, args.num_vars), args.power)
+        ideal = power(_load_ideal(args.ideal), args.power)
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
         diagram = betti_oracle(ideal, degree_bound=args.degree_bound)
         _emit_json(diagram.to_json_dict())
@@ -166,7 +154,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.subcommand == "scan":
-        ideal = _load_ideal(args.ideal, args.num_vars)
+        ideal = _load_ideal(args.ideal)
         report = scan_powers(ideal, args.kmin, args.kmax)
         _log(
             "scan done: "

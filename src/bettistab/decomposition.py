@@ -22,12 +22,13 @@ C(m, rank(A)) column subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .diagram import BettiDiagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
-from .exact_arith import format_rational, integer_vector, kernel_basis, matrix_rank, primitive
+from .exact_arith import format_rational, integer_vector, kernel_basis, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,8 @@ def _cut(rays, zeros, done, c, need):
 
     Rays p (x_c > 0) and q (x_c < 0) are adjacent iff their zero sets share
     at least `need` = dim - 2 constraints and no third ray is zero on them all;
-    each adjacent pair gives the ray p_c q - q_c p, which has x_c = 0.
+    each adjacent pair gives the ray p_c q - q_c p, divided by its content,
+    which has x_c = 0.
     """
     bit = 1 << c
     out = [(r, z | bit if r[c] == 0 else z) for r, z in zip(rays, zeros) if r[c] >= 0]
@@ -224,7 +226,8 @@ def _cut(rays, zeros, done, c, need):
                 if common == pair:
                     q = rays[j]
                     new = [p[c] * y - q[c] * x for x, y in zip(p, q)]
-                    out.append((primitive(new), shared | bit))
+                    g = math.gcd(*new)
+                    out.append((tuple(x // g for x in new), shared | bit))
     return [r for r, _ in out], [z for _, z in out]
 
 

@@ -204,36 +204,3 @@ def render_table(diagram: BettiDiagram) -> str:
         cells_text = "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
         lines.append(label.rjust(label_width) + " | " + cells_text)
     return "\n".join(lines)
-
-
-def _parse_label(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"{what} is not an integer: {text!r}") from exc
-
-
-def parse_table(text: str) -> BettiDiagram:
-    """Parse render_table output back into a diagram (round-trip inverse)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines == ["(empty diagram)"]:
-        return BettiDiagram({})
-    if len(lines) < 2 or "|" not in lines[0]:
-        raise InputError("not a diagram table")
-    header = lines[0].split("|", 1)[1].split()
-    columns = [_parse_label(h, "column header") for h in header]
-    entries = {}
-    for line in lines[2:]:
-        label, _, rest = line.partition("|")
-        label = label.strip()
-        if label == ELLIPSIS_ROW or label == "...":
-            continue
-        r = _parse_label(label, "row label")
-        cells = rest.split()
-        if len(cells) > len(columns):
-            raise InputError(f"row {r} has too many cells")
-        for c, cell in zip(columns, cells):
-            if cell == ".":
-                continue
-            entries[(c, r + c)] = parse_rational(cell)
-    return BettiDiagram(entries)

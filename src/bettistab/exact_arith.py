@@ -84,8 +84,11 @@ def format_rational(value: Fraction) -> str:
 def integer_vector(values) -> list:
     """Scale a sequence of rationals by the lcm of its denominators; ints out.
 
-    Entries must be ints or Fractions; anything else raises InputError.
+    Entries must be ints or Fractions; anything else, bools included, raises
+    InputError.
     """
+    if bool in map(type, values):
+        raise InputError("entries must be ints or Fractions, not bools")
     try:
         scale = math.lcm(*(x.denominator for x in values))
         return [x.numerator * (scale // x.denominator) for x in values]
@@ -366,8 +369,6 @@ def rational_reconstructions(samples: Sequence[tuple]) -> list:
     ks = [require_int(k, "sample abscissa") for k, _ in samples]
     if len(set(ks)) != len(ks):
         raise InputError("duplicate sample abscissae")
-    if any(type(v) is bool for _, v in samples):
-        raise InputError("sample values must be ints or Fractions, not bools")
     v_den, *v_nums = integer_vector((1, *(v for _, v in samples)))
     m = [1]
     for k in ks:

@@ -6,9 +6,10 @@ import pytest
 
 import bettistab
 from bettistab.cli import build_parser, main
-from bettistab.diagram import BettiDiagram, parse_table
+from bettistab.diagram import BettiDiagram
 from bettistab.path_formula import path_diagram
 from bettistab.stability import scan_powers
+from table_reference import parse_table
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,23 @@ def test_scan_deterministic_output(tmp_path, capsys):
         capsys, "scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5"
     )
     assert first == second
+    # a text ideal has as many variables as its highest index, so the
+    # labelled path(3) written as text takes the closed-form route
+    report = json.loads(first)
+    assert report["ideal"]["num_vars"] == 3
+    assert report["use_formula"] is True
+
+
+def test_scan_text_ideal_counts_up_to_the_highest_index(tmp_path, capsys):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1*x2, x2*x5", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["ideal"] == {"num_vars": 5, "generators": [[0, 1, 0, 0, 1], [1, 1, 0, 0, 0]]}
+    assert report["use_formula"] is False
 
 
 def test_verify_paper(capsys):
@@ -174,26 +192,6 @@ def test_scan_to_unwritable_path_is_domain_error(tmp_path, capsys):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["oracle", "scan"])
-def test_num_vars_must_match_json_ideal(tmp_path, capsys, subcommand):
-    ideal_file = tmp_path / "ideal.json"
-    ideal_file.write_text(
-        json.dumps({"num_vars": 2, "generators": [[1, 0], [0, 1]]}), encoding="utf-8"
-    )
-    argv = [subcommand, "--ideal", str(ideal_file)]
-    if subcommand == "scan":
-        argv += ["--kmin", "1", "--kmax", "5"]
-    code, out, _ = run_cli(capsys, *argv, "--num-vars", "5")
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "InputError"
-    assert "--num-vars" in error["message"]
-    # an agreeing count is accepted
-    code, out, _ = run_cli(capsys, *argv, "--num-vars", "2")
-    assert code == 0
-    assert "error" not in json.loads(out)
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["formula", "--n", "6"]) == 2
     assert main([]) == 2
@@ -204,6 +202,11 @@ def test_usage_error_exit_code(capsys):
     ) == 2
     assert main(
         ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--formula"]
+    ) == 2
+    # a variable no generator uses changes no Betti number: there is no --num-vars
+    assert main(["oracle", "--ideal", "ideal.txt", "--num-vars", "7"]) == 2
+    assert main(
+        ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--num-vars", "7"]
     ) == 2
 
 
@@ -226,10 +229,10 @@ def test_oracle_rejects_non_integer_json(tmp_path, capsys, data):
 
 OPTION_INVENTORY = {
     "formula": ["--k", "--n", "--table"],
-    "oracle": ["--degree-bound", "--ideal", "--num-vars", "--power"],
+    "oracle": ["--degree-bound", "--ideal", "--power"],
     "decompose": ["--diagram"],
     "polytope": ["--diagram", "--prune"],
-    "scan": ["--ideal", "--json", "--kmax", "--kmin", "--num-vars"],
+    "scan": ["--ideal", "--json", "--kmax", "--kmin"],
     "verify-paper": ["--kmax", "--kmin", "--n"],
 }
 
@@ -261,7 +264,7 @@ PUBLIC_API = [
     "compare_reference", "enumerate_vertices", "fit_polynomial",
     "fit_rational_function", "format_rational", "greedy_decompose",
     "is_equigenerated", "make_ideal", "match_templates", "matrix_rank",
-    "parse_ideal", "parse_rational", "parse_table", "path6_reference",
+    "parse_ideal", "parse_rational", "path6_reference",
     "path_betti", "path_diagram", "path_family_size", "path_ideal", "power",
     "prune", "pure_diagram", "render_table", "scan_powers", "solve_exact",
     "strand_homology", "validate_cyclic", "verify_decomposition",

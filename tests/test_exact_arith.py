@@ -176,6 +176,13 @@ def test_float_entries_are_rejected():
         solve_exact([[1, 2]], [0.5])
     with pytest.raises(InputError):
         RationalFunctionFit((1,), (1,)).evaluate(0.1)
+    # entries are ints or Fractions: True is not the entry 1
+    with pytest.raises(InputError):
+        matrix_rank([[True, False]])
+    with pytest.raises(InputError):
+        RationalFunctionFit.make((True,), (1,))
+    with pytest.raises(InputError):
+        solve_exact([[True]], [1])
     # abscissae are integers: not a Fraction, and True is not k = 1
     with pytest.raises(InputError):
         fit_rational_function([(Fraction(1, 2), 1), (2, 2)], 1, 0)
