@@ -24,7 +24,7 @@ from .decomposition import (
 )
 from .diagram import BettiDiagram, render_table
 from .errors import BettiStabError, InputError
-from .koszul_oracle import betti_oracle
+from .koszul_oracle import betti_oracle, edge_power_regularity
 from .monomial_ideal import MonomialIdeal, parse_ideal, power
 from .path_formula import path_diagram, path_ideal
 from .stability import compare_reference, path6_reference, scan_powers
@@ -134,6 +134,12 @@ def run(args: argparse.Namespace) -> int:
     if args.subcommand == "oracle":
         ideal = power(_load_ideal(args.ideal), args.power)
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
+        regularity = edge_power_regularity(ideal)
+        _log(
+            "no regularity bound"
+            if regularity is None
+            else f"regularity bound {regularity} (forest or cycle edge-ideal power)"
+        )
         diagram = betti_oracle(ideal, degree_bound=args.degree_bound)
         _emit_json(diagram.to_json_dict())
         return 0

@@ -23,23 +23,47 @@ computed here by exact integer rank on the critical cells of a Morse
 matching (below), and dim H_i summed into (i, |a|) over
 the Betti multidegrees is the graded Betti diagram.  These lie in the lcm
 lattice L(I), the lcms of sets of generators (Gasharov, Peeva & Welker,
-"The lcm-lattice in monomial resolutions", 1999), which `_lcm_lattice`
+"The lcm-lattice in monomial resolutions", 1999), which `_pruned_lattice`
 builds as a fold over the generators: starting from {0}, each generator g
-adds lcm(a, g) for every point a so far, so after g_1..g_j the set is
-exactly {lcm(S) : S a subset of {g_1..g_j}}.  Since sigma
+adds lcm(a, g) for every point a kept so far.  Since sigma
 lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
-to supp(a): the strand key.  `betti_oracle` counts the lattice points per
-(key, degree) and computes the homology once per distinct key, in a single
-thread; a key's homology, times the number of its points of degree d, adds
-into the diagram's column d.
+to supp(a): the strand key.  The fold counts the kept points per
+(key, degree), and `betti_oracle` computes the homology once per distinct
+key, in a single thread; a key's homology, times the number of its points
+of degree d, adds into the diagram's column d.
+
+Pruning: the fold keeps a new point a only if it passes three tests, and
+never expands a point it drops.
+(i) |a| <= the degree bound.
+(ii) No divisor is tight at no variable.  A divisor g with g_t < a_t for
+every t in supp(a) divides x^(a - 1_supp(a)), and so x^(a - e_sigma) for
+every subset sigma of supp(a): the strand is zero.  The test reads
+`divisors & ~(OR of the E_t)` off the index lookups that the key uses.
+(iii) |a| - |supp a| <= reg(S/I), when that is known.  beta_{i,a} != 0
+needs i <= |supp a|, since the strand lives on the subsets of supp(a), and
+|a| - i <= reg(S/I).  `edge_power_regularity` knows reg(S/I) for
+I = I(G)^k with G a forest (k >= 1) or a cycle (k >= 2): Beyarslan, Ha &
+Trung ("Regularity of powers of forests and cycles", J. Algebraic
+Combin. 42, 2015) prove reg(I(G)^k) = 2k + nu(G) - 1, nu the induced
+matching number.
+Each test fails upward: if b >= a then |b| >= |a|; b - 1_supp(b) >=
+a - 1_supp(a) componentwise, so a divisor of the one monomial in (ii)
+divides the other, and the excess in (iii) does not fall.  A point of L is
+b = lcm(S); take S in fold order, and every prefix lcm of S lies below b.
+So if b passes, each prefix passes and is kept when its generator is
+folded in, and b is reached.  The fold therefore keeps exactly the points
+of L that pass all three tests.  A point that fails (ii) or (iii) has zero
+homology; (i) only truncates the diagram where the caller asked.
 
 Monomials are packed into one int each, in unary.  Variable t owns a field
 of w_t = M_t + 1 bits, and a_t is stored as the run (1 << a_t) - 1 at the
 bottom of its field.  M_t is the largest g_t on the lattice, and a_t itself
 in `_strand_key`.  Then lcm is `|` and |a| is `a.bit_count()`.  The top bit
-of every field stays 0, a guard bit that the tests' generator-scan
-reference key relies on.
+of every field stays 0, a guard bit: in `a & a >> 1` the lowest bit of
+field t + 1 lands on it and is cleared, so each field keeps a_t - 1 ones
+and `(a & a >> 1).bit_count()` is |a| - |supp a|.  The tests'
+generator-scan reference key relies on the guard bit too.
 
 Divisor index: `_divisor_index` maps, per variable t, each packed field
 value a & field_t to two generator bitsets, le_t = {g : g_t <= a_t} and
@@ -99,12 +123,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 
 from .diagram import BettiDiagram
 from .errors import InputError
 from .exact_arith import matrix_rank, require_int
-from .monomial_ideal import MonomialIdeal
+from .monomial_ideal import MonomialIdeal, is_equigenerated
 
 
 def _fields(bounds) -> list:
@@ -119,21 +143,6 @@ def _fields(bounds) -> list:
 def _pack(fields, a) -> int:
     """x^a as one int: a_t ones at the bottom of field t."""
     return sum(((1 << at) - 1) * (field & -field) for field, at in zip(fields, a))
-
-
-def _lcm_lattice(generators, degree_bound=None) -> set:
-    """Packed L(I) up to the degree bound: every lcm of a set of packed generators.
-
-    A point above the bound is dropped as soon as it appears: an lcm only
-    grows, so nothing folded from it can come back under the bound.
-    """
-    lattice = {0}
-    for g in generators:
-        if degree_bound is None:
-            lattice |= {a | g for a in lattice}
-        else:
-            lattice |= {b for a in lattice if (b := a | g).bit_count() <= degree_bound}
-    return lattice
 
 
 def _divisor_index(fields, generators) -> list:
@@ -154,12 +163,11 @@ def _divisor_index(fields, generators) -> list:
     return index
 
 
-def _indexed_key(index, a) -> tuple:
-    """(supp(a), inclusion-minimal tight sets of the divisors) as variable bitmasks.
+def _lookup(index, a) -> tuple:
+    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty).
 
-    The divisors are the AND of le_t and the generators tight at t are
-    eq_t & divisors.  The minimal sets are found by descent (module
-    docstring), without a scan over the generators.
+    D is the AND of le_t and E_t = eq_t & D are the divisors tight at t:
+    n dict lookups, no scan over the generators.
     """
     divisors, support, eqs = -1, 0, []
     for bit, field, table in index:
@@ -169,7 +177,11 @@ def _indexed_key(index, a) -> tuple:
         if x:
             support |= bit
             eqs.append((bit, eq))
-    tight = [(bit, e) for bit, eq in eqs if (e := eq & divisors)]
+    return support, divisors, [(bit, e) for bit, eq in eqs if (e := eq & divisors)]
+
+
+def _minimal_tight_sets(divisors, tight) -> frozenset:
+    """The inclusion-minimal tight sets over the divisors, by descent (module docstring)."""
     minimal, rest = [], divisors
     while rest:
         j = rest & -rest
@@ -187,7 +199,13 @@ def _indexed_key(index, a) -> tuple:
             j = below & -below
         minimal.append(tau)
         rest &= ~above
-    return support, frozenset(minimal)
+    return frozenset(minimal)
+
+
+def _indexed_key(index, a) -> tuple:
+    """(supp(a), inclusion-minimal tight sets of the divisors) as variable bitmasks."""
+    support, divisors, tight = _lookup(index, a)
+    return support, _minimal_tight_sets(divisors, tight)
 
 
 def _strand_key(ideal: MonomialIdeal, a) -> tuple:
@@ -298,19 +316,146 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     return _key_homology(ideal.num_vars, _strand_key(ideal, a))
 
 
+def _forest_induced_matching(edges) -> int:
+    """nu(G) of a forest G on vertex pairs: the most edges, pairwise disjoint
+    and with no edge of G between two of them.
+
+    A rooted-tree DP, leaves first.  At a vertex v with children c: `up` is
+    the best below v when v is matched to its parent (so every c stays
+    uncovered), `free` when v is uncovered, and `down` when v is matched to
+    one c (so v's other children and c's children stay uncovered).
+    """
+    neighbours = {}
+    for u, v in edges:
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+    nu, parent = 0, {}
+    for root in neighbours:
+        if root in parent:
+            continue
+        parent[root], order = None, [root]
+        for v in order:
+            for w in neighbours[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+        up, free, down = {}, {}, {}
+        for v in reversed(order):
+            children = [c for c in neighbours[v] if parent[c] == v]
+            up[v] = sum(free[c] for c in children)
+            free[v] = sum(max(free[c], down[c]) for c in children)
+            down[v] = max((up[v] - free[c] + 1 + up[c] for c in children), default=-1)
+        nu += max(free[root], down[root])
+    return nu
+
+
+def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
+    """reg(S/I) when I = I(G)^k for a forest G, or for a cycle G and k >= 2; else None.
+
+    Beyarslan, Ha & Trung (J. Algebraic Combin. 42, 2015) prove
+    reg(I(G)^k) = 2k + nu(G) - 1 in both cases, nu the induced matching
+    number, so reg(S/I) = 2k + nu(G) - 2.  I is recognised when it is
+    equigenerated in degree 2k, its edges are the generators
+    x_i^k x_j^k, the edge graph is a forest or one cycle (isolated
+    variables aside), and the k-fold edge products are exactly the
+    generators.
+    """
+    equigenerated, degree = is_equigenerated(ideal)
+    if not equigenerated or degree % 2:
+        return None
+    k, edges = degree // 2, []
+    for g in ideal.generators:
+        ends = [t for t, e in enumerate(g) if e]
+        if len(ends) == 2 and g[ends[0]] == g[ends[1]] == k:
+            edges.append(ends)
+    if not edges:
+        return None
+    # union-find: G is a forest iff every edge joins two components, and
+    # connected iff |V| - 1 edges do
+    degrees = Counter(t for edge in edges for t in edge)
+    root, merges = {t: t for t in degrees}, 0
+    for u, v in edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u != v:
+            root[u], merges = v, merges + 1
+    if merges == len(edges):
+        nu = _forest_induced_matching(edges)
+    elif k >= 2 and merges == len(degrees) - 1 and set(degrees.values()) == {2}:
+        nu = len(edges) // 3
+    else:
+        return None
+    # Monomials as base-(2k + 1) ints: no exponent here exceeds 2k, so a
+    # product is a sum with no carry.  I(G)^j times a fixed edge embeds in
+    # I(G)^(j+1), so a product set larger than the generators rules I out
+    # before the last step.
+    weights = [(degree + 1) ** t for t in range(ideal.num_vars)]
+    units = [weights[u] + weights[v] for u, v in edges]
+    products = {0}
+    for _ in range(k):
+        products = {p + unit for p in products for unit in units}
+        if len(products) > len(ideal.generators):
+            return None
+    if products != {sum(map(mul, g, weights)) for g in ideal.generators}:
+        return None
+    return 2 * k + nu - 2
+
+
+def _pruned_lattice(index, generators, degree_bound, regularity) -> tuple:
+    """The fold: ({packed point: kept} for every point of L(I) it classifies,
+    {(strand key, degree): number of kept points}).
+
+    A point a is kept iff |a| <= degree_bound, no divisor is tight at no
+    variable (else the strand is zero), and |a| - |supp a| =
+    `(a & a >> 1).bit_count()` <= regularity.  A dropped point is never
+    expanded.  Each test fails upward in the lattice, so the kept points
+    are exactly the points of L that pass all three (module docstring).
+    """
+    seen, kept, points = {0: True}, [0], {(_indexed_key(index, 0), 0): 1}
+    for g in generators:
+        for a in kept[:]:
+            b = a | g
+            if b in seen:
+                continue
+            seen[b] = False
+            d = b.bit_count()
+            if d <= degree_bound and (b & b >> 1).bit_count() <= regularity:
+                support, divisors, tight = _lookup(index, b)
+                untight = divisors
+                for _, e in tight:
+                    untight &= ~e
+                if not untight:
+                    key = (support, _minimal_tight_sets(divisors, tight)), d
+                    points[key] = points.get(key, 0) + 1
+                    seen[b] = True
+                    kept.append(b)
+    return seen, points
+
+
 def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
     """Graded Betti diagram of S/I, complete up to the degree bound.
 
     `None` never truncates.  An explicit bound must be nonnegative, and
-    silently yields a diagram complete only up to it.
+    silently yields a diagram complete only up to it.  The fold visits
+    only the lattice points that can carry a Betti number: under the
+    degree bound, with a non-zero strand, and, when
+    `edge_power_regularity` knows reg(S/I), with |a| - |supp a| at most
+    that (module docstring).
     """
     if degree_bound is not None and require_int(degree_bound, "degree bound") < 0:
         raise InputError("degree bound must be nonnegative")
-    fields = _fields(ideal.exponent_lcm())
+    lcm = ideal.exponent_lcm()
+    top, regularity = sum(lcm), edge_power_regularity(ideal)
+    fields = _fields(lcm)
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
-    points = Counter(
-        (_indexed_key(index, a), a.bit_count()) for a in _lcm_lattice(generators, degree_bound)
+    _, points = _pruned_lattice(
+        index,
+        generators,
+        top if degree_bound is None else degree_bound,
+        top if regularity is None else regularity,
     )
     homology = {}  # strand key -> its homology; () for a cone
     totals = {}

@@ -1,0 +1,55 @@
+"""The unpruned lcm-lattice fold and oracle, kept as a slow reference for the tests.
+
+`lcm_lattice` is the fold that `koszul_oracle` used before it learnt to
+drop points that carry no Betti number: every generator is folded into
+every point so far, and only points above the degree bound are left out.
+`betti_oracle` counts every one of those points per (strand key, degree)
+and sums the homology of each key, so its diagram does not rest on the
+zero-strand or regularity tests of the pruned fold.
+"""
+
+from collections import Counter
+
+from bettistab.diagram import BettiDiagram
+from bettistab.koszul_oracle import (
+    _divisor_index,
+    _fields,
+    _indexed_key,
+    _is_cone,
+    _key_homology,
+    _pack,
+)
+
+
+def lcm_lattice(generators, degree_bound=None) -> set:
+    """Packed L(I) up to the degree bound: every lcm of a set of packed generators.
+
+    A point above the bound is dropped as soon as it appears: an lcm only
+    grows, so nothing folded from it can come back under the bound.
+    """
+    lattice = {0}
+    for g in generators:
+        if degree_bound is None:
+            lattice |= {a | g for a in lattice}
+        else:
+            lattice |= {b for a in lattice if (b := a | g).bit_count() <= degree_bound}
+    return lattice
+
+
+def betti_oracle(ideal, degree_bound=None) -> BettiDiagram:
+    """Graded Betti diagram of S/I from every lattice point under the degree bound."""
+    fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
+    generators = [_pack(fields, g) for g in ideal.generators]
+    points = Counter(
+        (_indexed_key(index, a), a.bit_count()) for a in lcm_lattice(generators, degree_bound)
+    )
+    homology = {}  # strand key -> its homology; () for a cone
+    totals = {}
+    for (key, d), count in points.items():
+        if key not in homology:
+            homology[key] = () if _is_cone(key) else _key_homology(ideal.num_vars, key)
+        for i, h in enumerate(homology[key]):
+            if h:
+                totals[(i, d)] = totals.get((i, d), 0) + h * count
+    return BettiDiagram(totals)

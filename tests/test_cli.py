@@ -52,6 +52,26 @@ def test_oracle_json_ideal_with_power(tmp_path, capsys):
     assert BettiDiagram.from_json_dict(json.loads(out)) == path_diagram(3, 2)
 
 
+@pytest.mark.parametrize(
+    "text, power, line",
+    [
+        # a path labelled out of order: nu = 1, so reg(S/I^3) = 2*3 + 1 - 2
+        ("x3*x1, x1*x4, x4*x2", "3", "regularity bound 5 (forest or cycle edge-ideal power)"),
+        ("x1*x2, x2*x3, x3*x4, x4*x1", "2", "regularity bound 3 (forest or cycle edge-ideal power)"),
+        ("x1*x2, x2*x3, x3*x4, x4*x1", "1", "no regularity bound"),
+        ("x1^2, x2^2", "2", "no regularity bound"),
+    ],
+)
+def test_oracle_logs_its_regularity_bound(tmp_path, capsys, text, power, line):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text(text + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", power)
+    assert code == 0
+    assert err.splitlines()[1:] == [line]
+    if text.startswith("x3"):
+        assert out == json.dumps(path_diagram(4, 3).to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_oracle_rejects_power_zero(tmp_path, capsys):
     ideal_file = tmp_path / "ideal.txt"
     ideal_file.write_text("x1*x2, x2*x3\n", encoding="utf-8")

@@ -1,0 +1,237 @@
+"""The pruned lattice fold against the unpruned reference, and the regularity recogniser."""
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bettistab.koszul_oracle import (
+    _divisor_index,
+    _fields,
+    _forest_induced_matching,
+    _indexed_key,
+    _pack,
+    _pruned_lattice,
+    betti_oracle,
+    edge_power_regularity,
+    strand_homology,
+)
+from bettistab.monomial_ideal import make_ideal, power
+from bettistab.path_formula import path_ideal
+from oracle_reference import betti_oracle as reference_oracle
+from oracle_reference import lcm_lattice
+from test_koszul_oracle import _relabelled, _unpack, non_path_ideals
+
+
+def edge_ideal(n, edges):
+    return make_ideal(n, [tuple(int(t in edge) for t in range(n)) for edge in edges])
+
+
+def cycle_edges(m):
+    return [(i, (i + 1) % m) for i in range(m)]
+
+
+def brute_induced_matching(edges) -> int:
+    """The largest set of edges that are pairwise disjoint with no edge of G between two."""
+    def apart(e, f):
+        return not set(e) & set(f) and not any(
+            {x, y} == set(g) for x in e for y in f for g in edges
+        )
+
+    for size in range(len(edges), 0, -1):
+        for chosen in combinations(edges, size):
+            if all(apart(e, f) for e, f in combinations(chosen, 2)):
+                return size
+    return 0
+
+
+def _reference_kept(ideal, degree_bound, regularity):
+    """{a in L(I) : |a| <= bound, x^(a - 1_supp a) outside I, |a| - |supp a| <= reg}."""
+    fields = _fields(ideal.exponent_lcm())
+    lattice = lcm_lattice([_pack(fields, g) for g in ideal.generators])
+    kept = set()
+    for a in map(lambda x: _unpack(fields, x), lattice):
+        excess = sum(a) - sum(1 for at in a if at)
+        if degree_bound is not None and sum(a) > degree_bound:
+            continue
+        if regularity is not None and excess > regularity:
+            continue
+        if not ideal.contains(tuple(max(at - 1, 0) for at in a)):
+            kept.add(a)
+    return kept, {_unpack(fields, x) for x in lattice}
+
+
+def _assert_pruned_matches_reference(ideal, degree_bound=None):
+    """The fold keeps exactly the points that pass the three tests, counts
+    them by indexed key and degree, classifies only lcms of a kept point and
+    a generator, and gives the reference diagram."""
+    regularity = edge_power_regularity(ideal)
+    top = sum(ideal.exponent_lcm())
+    fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
+    generators = [_pack(fields, g) for g in ideal.generators]
+    seen, points = _pruned_lattice(
+        index,
+        generators,
+        top if degree_bound is None else degree_bound,
+        top if regularity is None else regularity,
+    )
+    expected, lattice = _reference_kept(ideal, degree_bound, regularity)
+    kept = [a for a, is_kept in seen.items() if is_kept]
+    assert {_unpack(fields, a) for a in kept} == expected
+    assert {_unpack(fields, a) for a in seen} <= lattice
+    # a dropped point is never expanded
+    assert set(seen) <= {0} | {a | g for a in kept for g in generators}
+    assert points == Counter((_indexed_key(index, a), a.bit_count()) for a in kept)
+    assert betti_oracle(ideal, degree_bound) == reference_oracle(ideal, degree_bound)
+    return regularity
+
+
+@given(non_path_ideals(), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_oracle_matches_reference_on_non_path_powers(ideal, k, data):
+    ideal = power(ideal, k)
+    _assert_pruned_matches_reference(ideal)
+    _assert_pruned_matches_reference(ideal, data.draw(st.integers(0, sum(ideal.exponent_lcm()))))
+
+
+@given(non_path_ideals())
+@settings(max_examples=100, deadline=None)
+def test_dropped_points_have_zero_homology(ideal):
+    # every point of L the fold does not keep carries no Betti number
+    fields = _fields(ideal.exponent_lcm())
+    top = sum(ideal.exponent_lcm())
+    seen, _ = _pruned_lattice(
+        _divisor_index(fields, ideal.generators), [_pack(fields, g) for g in ideal.generators],
+        top, top,
+    )
+    kept = {a for a, is_kept in seen.items() if is_kept}
+    for a in lcm_lattice([_pack(fields, g) for g in ideal.generators]) - kept:
+        assert not any(strand_homology(ideal, _unpack(fields, a)))
+
+
+def _diagram_regularity(diagram):
+    return max(d - i for (i, d), _ in diagram.items())
+
+
+def _assert_bht_bound(ideal, k, nu, seed):
+    """I(G)^k, relabelled: the recogniser gives 2k + nu - 2, the reference
+    diagram attains it, and the pruned fold matches the reference with and
+    without a random degree bound."""
+    powered = power(_relabelled(ideal, seed), k)
+    assert edge_power_regularity(powered) == 2 * k + nu - 2
+    assert _assert_pruned_matches_reference(powered) == 2 * k + nu - 2
+    assert _diagram_regularity(reference_oracle(powered)) == 2 * k + nu - 2
+    bound = random.Random(seed).randint(0, sum(powered.exponent_lcm()))
+    _assert_pruned_matches_reference(powered, bound)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_bht_bound_on_paths(n):
+    for k in range(1, 5 if n <= 5 else 4):
+        _assert_bht_bound(path_ideal(n), k, (n + 1) // 3, n * k)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_bht_bound_on_stars(m):
+    star = edge_ideal(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
+    for k in range(1, 4):
+        _assert_bht_bound(star, k, 1, m * k)
+
+
+@pytest.mark.parametrize(
+    "spine, legs",
+    [(3, [1, 0, 1]), (3, [2, 1, 0]), (4, [1, 1, 0, 1]), (2, [2, 2])],
+)
+def test_bht_bound_on_caterpillars(spine, legs):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((i, n))
+            n += 1
+    nu = brute_induced_matching(edges)
+    for k in range(1, 4 if n <= 6 else 3):
+        _assert_bht_bound(edge_ideal(n, edges), k, nu, n * k)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_bht_bound_on_cycles(m):
+    cycle = edge_ideal(m, cycle_edges(m))
+    assert edge_power_regularity(cycle) is None
+    _assert_pruned_matches_reference(cycle)
+    for k in range(2, 5 if m <= 6 else 4):
+        _assert_bht_bound(cycle, k, m // 3, m * k)
+
+
+@st.composite
+def forests(draw):
+    """(n, edges) of a forest on at most 10 vertices, relabelled at random."""
+    n = draw(st.integers(1, 10))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    perm = draw(st.permutations(range(n)))
+    return n, [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+
+
+@given(forests())
+@settings(max_examples=300, deadline=None)
+def test_forest_induced_matching_matches_brute_force(forest):
+    _, edges = forest
+    assert _forest_induced_matching(edges) == brute_induced_matching(edges)
+
+
+@given(forests(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_recogniser_on_random_forests(forest, k):
+    n, edges = forest
+    if not edges:
+        return
+    ideal = power(edge_ideal(n, edges), k)
+    assert edge_power_regularity(ideal) == 2 * k + brute_induced_matching(edges) - 2
+
+
+@given(forests(), st.integers(1, 2))
+@settings(max_examples=30, deadline=None)
+def test_pruned_oracle_matches_reference_on_random_forests(forest, k):
+    n, edges = forest
+    if edges and len(edges) <= 6:
+        _assert_pruned_matches_reference(power(edge_ideal(n, edges), k))
+
+
+def test_recogniser_rejects_what_bht_does_not_cover():
+    path4 = power(path_ideal(4), 2)
+    rejected = [
+        edge_ideal(5, cycle_edges(5)),  # a cycle at k = 1
+        edge_ideal(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # a triangle with a pendant edge
+        power(edge_ideal(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 2),
+        power(edge_ideal(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 2),  # two triangles
+        make_ideal(2, [(2, 0), (0, 2)]),  # x1^2, x2^2
+        make_ideal(3, [(1, 1, 0), (0, 1, 1), (0, 0, 3)]),  # not equigenerated
+        make_ideal(4, list(path4.generators) + [(3, 0, 0, 1)]),  # path(4)^2 and one more
+        make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)]),
+    ]
+    assert edge_power_regularity(path4) == 3
+    for ideal in rejected:
+        assert edge_power_regularity(ideal) is None
+
+
+def test_recogniser_counts_isolated_variables_out():
+    # x2 x4 and x4 x6 in six variables: the path P_3 with three isolated vertices
+    ideal = edge_ideal(6, [(1, 3), (3, 5)])
+    for k in (1, 2, 3):
+        assert edge_power_regularity(power(ideal, k)) == 2 * k - 1
+    # a 4-cycle inside six variables
+    cycle = edge_ideal(6, [(0, 2), (2, 4), (4, 5), (5, 0)])
+    assert edge_power_regularity(power(cycle, 3)) == 5
+
+
+def test_reach_c6_fifth_power():
+    ideal = power(_relabelled(edge_ideal(6, cycle_edges(6)), 6), 5)
+    assert edge_power_regularity(ideal) == 10
+    assert betti_oracle(ideal) == reference_oracle(ideal)
