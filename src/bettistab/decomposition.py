@@ -17,7 +17,9 @@ enumerated exactly by the double description method over the integers: the
 extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
 at a time from a kernel basis of the rows, and the rays with s > 0, divided
 by s, are the vertices.  The work follows the number of rays, not the
-C(m, rank(A)) column subsets.
+C(m, rank(A)) column subsets.  Each vertex is kept as that primitive ray
+(x, s): sorting, pruning and the signature read the integers, and Fractions
+x / s are built only in the `vertices` view and the JSON.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import BettiDiagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
@@ -59,18 +62,14 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
                 f"column gap at {set(range(max(columns) + 1)) - set(columns)}: "
                 "diagram not in the cone of pure diagrams"
             )
-        degrees = tuple(
-            min(j for (i2, j) in entries if i2 == i) for i in columns
-        )
+        degrees = tuple(min(j for i2, j in entries if i2 == i) for i in columns)
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             raise ConeError(
                 f"minimal shifts {degrees} not strictly increasing: "
                 "diagram not in the cone of pure diagrams"
             )
         pure = pure_diagram(degrees)
-        weight = min(
-            entries[(i, d)] / v for i, (d, v) in enumerate(zip(degrees, pure.values))
-        )
+        weight = min(entries[(i, d)] / v for i, (d, v) in enumerate(zip(degrees, pure.values)))
         for i, (d, v) in enumerate(zip(degrees, pure.values)):
             residual = entries[(i, d)] - weight * v
             if residual == 0:
@@ -82,20 +81,30 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
 
 
 def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
-    """Exact check that sum(w_c * pure(candidates[c])) equals the diagram."""
+    """Exact check that sum(w_c * pure(candidates[c])) equals the diagram.
+
+    With the weights cleared to integers x_c over their common denominator
+    S, and each pure diagram recomputed from its degrees, it checks
+    sum_c x_c * beta(c)_{i,d} = S * beta_{i,d} by integer cross-multiplication.
+    """
     if len(weights) != len(candidates):
         raise InputError("weights and candidates differ in length")
-    integer_vector(weights)  # InputError unless every weight is an int or Fraction
-    total = {}
-    for w, degrees in zip(weights, candidates):
-        if w < 0:
-            return False
-        if w == 0:
+    *xs, scale = integer_vector((*weights, 1))  # InputError unless ints or Fractions
+    if any(x < 0 for x in xs):
+        return False
+    total = {}  # (i, d) -> (n, q): the sum n / q of x_c * beta(c)_{i,d}, unreduced
+    for x, degrees in zip(xs, candidates):
+        if x == 0:
             continue
         for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
-            key = (i, d)
-            total[key] = total.get(key, Fraction(0)) + w * v
-    return {k: v for k, v in total.items() if v} == dict(diagram.items())
+            n, q = total.get((i, d), (0, 1))
+            total[(i, d)] = (n * v.denominator + x * v.numerator * q, q * v.denominator)
+    entries = dict(diagram.items())
+    total = {key: nq for key, nq in total.items() if nq[0]}
+    return total.keys() == entries.keys() and all(
+        n * entries[key].denominator == scale * entries[key].numerator * q
+        for key, (n, q) in total.items()
+    )
 
 
 def candidate_degree_sequences(diagram: BettiDiagram) -> list:
@@ -126,27 +135,39 @@ def candidate_degree_sequences(diagram: BettiDiagram) -> list:
 
 @dataclass(frozen=True)
 class DecompositionPolytope:
-    """Exact system {A w = b, w >= 0} over candidate pure diagrams."""
+    """Exact system {A w = b, w >= 0} over candidate pure diagrams.
+
+    Once enumerated, each vertex v is held as its primitive integer ray
+    (x_0, ..., x_{m-1}, s), s > 0, with v = x / s; `vertices` is a cached,
+    read-only view of them as Fraction tuples, all sharing one Fraction(0).
+    """
 
     candidates: tuple  # degree sequences, lexicographically sorted
     rows: tuple  # integer rows of [A | -b], one per support position, in order
     rank: int  # of A
-    vertices: tuple | None = None
+    rays: tuple | None = None  # one per vertex, in vertex order
+
+    @cached_property
+    def vertices(self) -> tuple | None:
+        if self.rays is None:
+            return None
+        zero = Fraction(0)
+        return tuple(tuple(Fraction(x, r[-1]) if x else zero for x in r[:-1]) for r in self.rays)
 
     @property
     def dimension(self) -> int:
         """m - rank of the pruned system once it has vertices; -1 once enumerated empty."""
-        if self.vertices == ():
+        if self.rays == ():
             return -1
-        system = prune(self) if self.vertices else self
+        system = prune(self) if self.rays else self
         return len(system.candidates) - system.rank
 
     def to_json_dict(self) -> dict:
-        if self.vertices is None:
+        if self.rays is None:
             raise InputError("vertices not enumerated")
         return {
             "candidates": [list(c) for c in self.candidates],
-            "vertices": [[format_rational(x) for x in v] for v in self.vertices],
+            "vertices": [[format_rational(Fraction(x, r[-1])) for x in r[:-1]] for r in self.rays],
             "rank": self.rank,
             "dimension": self.dimension,
         }
@@ -179,8 +200,7 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     every x_f >= 0.  The basis is primitive, so it does not depend on how
     the rows are scaled.  Each pivot column's x_c >= 0 is then added in turn
     (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
-    on its negative side first.  Returns an empty vertex list iff
-    infeasible.
+    on its negative side first.  Returns no rays iff infeasible.
     """
     m = len(polytope.candidates)
     basis = kernel_basis(polytope.rows, m + 1)
@@ -193,8 +213,10 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
         todo.remove(c)
         rays, zeros = _cut(rays, zeros, done, c, len(free) - 2)
         done |= 1 << c
-    vertices = (tuple(Fraction(x, r[m]) for x in r[:m]) for r in rays if r[m] > 0)
-    return replace(polytope, vertices=tuple(sorted(vertices)))
+    rays = [tuple(r) for r in rays if r[m] > 0]
+    scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
+    rays.sort(key=lambda r: tuple(x * (scale // r[m]) for x in r[:m]))
+    return replace(polytope, rays=tuple(rays))
 
 
 def _cut(rays, zeros, done, c, need):
@@ -235,23 +257,25 @@ def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:
     """Drop coordinates that vanish at every vertex; reindex everything.
 
     Valid because the polytope is bounded, hence the hull of its vertices.
-    Idempotent; the vertex set only changes by coordinate projection, which
-    keeps it sorted, since every vertex agrees on the dropped coordinates.
-    The integer rows keep their -b column.  A polytope with no vertices is
-    returned unchanged (nothing to prune against).
+    Idempotent; the rays only change by coordinate projection, which keeps
+    them primitive and sorted, since every ray is 0 on the dropped
+    coordinates.  The integer rows and the rays keep their last column.  A
+    polytope with no vertices is returned unchanged (nothing to prune
+    against).
     """
-    if polytope.vertices is None:
+    if polytope.rays is None:
         raise InputError("vertices not enumerated")
-    if not polytope.vertices:
+    if not polytope.rays:
         return polytope
     m = len(polytope.candidates)
-    keep = [c for c in range(m) if any(v[c] != 0 for v in polytope.vertices)]
+    keep = [c for c in range(m) if any(r[c] for r in polytope.rays)]
     if len(keep) == m:
         return polytope
-    rows = tuple(tuple(row[c] for c in (*keep, m)) for row in polytope.rows)
+    keep.append(m)
+    rows = tuple(tuple(row[c] for c in keep) for row in polytope.rows)
     return DecompositionPolytope(
-        candidates=tuple(polytope.candidates[c] for c in keep),
+        candidates=tuple(polytope.candidates[c] for c in keep[:-1]),
         rows=rows,
         rank=matrix_rank(row[:-1] for row in rows),
-        vertices=tuple(tuple(v[c] for c in keep) for v in polytope.vertices),
+        rays=tuple(tuple(r[c] for c in keep) for r in polytope.rays),
     )

@@ -38,7 +38,7 @@ held-out check.
 Each scan fits every distinct sample sequence once: many trajectories
 repeat (coordinates shared between vertices, coordinates that vanish on the
 whole window), and a fit is a function of its (k, value) samples and the
-polynomial flag alone, so a dict local to the scan, keyed by both, returns
+polynomial flag alone, so a cache local to the scan, keyed by both, returns
 exactly the fit that a new search would find.
 
 `compare_reference` reports, per vertex coordinate, whether the fitted
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from .decomposition import (
     DecompositionPolytope,
@@ -99,12 +99,12 @@ class CombinatorialSignature:
 
 
 def combinatorial_signature(polytope: DecompositionPolytope) -> CombinatorialSignature:
-    if polytope.vertices is None:
+    if polytope.rays is None:
         raise InputError("vertices not enumerated")
     return CombinatorialSignature(
-        vertex_count=len(polytope.vertices),
+        vertex_count=len(polytope.rays),
         dimension=polytope.dimension,
-        zero_patterns=tuple(sorted(_zero_pattern(v) for v in polytope.vertices)),
+        zero_patterns=tuple(sorted(_zero_pattern(r) for r in polytope.rays)),
     )
 
 
@@ -220,16 +220,12 @@ def match_templates(candidate_sets) -> tuple:
         for d1, d2 in zip(seq1, seq2):
             slope, rem = divmod(d2 - d1, k2 - k1)
             if rem:
-                raise StabilityError(
-                    f"candidate family {f} has no integer-slope affine fit"
-                )
+                raise StabilityError(f"candidate family {f} has no integer-slope affine fit")
             positions.append((slope, d1 - slope * k1))
         template = TranslationTemplate(tuple(positions), _template_k_min(positions, k1))
         for k, cands in sets[2:]:
             if len(cands[f]) != len(seq1) or template.instantiate(k) != cands[f]:
-                raise StabilityError(
-                    f"candidate family {f} fails affine verification at k={k}"
-                )
+                raise StabilityError(f"candidate family {f} fails affine verification at k={k}")
         templates.append(template)
     return tuple(templates)
 
@@ -248,6 +244,7 @@ def _template_k_min(positions, observed_k: int) -> int:
 
 
 def _zero_pattern(vector) -> tuple:
+    """Indices of the zero coordinates; a ray's last entry, s > 0, adds none."""
     return tuple(c for c, x in enumerate(vector) if x == 0)
 
 
@@ -330,45 +327,31 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
         start -= 1
     stable_len = len(keys) - start
 
-    window = None
-    k0 = None
-    templates = None
-    labels: tuple = ()
-    values: dict = {}
-    trajectories: tuple = ()
-    column_fits: tuple = ()
+    window = k0 = templates = None
+    labels, values, trajectories, column_fits = (), {}, (), ()
     if stable_len >= 3:
         window_records = records[start:]
         window = (window_records[0].k, k_max)
         if start > 0:
             k0 = window[0] - 1
-        templates = match_templates(
-            [(r.k, r.polytope.candidates) for r in window_records]
-        )
+        templates = match_templates([(r.k, r.polytope.candidates) for r in window_records])
         labels, values = _pair_vertices(window_records)
-        memo = {}  # (samples, polynomial) -> fit
-
-        def fit(samples, polynomial=False):
-            key = (tuple(samples), polynomial)
-            if key not in memo:
-                memo[key] = _fit_trajectory(samples, polynomial)
-            return memo[key]
-
+        fit = cache(_fit_trajectory)  # one search per distinct (samples, polynomial)
         fits = []
         m = len(window_records[0].polytope.candidates)
         for label in labels:
             for c in range(m):
-                samples = [(r.k, values[label][r.k][c]) for r in window_records]
+                samples = tuple((r.k, values[label][r.k][c]) for r in window_records)
                 fits.append(TrajectoryFit(label, c, fit(samples)))
         trajectories = tuple(fits)
         # Kodiyalam check: total Betti numbers are polynomial in k.
         sums = [column_sums(r.diagram) for r in window_records]
         fits = []
         for c in range(max(len(s) for s in sums)):
-            samples = [
+            samples = tuple(
                 (r.k, s[c] if c < len(s) else Fraction(0))
                 for r, s in zip(window_records, sums)
-            ]
+            )
             fits.append(fit(samples, polynomial=True))
         column_fits = tuple(fits)
 
@@ -531,15 +514,11 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
     trajectory = {(t.vertex, t.coordinate): t for t in report.trajectories}
 
     # The last record lies in the window, whose records share one signature.
-    label_of_pattern = dict(
-        zip(report.records[-1].signature.zero_patterns, report.vertex_labels)
-    )
+    label_of_pattern = dict(zip(report.records[-1].signature.zero_patterns, report.vertex_labels))
 
     vertices_out = []
     for vi, ref_vertex in enumerate(reference.vertex_labels):
-        ref_pattern = tuple(
-            sorted(coordinate_of[l] for l in reference.zero_patterns[vi])
-        )
+        ref_pattern = tuple(sorted(coordinate_of[l] for l in reference.zero_patterns[vi]))
         matched = label_of_pattern.get(ref_pattern)
         coords_out = []
         for ti, label in enumerate(reference.template_labels):
@@ -548,9 +527,7 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
             fit, ratio_flag, ratio = None, False, None
             if matched is not None:
                 fit = trajectory[(matched, c)].fit
-                computed_values = [
-                    (k, report.vertex_values[matched][k][c]) for k in window_ks
-                ]
+                computed_values = [(k, report.vertex_values[matched][k][c]) for k in window_ks]
                 ratio_flag, ratio = _constant_ratio(computed_values, formula)
             coords_out.append(
                 {
@@ -562,12 +539,10 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
                     "reference_formula": formula.to_json_dict(),
                 }
             )
-        reference_sums = {}
-        for k in window_ks:
-            total = Fraction(0)
-            for fi in range(len(reference.template_labels)):
-                total += reference.coordinate_formulas[vi][fi].evaluate(k)
-            reference_sums[str(k)] = format_rational(total)
+        reference_sums = {
+            str(k): format_rational(sum(f.evaluate(k) for f in reference.coordinate_formulas[vi]))
+            for k in window_ks
+        }
         vertices_out.append(
             {
                 "reference": ref_vertex,

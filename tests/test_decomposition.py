@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +23,7 @@ from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_diagram
 
+import decomposition_reference
 from dense_reference import dense_solve
 
 
@@ -387,7 +390,7 @@ def _reference_vertices(polytope):
 
 
 @pytest.mark.parametrize(
-    "n,k", [(n, k) for n in range(2, 7) for k in (1, 2, 3)] + [(7, 4)]
+    "n,k", [(n, k) for n in range(2, 7) for k in (1, 2, 3)] + [(7, 4), (7, 6)]
 )
 def test_vertices_match_reference_scan_on_paths(n, k):
     diagram = path_diagram(n, k)
@@ -424,6 +427,94 @@ def test_vertices_match_reference_scan_on_chains(system):
     vertices = enumerate_vertices(polytope).vertices
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
+
+
+def _combination(terms):
+    """The diagram sum(w * pure(degrees)) of (weight, degrees) terms."""
+    total = {}
+    for weight, degrees in terms:
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+            total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
+    return BettiDiagram(total)
+
+
+def _assert_rays_are_the_vertices(polytope):
+    """Primitive integer rays with s > 0, whose view is the Fraction reference."""
+    for r in polytope.rays:
+        assert type(r) is tuple and all(type(x) is int for x in r)
+        assert r[-1] > 0 and math.gcd(*r) == 1
+    assert polytope.vertices == decomposition_reference.vertices_from_rays(polytope.rays)
+    assert len({id(x) for v in polytope.vertices for x in v if x == 0}) <= 1
+
+
+def _assert_rays_before_and_after_prune(polytope):
+    _assert_rays_are_the_vertices(polytope)
+    pruned = prune(polytope)
+    _assert_rays_are_the_vertices(pruned)
+    if polytope.rays:
+        assert (pruned.candidates, pruned.vertices) == decomposition_reference.prune_vertices(
+            polytope.candidates, polytope.vertices
+        )
+    else:
+        assert pruned is polytope
+
+
+@pytest.mark.parametrize(
+    "n,k", [(6, k) for k in range(1, 12)] + [(7, k) for k in range(3, 9)] + [(7, 31)]
+)
+def test_rays_are_the_vertices_on_paths(n, k):
+    _assert_rays_before_and_after_prune(_pipeline(path_diagram(n, k)))
+
+
+@given(chain_systems())
+@settings(max_examples=120, deadline=None)
+def test_rays_are_the_vertices_on_chains(system):
+    terms, candidates = system
+    diagram = _combination(terms)
+    if diagram.is_zero() or not candidates:
+        return
+    _assert_rays_before_and_after_prune(enumerate_vertices(build_polytope(diagram, candidates)))
+
+
+def test_vertices_view_is_read_only_and_cached():
+    polytope = _pipeline(path_diagram(6, 4))
+    assert polytope.vertices is polytope.vertices
+    with pytest.raises(FrozenInstanceError):
+        polytope.vertices = ()
+    assert build_polytope(path_diagram(6, 4), polytope.candidates).vertices is None
+
+
+def _with(weights, i, w):
+    return [*weights[:i], w, *weights[i + 1:]]
+
+
+@given(random_combinations(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_fraction_reference(terms, data):
+    diagram = _combination(terms)
+    weights = [w for w, _ in terms]
+    candidates = [d for _, d in terms]
+    i = data.draw(st.integers(min_value=0, max_value=len(terms) - 1))
+    outside = (0, max(d for _, degrees in terms for d in degrees) + 1)
+    assert verify_decomposition(diagram, weights, candidates)
+    cases = [
+        (weights, candidates),
+        (_with(weights, i, weights[i] + Fraction(1, 10**6)), candidates),
+        (_with(weights, i, -weights[i] or Fraction(-1, 2)), candidates),
+        # a negative weight that a positive one cancels: the sum still matches
+        ([*weights, Fraction(1, 2), Fraction(-1, 2)], [*candidates, *[candidates[i]] * 2]),
+        (_with(weights, i, Fraction(0)), candidates),
+        ([*weights, Fraction(1, 3)], [*candidates, outside]),  # (1, outside[1]) leaves the support
+    ]
+    for w, c in cases:
+        assert verify_decomposition(diagram, w, c) == decomposition_reference.verify_decomposition(
+            diagram, w, c
+        )
+    for w in (weights[:-1], _with(weights, i, True), _with(weights, i, float(weights[i]))):
+        with pytest.raises(InputError):
+            verify_decomposition(diagram, w, candidates)
+        with pytest.raises(InputError):
+            decomposition_reference.verify_decomposition(diagram, w, candidates)
 
 
 def _system(matrix, rhs, rank):

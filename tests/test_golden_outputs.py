@@ -1,9 +1,11 @@
-"""Byte-for-byte golden outputs of three CLI runs.
+"""Byte-for-byte golden outputs of four CLI runs.
 
 Each `.json` file in `tests/golden/` holds the exact stdout of `cli.main`
 for one run: the paper comparison over k = 4..11, an oracle-mode scan of
-the 4-cycle over k = 1..7, and a closed-form scan of the six-variable path
-over k = 4..11.  A refactor must leave all three unchanged.
+the 4-cycle over k = 1..7, a closed-form scan of the six-variable path
+over k = 4..11, and the unpruned polytope of the seven-variable path's
+diagram at k = 4 (29 vertices over 15 candidates, in vertex order).  A
+refactor must leave all four unchanged.
 
 The closed-form scan of the seven-variable path over k = 31..40 is pinned by
 the SHA-256 of its stdout (about 265 KB), kept in `tests/golden/` as a
@@ -15,7 +17,8 @@ the digest with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and review the diff of `tests/golden/` together with the change.
+and review the diff of `tests/golden/` together with the change.  The input
+files (ideals, and the one diagram) are written from `INPUTS` for each run.
 """
 
 import contextlib
@@ -29,13 +32,19 @@ import tempfile
 import pytest
 
 from bettistab.cli import main
+from bettistab.path_formula import path_diagram
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-IDEALS = {
+INPUTS = {
     "c4": "x1*x2, x2*x3, x3*x4, x1*x4\n",
     "path6": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6\n",
     "path7": "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x6*x7\n",
+    "path7_k4_diagram": (
+        '{"entries": [[0, 0, "1"], [1, 8, "126"], [2, 9, "280"], [2, 10, "84"], '
+        '[3, 10, "210"], [3, 11, "180"], [4, 11, "60"], [4, 12, "120"], [5, 12, "5"], '
+        '[5, 13, "24"]]}\n'
+    ),
 }
 
 RUNS = {
@@ -44,6 +53,7 @@ RUNS = {
     "scan_path6_formula_k4_11": [
         "scan", "--ideal", "{path6}", "--kmin", "4", "--kmax", "11",
     ],
+    "polytope_path7_k4": ["polytope", "--diagram", "{path7_k4_diagram}"],
 }
 
 DIGEST_RUNS = {
@@ -53,10 +63,10 @@ DIGEST_RUNS = {
 }
 
 
-def run_stdout(name, ideal_dir):
+def run_stdout(name, input_dir):
     """Exit code and stdout of `cli.main` for the named run."""
-    paths = {key: ideal_dir / f"{key}.txt" for key in IDEALS}
-    for key, text in IDEALS.items():
+    paths = {key: input_dir / f"{key}.txt" for key in INPUTS}
+    for key, text in INPUTS.items():
         paths[key].write_text(text, encoding="utf-8")
     argv = [arg.format(**paths) for arg in {**RUNS, **DIGEST_RUNS}[name]]
     out = io.StringIO()
@@ -70,6 +80,12 @@ def test_cli_output_matches_golden(name, tmp_path):
     code, out = run_stdout(name, tmp_path)
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_polytope_input_is_the_path7_diagram():
+    assert json.loads(INPUTS["path7_k4_diagram"]) == path_diagram(7, 4).to_json_dict()
+    golden = json.loads((GOLDEN_DIR / "polytope_path7_k4.json").read_text(encoding="utf-8"))
+    assert (len(golden["vertices"]), len(golden["candidates"])) == (29, 15)
 
 
 def test_verify_paper_from_k1_matches_golden():
