@@ -230,15 +230,14 @@ def _cut(rays, zeros, done, c, need):
     bit = 1 << c
     out = [(r, z | bit if r[c] == 0 else z) for r, z in zip(rays, zeros) if r[c] >= 0]
     neg = [(j, z) for j, (r, z) in enumerate(zip(rays, zeros)) if r[c] < 0]
-    if neg:
+    pos = [(i, r, z) for i, (r, z) in enumerate(zip(rays, zeros)) if r[c] > 0]
+    if neg and pos:
         holders = {}  # constraint bit -> bitmask of the rays zero on it
         for k in range(done.bit_length()):
             if done >> k & 1:
                 holders[1 << k] = int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
         everyone = (1 << len(rays)) - 1
-        for i, (p, zp) in enumerate(zip(rays, zeros)):
-            if p[c] <= 0:
-                continue
+        for i, p, zp in pos:
             for j, shared in [(j, zp & zq) for j, zq in neg if (zp & zq).bit_count() >= need]:
                 pair, common, rest = 1 << i | 1 << j, everyone, shared
                 while rest and common != pair:

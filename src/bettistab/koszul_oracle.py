@@ -68,8 +68,15 @@ generator-scan reference key relies on the guard bit too.
 Divisor index: `_divisor_index` maps, per variable t, each packed field
 value a & field_t to two generator bitsets, le_t = {g : g_t <= a_t} and
 eq_t = {g : g_t = a_t > 0}.  At a point a the divisors are D = AND_t le_t,
-n dict lookups and no scan over the generators, and the generators tight
-at t are E_t = eq_t & D, so g in D has the tight set T(g) = {t : g in E_t}.
+with no scan over the generators, and the generators tight at t are
+E_t = eq_t & D, so g in D has the tight set T(g) = {t : g in E_t}.
+
+Half-point memo: the index splits the variables into the first n // 2
+and the rest.  The entry of a half-point (a on one half's fields) holds
+the AND of its le_t, its support bits and its (bit of t, eq_t) pairs, and
+`_lookup` joins a's two entries, D being the AND of their le.  The fold's
+points share most half-points, so it keeps the entries in two dicts for
+one call, and a lookup is mostly two dict hits and one AND.
 
 Descent (`_indexed_key`): start with R = D.  For j in R and tau = T(j),
 above = R & AND_{t in tau} E_t is {g in R : T(g) contains tau}, outside =
@@ -84,6 +91,11 @@ tight set contains tau: none of them carries another minimal set, and no
 later round can emit tau again.  Each round removes j, so the rounds emit
 exactly the minimal tight sets, as variable bitmasks.
 
+Shapes: a strand's signs and matrices depend on supp(a) only through the
+order of its variables, so `_shape` relabels a key onto bits 0..r-1
+(r = |supp a|) in that order; the homology is computed on shapes, once per
+shape in each `betti_oracle` call.
+
 Morse matching: the surviving sets S form an up-set in supp(a), and
 `_key_homology` computes on the critical cells of one element matching
 (Forman, "Morse theory for cell complexes", 1998; Joellenbeck & Welker,
@@ -96,13 +108,15 @@ of a critical cell with l != t still contains t: it is critical or the
 upper end of a pair, never a lower end, so no gradient path runs between
 critical cells and the Morse differential is d restricted to C_t, with the
 same signs.  The homology is that of the strand, by exact rank on the
-smaller matrices.  The apex is the support variable in the fewest minimal
+smaller matrices; a matrix with one row or one column has rank 1 iff some
+entry is non-zero.  The apex is the support variable in the fewest minimal
 tight sets, lowest index on ties.
 
 `_critical_bases` finds C_t with bit-parallel truth tables, not a walk over
-the subsets.  Let b_0 < ... < b_{r-1} be the variables of supp(a) - {t}.  A
-table is an int of 2^r bits whose bit idx stands for the rho holding b_i
-for each set bit i of idx.  The rho that contain b_i form the column
+the subsets.  On a shape, the r = |supp a| - 1 variables of supp(a) - {t}
+are b_i = i below t and i + 1 above it.  A table is an int of 2^r bits
+whose bit idx stands for the rho holding b_i for each set bit i of idx.
+The rho that contain b_i form the column
 full // (2^(2h) - 1) * ((2^h - 1) << h) with h = 2^i and full = 2^(2^r) - 1:
 in each block of 2h bits, the upper h.  "rho meets m" is the OR of the
 columns of m's variables.  sigma = rho | {t} survives iff rho meets every
@@ -145,39 +159,55 @@ def _pack(fields, a) -> int:
     return sum(((1 << at) - 1) * (field & -field) for field, at in zip(fields, a))
 
 
-def _divisor_index(fields, generators) -> list:
-    """Per variable t: (1 << t, field_t, {packed a_t: (le_t, eq_t)}).
+def _divisor_index(fields, generators) -> tuple:
+    """Per half of the variables, low (the first n // 2) then high: (mask of
+    their fields, [(1 << t, field_t, {packed a_t: (le_t, eq_t)}) per t in it]).
 
     le_t and eq_t are bitsets over the positions of the exponent tuples in
     `generators`: g_t <= a_t, and g_t = a_t > 0.  One entry for each a_t
     from 0 to the field's bound; a generator above the bound is in no le_t.
     """
-    index = []
+    variables = []
     for t, field in enumerate(fields):
         low, table, le = field & -field, {}, 0
         for v in range(field.bit_count()):
             eq = sum(1 << j for j, g in enumerate(generators) if g[t] == v)
             le |= eq
             table[((1 << v) - 1) * low] = (le, eq if v else 0)
-        index.append((1 << t, field, table))
-    return index
+        variables.append((1 << t, field, table))
+    split = len(fields) // 2
+    return (sum(fields[:split]), variables[:split]), (sum(fields[split:]), variables[split:])
 
 
-def _lookup(index, a) -> tuple:
-    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty).
-
-    D is the AND of le_t and E_t = eq_t & D are the divisors tight at t:
-    n dict lookups, no scan over the generators.
-    """
+def _half_entry(half, x) -> tuple:
+    """(AND of le_t, support bits, ((bit of t, eq_t), ...) for t in supp x) over one half."""
     divisors, support, eqs = -1, 0, []
-    for bit, field, table in index:
-        x = a & field
-        le, eq = table[x]
+    for bit, field, table in half:
+        y = x & field
+        le, eq = table[y]
         divisors &= le
-        if x:
+        if y:
             support |= bit
             eqs.append((bit, eq))
-    return support, divisors, [(bit, e) for bit, eq in eqs if (e := eq & divisors)]
+    return divisors, support, tuple(eqs)
+
+
+def _lookup(index, a, memos) -> tuple:
+    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty).
+
+    The join of the entries of a's two halves, each memoized by its
+    half-point in its dict of `memos` (module docstring).
+    """
+    (low_mask, low), (high_mask, high) = index
+    low_memo, high_memo = memos
+    x, y = a & low_mask, a & high_mask
+    if (low_entry := low_memo.get(x)) is None:
+        low_entry = low_memo[x] = _half_entry(low, x)
+    if (high_entry := high_memo.get(y)) is None:
+        high_entry = high_memo[y] = _half_entry(high, y)
+    divisors = low_entry[0] & high_entry[0]
+    tight = [(bit, e) for bit, eq in low_entry[2] + high_entry[2] if (e := eq & divisors)]
+    return low_entry[1] | high_entry[1], divisors, tight
 
 
 def _minimal_tight_sets(divisors, tight) -> frozenset:
@@ -204,7 +234,7 @@ def _minimal_tight_sets(divisors, tight) -> frozenset:
 
 def _indexed_key(index, a) -> tuple:
     """(supp(a), inclusion-minimal tight sets of the divisors) as variable bitmasks."""
-    support, divisors, tight = _lookup(index, a)
+    support, divisors, tight = _lookup(index, a, ({}, {}))
     return support, _minimal_tight_sets(divisors, tight)
 
 
@@ -220,14 +250,30 @@ def _is_cone(key) -> bool:
     return bool(support & ~reduce(or_, masks, 0))
 
 
-def _apex(key) -> int:
-    """The support variable in the fewest minimal tight sets, lowest on ties, as a bit."""
+def _shape(key) -> tuple:
+    """The key relabelled onto bits 0..r-1, r = |supp|, in the order of its support:
+    each gap in the support, highest first, is closed by moving the bits above it down."""
     support, masks = key
-    bits = [1 << t for t in range(support.bit_length()) if support >> t & 1]
-    return min(bits, key=lambda bit: sum(1 for m in masks if m & bit), default=0)
+    gaps = ~support & ((1 << support.bit_length()) - 1)
+    while gaps:
+        below = (1 << gaps.bit_length() - 1) - 1
+        masks = frozenset([m & below | m >> 1 & ~below for m in masks])
+        gaps &= below
+    return (1 << support.bit_count()) - 1, masks
 
 
-def _critical_bases(n, key, apex):
+def _apex(shape) -> int:
+    """The variable in the fewest masks of the shape, lowest on ties, as a bit (0: no support)."""
+    support, masks = shape
+    counts = [0] * support.bit_length()
+    for m in masks:
+        while m:
+            counts[(m & -m).bit_length() - 1] += 1
+            m &= m - 1
+    return 1 << counts.index(min(counts)) if counts else 0
+
+
+def _critical_bases(n, shape, apex):
     """Per homological degree, the critical cells of the apex matching, as bitmasks.
 
     sigma = rho | apex with rho in supp - apex is critical iff rho meets
@@ -237,25 +283,23 @@ def _critical_bases(n, key, apex):
     docstring).  The one cell of an empty support survives iff there are
     no masks.
     """
-    support, masks = key
+    support, masks = shape
     bases = [[] for _ in range(n + 1)]
     if not support:
         if not masks:
             bases[0].append(0)
         return bases
-    rest = support ^ apex
-    bits = [1 << t for t in range(rest.bit_length()) if rest >> t & 1]
-    full = (1 << (1 << len(bits))) - 1
-    columns = []  # per bit: the table of the rho that contain it
-    for i, bit in enumerate(bits):
-        half = 1 << i
-        columns.append((bit, full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)))
+    below, full = apex - 1, (1 << (1 << support.bit_length() - 1)) - 1
+    # per index bit i, with h = 2^i: the table of the rho that contain b_i
+    columns = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+               for h in (1 << i for i in range(support.bit_length() - 1))]
     keep, inner = full, full
     for m in masks:
-        meets = 0
-        for bit, column in columns:
-            if m & bit:
-                meets |= column
+        rho, meets = m & below | m >> 1 & ~below, 0  # m - apex, as index bits
+        while rho:
+            low = rho & -rho
+            meets |= columns[low.bit_length() - 1]
+            rho ^= low
         if m & apex:
             inner &= meets
         else:
@@ -264,10 +308,7 @@ def _critical_bases(n, key, apex):
     while cells:
         low = cells & -cells
         index = low.bit_length() - 1
-        sigma = apex
-        for i, (bit, _) in enumerate(columns):
-            if index >> i & 1:
-                sigma |= bit
+        sigma = apex | index & below | (index & ~below) << 1
         bases[sigma.bit_count()].append(sigma)
         cells ^= low
     return bases
@@ -294,13 +335,15 @@ def _homology(bases) -> tuple:
     ranks = [0] * (len(bases) + 1)
     for i in range(1, len(bases)):
         if bases[i] and bases[i - 1]:
-            ranks[i] = matrix_rank(_boundary_matrix(bases[i - 1], bases[i]))
+            matrix = _boundary_matrix(bases[i - 1], bases[i])
+            single = len(bases[i]) == 1 or len(bases[i - 1]) == 1  # one column or one row
+            ranks[i] = int(any(map(any, matrix))) if single else matrix_rank(matrix)
     return tuple(len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases))
 
 
-def _key_homology(n, key) -> tuple:
-    """Homology of the strand with this key, on the critical cells of `_apex`'s matching."""
-    return _homology(_critical_bases(n, key, _apex(key)))
+def _key_homology(n, shape) -> tuple:
+    """Homology of the strand with this shape, on the critical cells of `_apex`'s matching."""
+    return _homology(_critical_bases(n, shape, _apex(shape)))
 
 
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
@@ -313,7 +356,7 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
         raise InputError("multidegree must be componentwise nonnegative")
-    return _key_homology(ideal.num_vars, _strand_key(ideal, a))
+    return _key_homology(ideal.num_vars, _shape(_strand_key(ideal, a)))
 
 
 def _forest_induced_matching(edges) -> int:
@@ -412,7 +455,9 @@ def _pruned_lattice(index, generators, degree_bound, regularity) -> tuple:
     `(a & a >> 1).bit_count()` <= regularity.  A dropped point is never
     expanded.  Each test fails upward in the lattice, so the kept points
     are exactly the points of L that pass all three (module docstring).
+    Index entries are memoized per half-point for this call only.
     """
+    memos = {}, {}  # half-point -> `_half_entry`, for the low and the high half
     seen, kept, points = {0: True}, [0], {(_indexed_key(index, 0), 0): 1}
     for g in generators:
         for a in kept[:]:
@@ -422,7 +467,7 @@ def _pruned_lattice(index, generators, degree_bound, regularity) -> tuple:
             seen[b] = False
             d = b.bit_count()
             if d <= degree_bound and (b & b >> 1).bit_count() <= regularity:
-                support, divisors, tight = _lookup(index, b)
+                support, divisors, tight = _lookup(index, b, memos)
                 untight = divisors
                 for _, e in tight:
                     untight &= ~e
@@ -442,7 +487,8 @@ def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> Betti
     only the lattice points that can carry a Betti number: under the
     degree bound, with a non-zero strand, and, when
     `edge_power_regularity` knows reg(S/I), with |a| - |supp a| at most
-    that (module docstring).
+    that.  The homology of the non-cone keys is computed once per shape
+    (module docstring).
     """
     if degree_bound is not None and require_int(degree_bound, "degree bound") < 0:
         raise InputError("degree bound must be nonnegative")
@@ -457,11 +503,14 @@ def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> Betti
         top if degree_bound is None else degree_bound,
         top if regularity is None else regularity,
     )
-    homology = {}  # strand key -> its homology; () for a cone
+    homology = {None: ()}  # strand key, and shape, -> its homology; a cone has shape None
     totals = {}
     for (key, d), count in points.items():
         if key not in homology:
-            homology[key] = () if _is_cone(key) else _key_homology(ideal.num_vars, key)
+            shape = None if _is_cone(key) else _shape(key)
+            if shape not in homology:
+                homology[shape] = _key_homology(ideal.num_vars, shape)
+            homology[key] = homology[shape]
         for i, h in enumerate(homology[key]):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h * count

@@ -5,7 +5,9 @@ drop points that carry no Betti number: every generator is folded into
 every point so far, and only points above the degree bound are left out.
 `betti_oracle` counts every one of those points per (strand key, degree)
 and sums the homology of each key, so its diagram does not rest on the
-zero-strand or regularity tests of the pruned fold.
+zero-strand or regularity tests of the pruned fold.  It reads each key
+through `lookup`, one index lookup per variable and no memo, so it does
+not rest on the oracle's half-point memo either.
 """
 
 from collections import Counter
@@ -14,10 +16,11 @@ from bettistab.diagram import BettiDiagram
 from bettistab.koszul_oracle import (
     _divisor_index,
     _fields,
-    _indexed_key,
     _is_cone,
     _key_homology,
+    _minimal_tight_sets,
     _pack,
+    _shape,
 )
 
 
@@ -36,19 +39,43 @@ def lcm_lattice(generators, degree_bound=None) -> set:
     return lattice
 
 
+def lookup(index, a) -> tuple:
+    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty).
+
+    One dict lookup per variable, no memo: D is the AND of le_t and
+    E_t = eq_t & D are the divisors tight at t.
+    """
+    divisors, support, eqs = -1, 0, []
+    for _, half in index:
+        for bit, field, table in half:
+            x = a & field
+            le, eq = table[x]
+            divisors &= le
+            if x:
+                support |= bit
+                eqs.append((bit, eq))
+    return support, divisors, [(bit, e) for bit, eq in eqs if (e := eq & divisors)]
+
+
+def strand_key(index, a) -> tuple:
+    """(supp(a), inclusion-minimal tight sets of the divisors), read through `lookup`."""
+    support, divisors, tight = lookup(index, a)
+    return support, _minimal_tight_sets(divisors, tight)
+
+
 def betti_oracle(ideal, degree_bound=None) -> BettiDiagram:
     """Graded Betti diagram of S/I from every lattice point under the degree bound."""
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
     points = Counter(
-        (_indexed_key(index, a), a.bit_count()) for a in lcm_lattice(generators, degree_bound)
+        (strand_key(index, a), a.bit_count()) for a in lcm_lattice(generators, degree_bound)
     )
     homology = {}  # strand key -> its homology; () for a cone
     totals = {}
     for (key, d), count in points.items():
         if key not in homology:
-            homology[key] = () if _is_cone(key) else _key_homology(ideal.num_vars, key)
+            homology[key] = () if _is_cone(key) else _key_homology(ideal.num_vars, _shape(key))
         for i, h in enumerate(homology[key]):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h * count

@@ -16,7 +16,9 @@ from bettistab.koszul_oracle import (
     _homology,
     _indexed_key,
     _is_cone,
+    _key_homology,
     _pack,
+    _shape,
     _strand_key,
     betti_oracle,
     strand_homology,
@@ -136,8 +138,13 @@ def _packed_key(fields, generators, a) -> tuple:
 
 def _strand_bases(ideal, a):
     """Full-strand reference: per homological degree, every surviving sigma as a bitmask."""
-    support, masks = _strand_key(ideal, a)
-    bases = [[] for _ in range(ideal.num_vars + 1)]
+    return _key_bases(ideal.num_vars, _strand_key(ideal, a))
+
+
+def _key_bases(n, key):
+    """Per homological degree, every subset of the support that meets every mask."""
+    support, masks = key
+    bases = [[] for _ in range(n + 1)]
     sigma = support
     while True:
         if all(sigma & m for m in masks):
@@ -276,7 +283,11 @@ def _reference_boundary(target, source):
 
 def _reference_homology(ideal, a):
     """Strand homology on the membership bases, independent of `_strand_key`."""
-    bases = _reference_strand_bases(ideal, a)
+    return _tuple_homology(_reference_strand_bases(ideal, a))
+
+
+def _tuple_homology(bases):
+    """Homology of the full differential on bases of sorted variable tuples."""
     ranks = [0] + [
         _reference_rank(_reference_boundary(target, source)) if target and source else 0
         for target, source in zip(bases, bases[1:])
@@ -435,9 +446,20 @@ def _reference_critical_bases(n, key, apex):
         rho = (rho - 1) & rest
 
 
+def _unshape(support, sigma) -> int:
+    """A cell of a key's shape on the key's variables: bit i to the i-th variable of `support`."""
+    bits = [1 << t for t in range(support.bit_length()) if support >> t & 1]
+    return sum(bit for i, bit in enumerate(bits) if sigma >> i & 1)
+
+
 def _assert_cells_match_reference(n, key, apex):
-    """The truth-table cells equal the submask walk's, as a set in each degree."""
-    cells = _critical_bases(n, key, apex)
+    """The truth-table cells of the key's shape, at the apex's place in the support and
+    relabelled back onto the key's variables, equal the submask walk's on the key, as a
+    set in each degree."""
+    support = key[0]
+    shape_apex = 1 << (support & apex - 1).bit_count() if apex else 0
+    cells = [[_unshape(support, sigma) for sigma in level]
+             for level in _critical_bases(n, _shape(key), shape_apex)]
     reference = _reference_critical_bases(n, key, apex)
     assert len(cells) == len(reference) == n + 1
     for level, expected in zip(cells, reference):
@@ -503,6 +525,88 @@ def test_critical_cells_match_reference_on_arbitrary_masks(support, masks, data)
     _assert_cells_match_reference(6, (support, frozenset(m & support for m in masks)), apex)
 
 
+def _reference_apex(shape):
+    """The variable in the fewest masks, lowest on ties, by a count per variable."""
+    support, masks = shape
+    bits = [1 << t for t in range(support.bit_length()) if support >> t & 1]
+    return min(bits, key=lambda bit: sum(1 for m in masks if m & bit), default=0)
+
+
+@given(st.integers(0, 63), st.lists(st.integers(0, 63), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_shape_relabels_in_order(support, masks):
+    key = (support, frozenset(m & support for m in masks))
+    shape = _shape(key)
+    r = support.bit_count()
+    assert shape[0] == (1 << r) - 1 and _shape(shape) == shape
+    # bit i of the shape is the i-th variable of the support, so shape masks
+    # map back onto the key's masks
+    assert {_unshape(support, m) for m in shape[1]} == key[1]
+    assert _apex(shape) == _reference_apex(shape)
+    assert _is_cone(shape) == _is_cone(key)
+
+
+@given(st.integers(1, 6), st.lists(st.integers(0, 63), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_shape_homology_matches_full_strand_on_arbitrary_masks(r, masks):
+    # any masks, not only minimal tight sets: the surviving sets are an up-set either way
+    key = ((1 << r) - 1, frozenset(m & ((1 << r) - 1) for m in masks))
+    assert _key_homology(6, _shape(key)) == _tuple_homology(_as_tuples(_key_bases(6, key)))
+
+
+def test_shape_examples():
+    assert _shape((0b10110, frozenset({0b00110, 0b10100}))) == (0b111, frozenset({0b011, 0b110}))
+    assert _shape((0b1000, frozenset({0b1000}))) == (0b1, frozenset({0b1}))
+    assert _shape((0, frozenset())) == (0, frozenset())
+    # in the fewest masks, lowest on ties
+    assert _apex((0b111, frozenset({0b011, 0b110}))) == 0b001
+    assert _apex((0b111, frozenset({0b011, 0b101}))) == 0b010
+    assert _apex((0, frozenset())) == 0
+    # critical cells {0, 1} and {1, 2, 3}, neither a face of the other: each
+    # one-cell side has a zero boundary, so H_2 and H_3 are both 1
+    key = (0b11110, frozenset({0b00110, 0b01010, 0b10010, 0b11100}))
+    assert _critical_bases(4, _shape(key), _apex(_shape(key))) == [[], [], [0b0011], [0b1110], []]
+    assert _key_homology(4, _shape(key)) == (0, 0, 1, 1, 0)
+    assert _key_homology(4, _shape(key)) == _tuple_homology(_as_tuples(_key_bases(4, key)))
+
+
+def _assert_shapes_match_reference(ideal):
+    """On every non-cone lattice point: its shape's homology equals the membership
+    reference, and `strand_homology` there has n + 1 entries.  Keys of one shape
+    have one homology.  Returns {shape: the supports of its keys}."""
+    n = ideal.num_vars
+    fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
+    supports, homology = {}, {}
+    for x in lcm_lattice([_pack(fields, g) for g in ideal.generators]):
+        key = _indexed_key(index, x)
+        if _is_cone(key):
+            continue
+        a = _unpack(fields, x)
+        expected = _reference_homology(ideal, a)
+        shape = _shape(key)
+        assert _key_homology(n, shape) == expected
+        assert strand_homology(ideal, a) == expected and len(expected) == n + 1
+        assert homology.setdefault(shape, expected) == expected
+        supports.setdefault(shape, set()).add(key[0])
+    return supports
+
+
+@given(non_path_ideals())
+@settings(max_examples=100, deadline=None)
+def test_shape_homology_matches_reference(ideal):
+    _assert_shapes_match_reference(ideal)
+
+
+def test_shapes_shared_across_supports():
+    # path(6)^2, C4^2 and a relabelled C5^2: keys on different supports share a shape
+    c4, c5 = (make_ideal(m, [tuple(int(t in (i, (i + 1) % m)) for t in range(m))
+                             for i in range(m)]) for m in (4, 5))
+    for ideal in (power(path_ideal(6), 2), power(c4, 2), power(_relabelled(c5, 5), 2)):
+        supports = _assert_shapes_match_reference(ideal)
+        assert any(len(s) > 1 for s in supports.values())
+
+
 def test_critical_cells_on_path_10_squared():
     # supports reach all 10 variables, so the tables hold up to 2^9 bits
     ideal = power(_relabelled(path_ideal(10), 10), 2)
@@ -513,7 +617,8 @@ def test_critical_cells_on_path_10_squared():
     non_cones = [key for key in keys if not _is_cone(key)]
     assert max(key[0].bit_count() for key in non_cones) == 10
     for key in non_cones:
-        _assert_cells_match_reference(10, key, _apex(key))
+        shape = _shape(key)
+        _assert_cells_match_reference(10, shape, _apex(shape))
 
 
 @pytest.mark.parametrize("n, k", [(6, 5), (6, 8), (7, 4), (8, 3), (9, 2), (10, 2)])

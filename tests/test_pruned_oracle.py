@@ -12,6 +12,7 @@ from bettistab.koszul_oracle import (
     _fields,
     _forest_induced_matching,
     _indexed_key,
+    _lookup,
     _pack,
     _pruned_lattice,
     betti_oracle,
@@ -21,7 +22,7 @@ from bettistab.koszul_oracle import (
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_ideal
 from oracle_reference import betti_oracle as reference_oracle
-from oracle_reference import lcm_lattice
+from oracle_reference import lcm_lattice, lookup as reference_lookup
 from test_koszul_oracle import _relabelled, _unpack, non_path_ideals
 
 
@@ -110,6 +111,56 @@ def test_dropped_points_have_zero_homology(ideal):
     kept = {a for a, is_kept in seen.items() if is_kept}
     for a in lcm_lattice([_pack(fields, g) for g in ideal.generators]) - kept:
         assert not any(strand_homology(ideal, _unpack(fields, a)))
+
+
+def _assert_lookups_match_reference(ideal):
+    """Every point the fold classifies, replayed in the fold's order through one
+    pair of memos: the half-entry lookup equals the per-variable reference.
+
+    Returns (points, memo entries over both halves).
+    """
+    n = ideal.num_vars
+    fields = _fields(ideal.exponent_lcm())
+    index = _divisor_index(fields, ideal.generators)
+    # the low half holds the first n // 2 variables, the high half the rest
+    assert [[bit for bit, _, _ in half] for _, half in index] == [
+        [1 << t for t in range(n // 2)], [1 << t for t in range(n // 2, n)]]
+    regularity = edge_power_regularity(ideal)
+    top = sum(ideal.exponent_lcm())
+    seen, _ = _pruned_lattice(
+        index, [_pack(fields, g) for g in ideal.generators],
+        top, top if regularity is None else regularity,
+    )
+    memos = {}, {}
+    for a in seen:
+        assert _lookup(index, a, memos) == reference_lookup(index, a)
+    return len(seen), sum(map(len, memos))
+
+
+@given(non_path_ideals(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_half_entry_lookup_matches_reference(ideal, k):
+    _assert_lookups_match_reference(power(ideal, k))
+
+
+def test_half_entry_lookup_with_an_empty_low_half():
+    # one variable: the low half holds none, so its one entry is (-1, 0, ())
+    ideal = power(make_ideal(1, [(2,)]), 3)
+    assert _divisor_index(_fields(ideal.exponent_lcm()), ideal.generators)[0] == (0, [])
+    points, entries = _assert_lookups_match_reference(ideal)
+    assert points == 2 and entries == 3
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_half_entry_lookup_on_paths_and_cycles(n):
+    # relabelled P5..P8 and C5..C7 squared; odd n splits the variables unevenly
+    ideals = [power(_relabelled(path_ideal(n), n), 2)]
+    if n <= 7:
+        ideals.append(power(_relabelled(edge_ideal(n, cycle_edges(n)), n), 2))
+    for ideal in ideals:
+        points, entries = _assert_lookups_match_reference(ideal)
+        # most half-points repeat, so the memo is read far more often than filled
+        assert entries < points
 
 
 def _diagram_regularity(diagram):
