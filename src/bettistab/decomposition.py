@@ -157,6 +157,8 @@ class DecompositionPolytope:
     @property
     def dimension(self) -> int:
         """m - rank of the pruned system once it has vertices; -1 once enumerated empty."""
+        if self.rays is None:
+            raise InputError("vertices not enumerated")
         if self.rays == ():
             return -1
         system = prune(self) if self.rays else self

@@ -154,7 +154,7 @@ class TranslationTemplate:
     k_min: int
 
     def instantiate(self, k: int) -> tuple:
-        if k < self.k_min:
+        if require_int(k, "k") < self.k_min:
             raise InputError(f"k={k} below template k_min={self.k_min}")
         degrees = tuple(a * k + b for a, b in self.positions)
         return check_degrees(degrees)

@@ -135,7 +135,6 @@ and every apex, against the full computation.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from operator import mul, or_
 
@@ -359,20 +358,29 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     return _key_homology(ideal.num_vars, _shape(_strand_key(ideal, a)))
 
 
-def _forest_induced_matching(edges) -> int:
-    """nu(G) of a forest G on vertex pairs: the most edges, pairwise disjoint
-    and with no edge of G between two of them.
+def _induced_matching_number(edges, k) -> int | None:
+    """nu(G), the most edges pairwise disjoint and with no edge of G between
+    two, when the graph G on these vertex pairs is a forest, or a cycle and
+    k >= 2; else None.
 
-    A rooted-tree DP, leaves first.  At a vertex v with children c: `up` is
-    the best below v when v is matched to its parent (so every c stays
-    uncovered), `free` when v is uncovered, and `down` when v is matched to
-    one c (so v's other children and c's children stay uncovered).
+    One BFS per component.  A component is a tree iff its degrees sum to
+    2|V_c| - 2; any other must be all of G and 2-regular, and then
+    nu = |V| // 3.  On a tree, take v in reverse BFS order with parent u:
+    if both are still present, count uv and remove u's neighbours, which
+    leaves u isolated.  A child taken while its parent was present is gone
+    afterwards, so each child of v, and each child of u taken before v, is
+    gone.  u's other children precede v in BFS order, so their own children
+    were taken, and they are leaves or gone.  An induced matching of what
+    remains thus has at most one edge meeting N[u], at u or at u's parent,
+    and swapping it for uv keeps it induced: some maximum one uses uv.  Each
+    count lowers nu of what remains by one, and at the end no edge has both
+    ends present.
     """
     neighbours = {}
     for u, v in edges:
         neighbours.setdefault(u, []).append(v)
         neighbours.setdefault(v, []).append(u)
-    nu, parent = 0, {}
+    nu, parent, removed = 0, {}, set()
     for root in neighbours:
         if root in parent:
             continue
@@ -382,13 +390,17 @@ def _forest_induced_matching(edges) -> int:
                 if w not in parent:
                     parent[w] = v
                     order.append(w)
-        up, free, down = {}, {}, {}
-        for v in reversed(order):
-            children = [c for c in neighbours[v] if parent[c] == v]
-            up[v] = sum(free[c] for c in children)
-            free[v] = sum(max(free[c], down[c]) for c in children)
-            down[v] = max((up[v] - free[c] + 1 + up[c] for c in children), default=-1)
-        nu += max(free[root], down[root])
+        degrees = [len(neighbours[v]) for v in order]
+        if sum(degrees) == 2 * len(order) - 2:
+            for v in reversed(order):
+                u = parent[v]
+                if u is not None and v not in removed and u not in removed:
+                    nu += 1
+                    removed.update(neighbours[u])
+        elif k >= 2 and len(order) == len(neighbours) and set(degrees) == {2}:
+            nu = len(order) // 3
+        else:
+            return None
     return nu
 
 
@@ -399,9 +411,10 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     reg(I(G)^k) = 2k + nu(G) - 1 in both cases, nu the induced matching
     number, so reg(S/I) = 2k + nu(G) - 2.  I is recognised when it is
     equigenerated in degree 2k, its edges are the generators
-    x_i^k x_j^k, the edge graph is a forest or one cycle (isolated
-    variables aside), and the k-fold edge products are exactly the
-    generators.
+    x_i^k x_j^k, one search of the edge graph finds it a forest or one
+    cycle (isolated variables aside) and computes nu on the way
+    (`_induced_matching_number` has the proof), and the k-fold edge
+    products are exactly the generators.
     """
     equigenerated, degree = is_equigenerated(ideal)
     if not equigenerated or degree % 2:
@@ -411,24 +424,7 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
         ends = [t for t, e in enumerate(g) if e]
         if len(ends) == 2 and g[ends[0]] == g[ends[1]] == k:
             edges.append(ends)
-    if not edges:
-        return None
-    # union-find: G is a forest iff every edge joins two components, and
-    # connected iff |V| - 1 edges do
-    degrees = Counter(t for edge in edges for t in edge)
-    root, merges = {t: t for t in degrees}, 0
-    for u, v in edges:
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u != v:
-            root[u], merges = v, merges + 1
-    if merges == len(edges):
-        nu = _forest_induced_matching(edges)
-    elif k >= 2 and merges == len(degrees) - 1 and set(degrees.values()) == {2}:
-        nu = len(edges) // 3
-    else:
+    if not edges or (nu := _induced_matching_number(edges, k)) is None:
         return None
     # Monomials as base-(2k + 1) ints: no exponent here exceeds 2k, so a
     # product is a sum with no carry.  I(G)^j times a fixed edge embeds in

@@ -364,6 +364,12 @@ def test_polytope_json_shape():
     assert all(isinstance(x, str) for v in data["vertices"] for x in v)
     with pytest.raises(InputError):
         build_polytope(path_diagram(6, 4), [(0, 8)]).to_json_dict()
+    # before enumeration m - rank is 3 here, not the dimension 2
+    diagram = path_diagram(6, 4)
+    unenumerated = build_polytope(diagram, candidate_degree_sequences(diagram))
+    assert len(unenumerated.candidates) - unenumerated.rank == 3 != polytope.dimension
+    with pytest.raises(InputError, match="vertices not enumerated"):
+        _ = unenumerated.dimension
 
 
 def _reference_vertices(polytope):

@@ -88,6 +88,9 @@ def test_instantiate_errors():
     template = TranslationTemplate(((0, 0), (2, 0)), 2)
     with pytest.raises(InputError):
         template.instantiate(1)
+    for k in (True, 2.0):  # k itself must be an int
+        with pytest.raises(InputError, match="k must be an integer"):
+            template.instantiate(k)
     degenerate = TranslationTemplate(((0, 0), (0, 0)), 1)
     with pytest.raises(InputError):
         degenerate.instantiate(3)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bettistab.koszul_oracle import (
     _divisor_index,
     _fields,
-    _forest_induced_matching,
     _indexed_key,
+    _induced_matching_number,
     _lookup,
     _pack,
     _pruned_lattice,
@@ -234,7 +234,8 @@ def forests(draw):
 @settings(max_examples=300, deadline=None)
 def test_forest_induced_matching_matches_brute_force(forest):
     _, edges = forest
-    assert _forest_induced_matching(edges) == brute_induced_matching(edges)
+    nu = brute_induced_matching(edges)
+    assert _induced_matching_number(edges, 1) == _induced_matching_number(edges, 2) == nu
 
 
 @given(forests(), st.integers(1, 3))
@@ -262,6 +263,9 @@ def test_recogniser_rejects_what_bht_does_not_cover():
         edge_ideal(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # a triangle with a pendant edge
         power(edge_ideal(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), 2),
         power(edge_ideal(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), 2),  # two triangles
+        power(edge_ideal(6, cycle_edges(4) + [(4, 5)]), 2),  # a 4-cycle and a disjoint edge
+        power(edge_ideal(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]), 2),  # the same, relabelled
+        power(edge_ideal(5, cycle_edges(5) + [(0, 2)]), 2),  # a 5-cycle with a chord
         make_ideal(2, [(2, 0), (0, 2)]),  # x1^2, x2^2
         make_ideal(3, [(1, 1, 0), (0, 1, 1), (0, 0, 3)]),  # not equigenerated
         make_ideal(4, list(path4.generators) + [(3, 0, 0, 1)]),  # path(4)^2 and one more
