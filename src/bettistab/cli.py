@@ -59,7 +59,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
     """Ideal files hold either the JSON schema or the generator text syntax;
     a text ideal has as many variables as its highest index."""
     text = _read_text(path).strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="Betti diagram via Koszul strand homology")
     p.add_argument("--ideal", required=True, help="ideal file (JSON or text syntax)")
     p.add_argument("--power", type=int, default=1, help="power of the ideal")
-    p.add_argument("--degree-bound", type=int, help="truncate at this total degree")
 
     p = sub.add_parser("decompose", help="greedy decomposition of a diagram")
     p.add_argument("--diagram", required=True, help="diagram JSON file")
@@ -140,7 +139,7 @@ def run(args: argparse.Namespace) -> int:
             if regularity is None
             else f"regularity bound {regularity} (forest or cycle edge-ideal power)"
         )
-        diagram = betti_oracle(ideal, degree_bound=args.degree_bound)
+        diagram = betti_oracle(ideal)
         _emit_json(diagram.to_json_dict())
         return 0
 

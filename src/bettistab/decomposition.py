@@ -161,7 +161,7 @@ class DecompositionPolytope:
             raise InputError("vertices not enumerated")
         if self.rays == ():
             return -1
-        system = prune(self) if self.rays else self
+        system = prune(self)
         return len(system.candidates) - system.rank
 
     def to_json_dict(self) -> dict:

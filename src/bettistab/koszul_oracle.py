@@ -33,28 +33,27 @@ to supp(a): the strand key.  The fold counts the kept points per
 key, in a single thread; a key's homology, times the number of its points
 of degree d, adds into the diagram's column d.
 
-Pruning: the fold keeps a new point a only if it passes three tests, and
+Pruning: the fold keeps a new point a only if it passes two tests, and
 never expands a point it drops.
-(i) |a| <= the degree bound.
-(ii) No divisor is tight at no variable.  A divisor g with g_t < a_t for
+(i) No divisor is tight at no variable.  A divisor g with g_t < a_t for
 every t in supp(a) divides x^(a - 1_supp(a)), and so x^(a - e_sigma) for
 every subset sigma of supp(a): the strand is zero.  The test reads
 `divisors & ~(OR of the E_t)` off the index lookups that the key uses.
-(iii) |a| - |supp a| <= reg(S/I), when that is known.  beta_{i,a} != 0
+(ii) |a| - |supp a| <= reg(S/I), when that is known.  beta_{i,a} != 0
 needs i <= |supp a|, since the strand lives on the subsets of supp(a), and
 |a| - i <= reg(S/I).  `edge_power_regularity` knows reg(S/I) for
 I = I(G)^k with G a forest (k >= 1) or a cycle (k >= 2): Beyarslan, Ha &
 Trung ("Regularity of powers of forests and cycles", J. Algebraic
 Combin. 42, 2015) prove reg(I(G)^k) = 2k + nu(G) - 1, nu the induced
 matching number.
-Each test fails upward: if b >= a then |b| >= |a|; b - 1_supp(b) >=
-a - 1_supp(a) componentwise, so a divisor of the one monomial in (ii)
-divides the other, and the excess in (iii) does not fall.  A point of L is
-b = lcm(S); take S in fold order, and every prefix lcm of S lies below b.
-So if b passes, each prefix passes and is kept when its generator is
-folded in, and b is reached.  The fold therefore keeps exactly the points
-of L that pass all three tests.  A point that fails (ii) or (iii) has zero
-homology; (i) only truncates the diagram where the caller asked.
+Each test fails upward: if b >= a then b - 1_supp(b) >= a - 1_supp(a)
+componentwise, so a divisor of the one monomial in (i) divides the other,
+and the excess in (ii) does not fall.  A point of L is b = lcm(S); take S
+in fold order, and every prefix lcm of S lies below b.  So if b passes,
+each prefix passes and is kept when its generator is folded in, and b is
+reached.  The fold therefore keeps exactly the points of L that pass both
+tests.  A point that fails either has zero homology, so the diagram is
+always complete.
 
 Monomials are packed into one int each, in unary.  Variable t owns a field
 of w_t = M_t + 1 bits, and a_t is stored as the run (1 << a_t) - 1 at the
@@ -442,16 +441,16 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     return 2 * k + nu - 2
 
 
-def _pruned_lattice(index, generators, degree_bound, regularity) -> tuple:
+def _pruned_lattice(index, generators, regularity) -> tuple:
     """The fold: ({packed point: kept} for every point of L(I) it classifies,
     {(strand key, degree): number of kept points}).
 
-    A point a is kept iff |a| <= degree_bound, no divisor is tight at no
-    variable (else the strand is zero), and |a| - |supp a| =
-    `(a & a >> 1).bit_count()` <= regularity.  A dropped point is never
-    expanded.  Each test fails upward in the lattice, so the kept points
-    are exactly the points of L that pass all three (module docstring).
-    Index entries are memoized per half-point for this call only.
+    A point a is kept iff no divisor is tight at no variable (else the
+    strand is zero) and |a| - |supp a| = `(a & a >> 1).bit_count()` <=
+    regularity.  A dropped point is never expanded.  Each test fails upward
+    in the lattice, so the kept points are exactly the points of L that
+    pass both (module docstring).  Index entries are memoized per
+    half-point for this call only.
     """
     memos = {}, {}  # half-point -> `_half_entry`, for the low and the high half
     seen, kept, points = {0: True}, [0], {(_indexed_key(index, 0), 0): 1}
@@ -461,43 +460,34 @@ def _pruned_lattice(index, generators, degree_bound, regularity) -> tuple:
             if b in seen:
                 continue
             seen[b] = False
-            d = b.bit_count()
-            if d <= degree_bound and (b & b >> 1).bit_count() <= regularity:
+            if (b & b >> 1).bit_count() <= regularity:
                 support, divisors, tight = _lookup(index, b, memos)
                 untight = divisors
                 for _, e in tight:
                     untight &= ~e
                 if not untight:
-                    key = (support, _minimal_tight_sets(divisors, tight)), d
+                    key = (support, _minimal_tight_sets(divisors, tight)), b.bit_count()
                     points[key] = points.get(key, 0) + 1
                     seen[b] = True
                     kept.append(b)
     return seen, points
 
 
-def betti_oracle(ideal: MonomialIdeal, degree_bound: int | None = None) -> BettiDiagram:
-    """Graded Betti diagram of S/I, complete up to the degree bound.
+def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
+    """Graded Betti diagram of S/I, always complete.
 
-    `None` never truncates.  An explicit bound must be nonnegative, and
-    silently yields a diagram complete only up to it.  The fold visits
-    only the lattice points that can carry a Betti number: under the
-    degree bound, with a non-zero strand, and, when
-    `edge_power_regularity` knows reg(S/I), with |a| - |supp a| at most
-    that.  The homology of the non-cone keys is computed once per shape
-    (module docstring).
+    The fold visits only the lattice points that can carry a Betti number:
+    those with a non-zero strand and, when `edge_power_regularity` knows
+    reg(S/I), with |a| - |supp a| at most that.  The homology of the
+    non-cone keys is computed once per shape (module docstring).
     """
-    if degree_bound is not None and require_int(degree_bound, "degree bound") < 0:
-        raise InputError("degree bound must be nonnegative")
     lcm = ideal.exponent_lcm()
-    top, regularity = sum(lcm), edge_power_regularity(ideal)
+    regularity = edge_power_regularity(ideal)
     fields = _fields(lcm)
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
     _, points = _pruned_lattice(
-        index,
-        generators,
-        top if degree_bound is None else degree_bound,
-        top if regularity is None else regularity,
+        index, generators, sum(lcm) if regularity is None else regularity
     )
     homology = {None: ()}  # strand key, and shape, -> its homology; a cone has shape None
     totals = {}

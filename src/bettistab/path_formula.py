@@ -58,6 +58,8 @@ def path_diagram(n: int, k: int) -> BettiDiagram:
     """Assemble all nonzero values over the scan box 0 <= i <= n, i <= j <= 2k+n."""
     require_int(n, "n")
     require_int(k, "k")
+    if n < 2 or k < 1:
+        raise InputError(f"parameters out of range: n={n}, k={k}")
     entries = {}
     for i in range(n + 1):
         for j in range(i, 2 * k + n + 1):

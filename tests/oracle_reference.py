@@ -2,7 +2,7 @@
 
 `lcm_lattice` is the fold that `koszul_oracle` used before it learnt to
 drop points that carry no Betti number: every generator is folded into
-every point so far, and only points above the degree bound are left out.
+every point so far, and no point is left out.
 `betti_oracle` counts every one of those points per (strand key, degree)
 and sums the homology of each key, so its diagram does not rest on the
 zero-strand or regularity tests of the pruned fold.  It reads each key
@@ -24,18 +24,11 @@ from bettistab.koszul_oracle import (
 )
 
 
-def lcm_lattice(generators, degree_bound=None) -> set:
-    """Packed L(I) up to the degree bound: every lcm of a set of packed generators.
-
-    A point above the bound is dropped as soon as it appears: an lcm only
-    grows, so nothing folded from it can come back under the bound.
-    """
+def lcm_lattice(generators) -> set:
+    """Packed L(I): every lcm of a set of packed generators."""
     lattice = {0}
     for g in generators:
-        if degree_bound is None:
-            lattice |= {a | g for a in lattice}
-        else:
-            lattice |= {b for a in lattice if (b := a | g).bit_count() <= degree_bound}
+        lattice |= {a | g for a in lattice}
     return lattice
 
 
@@ -63,13 +56,13 @@ def strand_key(index, a) -> tuple:
     return support, _minimal_tight_sets(divisors, tight)
 
 
-def betti_oracle(ideal, degree_bound=None) -> BettiDiagram:
-    """Graded Betti diagram of S/I from every lattice point under the degree bound."""
+def betti_oracle(ideal) -> BettiDiagram:
+    """Graded Betti diagram of S/I from every lattice point."""
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
     points = Counter(
-        (strand_key(index, a), a.bit_count()) for a in lcm_lattice(generators, degree_bound)
+        (strand_key(index, a), a.bit_count()) for a in lcm_lattice(generators)
     )
     homology = {}  # strand key -> its homology; () for a cone
     totals = {}

@@ -225,6 +225,8 @@ def test_usage_error_exit_code(capsys):
     ) == 2
     # a variable no generator uses changes no Betti number: there is no --num-vars
     assert main(["oracle", "--ideal", "ideal.txt", "--num-vars", "7"]) == 2
+    # the oracle always prints the whole diagram: there is no --degree-bound
+    assert main(["oracle", "--ideal", "ideal.txt", "--degree-bound", "3"]) == 2
     assert main(
         ["scan", "--ideal", "ideal.txt", "--kmin", "1", "--kmax", "5", "--num-vars", "7"]
     ) == 2
@@ -247,9 +249,30 @@ def test_oracle_rejects_non_integer_json(tmp_path, capsys, data):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def test_oracle_reads_a_json_array_as_json(tmp_path, capsys):
+    # a file that opens with "[" is JSON, not generator text, so the error is the schema's
+    ideal_file = tmp_path / "ideal.json"
+    ideal_file.write_text("[[1, 1]]", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith("malformed ideal JSON: ")
+
+
+def test_formula_range_error_names_only_n_and_k(capsys):
+    for n, k in (("6", "0"), ("1", "3")):
+        code, out, _ = run_cli(capsys, "formula", "--n", n, "--k", k)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {
+            "type": "InputError", "message": f"parameters out of range: n={n}, k={k}",
+        }
+
+
 OPTION_INVENTORY = {
     "formula": ["--k", "--n", "--table"],
-    "oracle": ["--degree-bound", "--ideal", "--power"],
+    "oracle": ["--ideal", "--power"],
     "decompose": ["--diagram"],
     "polytope": ["--diagram", "--prune"],
     "scan": ["--ideal", "--json", "--kmax", "--kmin"],

@@ -37,6 +37,13 @@ def test_path_betti_rejects_bad_parameters():
             path_diagram(n, k)
 
 
+def test_path_diagram_range_error_names_only_n_and_k():
+    for n, k in ((6, 0), (1, 3), (0, -1)):
+        with pytest.raises(InputError) as info:
+            path_diagram(n, k)
+        assert str(info.value) == f"parameters out of range: n={n}, k={k}"
+
+
 def test_path_diagram_small_cases():
     assert dict(path_diagram(4, 1).items()) == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
     assert dict(path_diagram(2, 3).items()) == {(0, 0): 1, (1, 6): 1}
