@@ -13,7 +13,6 @@ from .decomposition import (
 )
 from .diagram import (
     BettiDiagram,
-    PureDiagram,
     TranslationTemplate,
     column_sums,
     pure_diagram,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .decomposition import (
@@ -56,8 +55,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_ideal(path: str) -> MonomialIdeal:
-    """Ideal files hold either the JSON schema or the generator text syntax;
-    a text ideal has as many variables as its highest index."""
+    """Ideal files hold either the JSON schema or the generator text syntax
+    that `parse_ideal` reads."""
     text = _read_text(path).strip()
     if text.startswith(("{", "[")):
         try:
@@ -65,10 +64,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
         return MonomialIdeal.from_json_dict(data)
-    indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-    if not indices:
-        raise InputError(f"no variables found in {path}")
-    return parse_ideal(text, max(indices))
+    return parse_ideal(text)
 
 
 def _load_diagram(path: str) -> BettiDiagram:

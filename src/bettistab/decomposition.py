@@ -69,8 +69,8 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
                 "diagram not in the cone of pure diagrams"
             )
         pure = pure_diagram(degrees)
-        weight = min(entries[(i, d)] / v for i, (d, v) in enumerate(zip(degrees, pure.values)))
-        for i, (d, v) in enumerate(zip(degrees, pure.values)):
+        weight = min(entries[(i, d)] / v for i, (d, v) in enumerate(zip(degrees, pure)))
+        for i, (d, v) in enumerate(zip(degrees, pure)):
             residual = entries[(i, d)] - weight * v
             if residual == 0:
                 del entries[(i, d)]
@@ -96,7 +96,7 @@ def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
     for x, degrees in zip(xs, candidates):
         if x == 0:
             continue
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             n, q = total.get((i, d), (0, 1))
             total[(i, d)] = (n * v.denominator + x * v.numerator * q, q * v.denominator)
     entries = dict(diagram.items())
@@ -180,7 +180,7 @@ def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
     cands = sorted({tuple(c) for c in candidates})
     if not cands:
         raise InputError("no candidate degree sequences")
-    values = {c: pure_diagram(c).values for c in cands}
+    values = {c: pure_diagram(c) for c in cands}
     rows = []
     for (i, j), b in diagram.items():
         a = [values[c][i] if i < len(c) and c[i] == j else 0 for c in cands]

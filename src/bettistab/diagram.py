@@ -120,26 +120,16 @@ def check_degrees(degrees) -> tuple:
     return d
 
 
-@dataclass(frozen=True)
-class PureDiagram:
-    """A degree sequence with its normalized entry values (first entry 1)."""
-
-    degrees: tuple
-    values: tuple
-
-    def as_diagram(self) -> BettiDiagram:
-        return BettiDiagram({(i, d): v for i, (d, v) in enumerate(zip(self.degrees, self.values))})
-
-
-def pure_diagram(degrees) -> PureDiagram:
-    """Build the normalized pure diagram on a strictly increasing sequence."""
+def pure_diagram(degrees) -> tuple:
+    """The entries beta_0 = 1, ..., beta_s of the normalized pure diagram on a
+    strictly increasing degree sequence, as a tuple of Fractions; entry i
+    sits at position (i, degrees[i])."""
     d = check_degrees(degrees)
     numerator = prod(dj - d[0] for dj in d[1:])
-    values = []
-    for i, di in enumerate(d):
-        denom = prod(abs(dj - di) for j, dj in enumerate(d) if j != i)
-        values.append(Fraction(numerator, denom))
-    return PureDiagram(d, tuple(values))
+    return tuple(
+        Fraction(numerator, prod(abs(dj - di) for j, dj in enumerate(d) if j != i))
+        for i, di in enumerate(d)
+    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 A monomial is an exponent tuple of length `num_vars`; an ideal stores its
 minimal generating set, sorted lexicographically, so equal ideals compare
 equal.  Text syntax for generators: comma-separated products such as
-"x1*x2" or "x1^2*x3" (variables are 1-indexed).
+"x1*x2" or "x1^2*x3" (variables are 1-indexed).  A text ideal has as many
+variables as its highest index, so "x1*x3" is an ideal in three variables
+that does not use x2.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from .exact_arith import require_int
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def monomial_degree(m) -> int:
-    return sum(m)
-
-
 def monomial_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -34,9 +32,9 @@ def _minimalize(gens):
     lower degree: an equigenerated set makes no divisibility test at all.
     """
     out, lower, degree = [], 0, None
-    for g in sorted(set(gens), key=monomial_degree):
-        if monomial_degree(g) != degree:
-            degree, lower = monomial_degree(g), len(out)
+    for g in sorted(set(gens), key=sum):
+        if sum(g) != degree:
+            degree, lower = sum(g), len(out)
         if not any(monomial_divides(h, g) for h in islice(out, lower)):
             out.append(g)
     return tuple(sorted(out))
@@ -94,31 +92,31 @@ def make_ideal(num_vars: int, generators) -> MonomialIdeal:
     return MonomialIdeal(num_vars, _minimalize(gens))
 
 
-def parse_ideal(text: str, num_vars: int) -> MonomialIdeal:
-    """Parse the comma-separated generator syntax into a canonical ideal."""
-    if require_int(num_vars, "num_vars") < 1:
-        raise InputError("num_vars must be positive")
+def parse_ideal(text: str) -> MonomialIdeal:
+    """Parse the comma-separated generator syntax into a canonical ideal
+    whose variable count is the highest index in the text."""
     chunks = [c.strip() for c in text.split(",")]
     if chunks == [""]:
         raise InputError("empty generator list")
-    gens = []
+    gens = []  # per generator: index -> exponent
     for chunk in chunks:
         if not chunk:
             raise InputError("empty generator in list")
-        exps = [0] * num_vars
+        exps = {}
         for token in chunk.split("*"):
             m = _FACTOR_RE.match(token.strip())
             if not m:
                 raise InputError(f"malformed token: {token.strip()!r}")
             idx = int(m.group(1))
             exp = int(m.group(2)) if m.group(2) else 1
-            if idx < 1 or idx > num_vars:
-                raise InputError(f"variable x{idx} out of range for {num_vars} variables")
+            if idx < 1:
+                raise InputError(f"variable index must be positive in {token.strip()!r}")
             if exp < 1:
                 raise InputError(f"exponent must be positive in {token.strip()!r}")
-            exps[idx - 1] += exp
-        gens.append(tuple(exps))
-    return make_ideal(num_vars, gens)
+            exps[idx] = exps.get(idx, 0) + exp
+        gens.append(exps)
+    num_vars = max(map(max, gens))
+    return make_ideal(num_vars, [[e.get(t, 0) for t in range(1, num_vars + 1)] for e in gens])
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -135,7 +133,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
 def is_equigenerated(ideal: MonomialIdeal):
     """(True, d) when every generator has total degree d, else (False, None)."""
-    degrees = {monomial_degree(g) for g in ideal.generators}
+    degrees = {sum(g) for g in ideal.generators}
     if len(degrees) == 1:
         return True, degrees.pop()
     return False, None

@@ -120,12 +120,7 @@ class PerPowerRecord:
 class TrajectoryFit:
     vertex: str
     coordinate: int
-    fit: RationalFunctionFit | None
-
-    @property
-    def validated(self) -> bool:
-        """Every fit reproduces its held-out sample, so a fit is validated."""
-        return self.fit is not None
+    fit: RationalFunctionFit | None  # validated on its held-out sample, or None
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ class StabilityReport:
                     "vertex": t.vertex,
                     "coordinate": t.coordinate,
                     "fit": t.fit.to_json_dict() if t.fit else None,
-                    "validated": t.validated,
+                    "validated": t.fit is not None,
                 }
                 for t in self.trajectories
             ],

@@ -40,7 +40,7 @@ def verify_decomposition(diagram, weights, candidates) -> bool:
             return False
         if w == 0:
             continue
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             key = (i, d)
             total[key] = total.get(key, Fraction(0)) + w * v
     return {k: v for k, v in total.items() if v} == dict(diagram.items())

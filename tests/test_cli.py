@@ -7,6 +7,7 @@ import pytest
 import bettistab
 from bettistab.cli import build_parser, main
 from bettistab.diagram import BettiDiagram
+from bettistab.monomial_ideal import parse_ideal
 from bettistab.path_formula import path_diagram
 from bettistab.stability import scan_powers
 from table_reference import parse_table
@@ -183,12 +184,13 @@ def test_verify_paper_rejects_other_sizes(capsys):
 
 def test_domain_error_exit_code(tmp_path, capsys):
     ideal_file = tmp_path / "bad.txt"
-    ideal_file.write_text("x1*y9", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "InputError"
-    assert error["message"]
+    # a text without variables fails in parse_ideal, like any other bad token
+    for text, token in (("x1*y9", "y9"), ("7", "7")):
+        ideal_file.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "InputError", "message": f"malformed token: {token!r}"}
 
 
 def test_missing_file_is_domain_error(capsys):
@@ -295,12 +297,14 @@ def test_option_inventory():
     assert str(inspect.signature(scan_powers)) == (
         "(ideal: 'MonomialIdeal', k_min: 'int', k_max: 'int') -> 'StabilityReport'"
     )
+    # a text ideal's variable count is its highest index, not a parameter
+    assert str(inspect.signature(parse_ideal)) == "(text: 'str') -> 'MonomialIdeal'"
 
 
 PUBLIC_API = [
     "BettiDiagram", "BettiStabError", "CombinatorialSignature", "ConeError",
     "Decomposition", "DecompositionPolytope", "InputError", "MonomialIdeal",
-    "NotEquigeneratedError", "PureDiagram", "RationalFunctionFit",
+    "NotEquigeneratedError", "RationalFunctionFit",
     "ReferenceVertexFamily", "StabilityError", "StabilityReport",
     "TranslationTemplate", "betti_oracle", "binom", "build_polytope",
     "candidate_degree_sequences", "column_sums", "combinatorial_signature",

@@ -30,7 +30,7 @@ from dense_reference import dense_solve
 def _scaled_pure(degrees, weight=1):
     entries = {
         (i, d): Fraction(weight) * v
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values))
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees)))
     }
     return BettiDiagram(entries)
 
@@ -128,7 +128,7 @@ def _fraction_system(diagram, candidates):
         for c in cands:
             v = Fraction(0)
             if i < len(c) and c[i] == j:
-                v = pure_diagram(c).values[i]
+                v = pure_diagram(c)[i]
             row.append(v)
         matrix.append(tuple(row))
     rhs = tuple(diagram.get(i, j) for i, j in diagram.support())
@@ -290,7 +290,7 @@ def random_combinations(draw):
 def test_greedy_reconstructs_random_combinations(terms):
     total = {}
     for weight, degrees in terms:
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
     diagram = BettiDiagram(total)
     if diagram.is_zero():
@@ -319,7 +319,7 @@ def cyclic_diagrams(draw):
     for w in weights:
         tail = draw(st.sets(st.integers(min_value=1, max_value=8), min_size=1, max_size=4))
         degrees = (0, *sorted(tail))
-        for i, (d, v) in enumerate(zip(degrees[1:], pure_diagram(degrees).values[1:]), 1):
+        for i, (d, v) in enumerate(zip(degrees[1:], pure_diagram(degrees)[1:]), 1):
             entries[(i, d)] = entries.get((i, d), 0) + w * v / sum(weights)
     moved = draw(st.sampled_from(sorted(entries)[1:]))
     entries[moved] *= draw(st.sampled_from([1, Fraction(1, 2), Fraction(3, 2), 2]))
@@ -424,7 +424,7 @@ def test_vertices_match_reference_scan_on_chains(system):
     terms, candidates = system
     total = {}
     for weight, degrees in terms:
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
     diagram = BettiDiagram(total)
     if diagram.is_zero() or not candidates:
@@ -439,7 +439,7 @@ def _combination(terms):
     """The diagram sum(w * pure(degrees)) of (weight, degrees) terms."""
     total = {}
     for weight, degrees in terms:
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
     return BettiDiagram(total)
 
@@ -587,7 +587,7 @@ def test_dimension_is_affine_rank_on_chains(system):
     terms, candidates = system
     total = {}
     for weight, degrees in terms:
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees).values)):
+        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
             total[(i, d)] = total.get((i, d), Fraction(0)) + weight * v
     diagram = BettiDiagram(total)
     if diagram.is_zero() or not candidates:

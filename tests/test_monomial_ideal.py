@@ -15,34 +15,46 @@ from bettistab.path_formula import path_ideal
 
 
 def test_parse_basic():
-    ideal = parse_ideal("x1*x2, x2*x3", 3)
+    ideal = parse_ideal("x1*x2, x2*x3")
+    assert ideal.num_vars == 3
     assert ideal.generators == ((0, 1, 1), (1, 1, 0))
 
 
 def test_parse_minimalizes():
-    ideal = parse_ideal("x1^2, x1*x2, x1^3", 2)
+    ideal = parse_ideal("x1^2, x1*x2, x1^3")
     assert ideal.generators == ((1, 1), (2, 0))
 
 
 def test_parse_path_family():
-    assert parse_ideal("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6", 6) == path_ideal(6)
+    assert parse_ideal("x1*x2, x2*x3, x3*x4, x4*x5, x5*x6") == path_ideal(6)
+
+
+def test_parse_counts_variables_up_to_the_highest_index():
+    # x2 is unused: the count is the highest index, not the number of distinct indices
+    ideal = parse_ideal("x1*x3")
+    assert ideal.num_vars == 3
+    assert ideal.generators == ((1, 0, 1),)
+    assert parse_ideal("x4^2*x2, x2^3").generators == ((0, 1, 0, 2), (0, 3, 0, 0))
+    assert parse_ideal("x5").num_vars == 5
 
 
 def test_parse_errors():
-    with pytest.raises(InputError):
-        parse_ideal("x1*x4", 3)
-    with pytest.raises(InputError):
-        parse_ideal("", 3)
-    with pytest.raises(InputError):
-        parse_ideal("x1*y2", 3)
-    with pytest.raises(InputError):
-        parse_ideal("x1^0", 3)
-    with pytest.raises(InputError):
-        parse_ideal("x1*x2", 2.5)
+    # each check keeps its own message
+    for text, message in [
+        ("", "empty generator list"),
+        ("x1, , x2", "empty generator in list"),
+        ("x1*y2", "malformed token: 'y2'"),
+        ("7", "malformed token: '7'"),
+        ("x0*x1", "variable index must be positive in 'x0'"),
+        ("x1^0", "exponent must be positive in 'x1^0'"),
+    ]:
+        with pytest.raises(InputError) as info:
+            parse_ideal(text)
+        assert str(info.value) == message
 
 
 def test_power_of_two_generator_path():
-    squared = power(parse_ideal("x1*x2, x2*x3", 3), 2)
+    squared = power(parse_ideal("x1*x2, x2*x3"), 2)
     assert squared.generators == ((0, 2, 2), (1, 2, 1), (2, 2, 0))
 
 
