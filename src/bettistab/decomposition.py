@@ -12,7 +12,9 @@ positions of the source diagram.  Because every candidate is normalized to
 1 at its first position, the (0, 0) row forces sum(w) = beta_{0,0} and the
 polytope is bounded.  The system is held once, as the integer rows of
 [A | -b]: each support row is cleared of denominators when the polytope is
-built, and enumeration and pruning work on those rows.  Vertices are
+built, and enumeration and pruning work on those rows.  A polytope stores
+only its candidates, rows and rays; its rank, dimension and vertex zero
+patterns are derived from them on first read.  Vertices are
 enumerated exactly by the double description method over the integers: the
 extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
 at a time from a kernel basis of the rows, and the rays with s > 0, divided
@@ -138,14 +140,20 @@ class DecompositionPolytope:
     """Exact system {A w = b, w >= 0} over candidate pure diagrams.
 
     Once enumerated, each vertex v is held as its primitive integer ray
-    (x_0, ..., x_{m-1}, s), s > 0, with v = x / s; `vertices` is a cached,
-    read-only view of them as Fraction tuples, all sharing one Fraction(0).
+    (x_0, ..., x_{m-1}, s), s > 0, with v = x / s.  Nothing else is stored:
+    `rank`, `vertices`, `zero_patterns` and `dimension` are cached, read-only
+    views of the rows and rays, each computed on first read; the vertices
+    are Fraction tuples, all sharing one Fraction(0).
     """
 
     candidates: tuple  # degree sequences, lexicographically sorted
     rows: tuple  # integer rows of [A | -b], one per support position, in order
-    rank: int  # of A
     rays: tuple | None = None  # one per vertex, in vertex order
+
+    @cached_property
+    def rank(self) -> int:
+        """Rank of A: the rows without their last column."""
+        return matrix_rank(row[:-1] for row in self.rows)
 
     @cached_property
     def vertices(self) -> tuple | None:
@@ -154,7 +162,14 @@ class DecompositionPolytope:
         zero = Fraction(0)
         return tuple(tuple(Fraction(x, r[-1]) if x else zero for x in r[:-1]) for r in self.rays)
 
-    @property
+    @cached_property
+    def zero_patterns(self) -> tuple:
+        """Per vertex, in vertex order, the indices of the zero coordinates of x."""
+        if self.rays is None:
+            raise InputError("vertices not enumerated")
+        return tuple(tuple(c for c, x in enumerate(r[:-1]) if x == 0) for r in self.rays)
+
+    @cached_property
     def dimension(self) -> int:
         """m - rank of the pruned system once it has vertices; -1 once enumerated empty."""
         if self.rays is None:
@@ -185,11 +200,7 @@ def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
     for (i, j), b in diagram.items():
         a = [values[c][i] if i < len(c) and c[i] == j else 0 for c in cands]
         rows.append(tuple(integer_vector((*a, -b))))
-    return DecompositionPolytope(
-        candidates=tuple(cands),
-        rows=tuple(rows),
-        rank=matrix_rank(row[:-1] for row in rows),
-    )
+    return DecompositionPolytope(candidates=tuple(cands), rows=tuple(rows))
 
 
 def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope:
@@ -273,10 +284,8 @@ def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:
     if len(keep) == m:
         return polytope
     keep.append(m)
-    rows = tuple(tuple(row[c] for c in keep) for row in polytope.rows)
     return DecompositionPolytope(
         candidates=tuple(polytope.candidates[c] for c in keep[:-1]),
-        rows=rows,
-        rank=matrix_rank(row[:-1] for row in rows),
+        rows=tuple(tuple(row[c] for c in keep) for row in polytope.rows),
         rays=tuple(tuple(r[c] for c in keep) for r in polytope.rays),
     )

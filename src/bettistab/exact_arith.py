@@ -348,10 +348,7 @@ class RationalFunctionFit:
         return poly_eval(self.numerator, x) / q
 
     def to_json_dict(self) -> dict:
-        return {
-            "numerator": [int(c) for c in self.numerator],
-            "denominator": [int(c) for c in self.denominator],
-        }
+        return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
 
 
 def rational_reconstructions(samples: Sequence[tuple]) -> list:

@@ -18,6 +18,7 @@ from .errors import InputError
 from .exact_arith import require_int
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_MAX_INDEX = 1000  # caps the exponent table a text ideal can ask for
 
 
 def monomial_divides(a, b) -> bool:
@@ -94,7 +95,7 @@ def make_ideal(num_vars: int, generators) -> MonomialIdeal:
 
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the comma-separated generator syntax into a canonical ideal
-    whose variable count is the highest index in the text."""
+    whose variable count is the highest index in the text, at most 1000."""
     chunks = [c.strip() for c in text.split(",")]
     if chunks == [""]:
         raise InputError("empty generator list")
@@ -111,6 +112,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
             exp = int(m.group(2)) if m.group(2) else 1
             if idx < 1:
                 raise InputError(f"variable index must be positive in {token.strip()!r}")
+            if idx > _MAX_INDEX:
+                raise InputError(f"variable index above {_MAX_INDEX} in {token.strip()!r}")
             if exp < 1:
                 raise InputError(f"exponent must be positive in {token.strip()!r}")
             exps[idx] = exps.get(idx, 0) + exp

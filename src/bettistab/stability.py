@@ -99,13 +99,9 @@ class CombinatorialSignature:
 
 
 def combinatorial_signature(polytope: DecompositionPolytope) -> CombinatorialSignature:
-    if polytope.rays is None:
-        raise InputError("vertices not enumerated")
-    return CombinatorialSignature(
-        vertex_count=len(polytope.rays),
-        dimension=polytope.dimension,
-        zero_patterns=tuple(sorted(_zero_pattern(r) for r in polytope.rays)),
-    )
+    """The polytope's zero patterns, sorted, with their count and its dimension."""
+    patterns = polytope.zero_patterns
+    return CombinatorialSignature(len(patterns), polytope.dimension, tuple(sorted(patterns)))
 
 
 @dataclass(frozen=True)
@@ -238,11 +234,6 @@ def _template_k_min(positions, observed_k: int) -> int:
     return observed_k if bound is None else min(bound, observed_k)
 
 
-def _zero_pattern(vector) -> tuple:
-    """Indices of the zero coordinates; a ray's last entry, s > 0, adds none."""
-    return tuple(c for c, x in enumerate(vector) if x == 0)
-
-
 def _pair_vertices(window_records):
     """Assign stable labels to vertices across the window by zero pattern.
 
@@ -250,14 +241,15 @@ def _pair_vertices(window_records):
     window record shares (the window is a run of equal signatures), so no
     record is checked.  Patterns never tie: a vertex of {w >= 0 : Aw = b} is
     the unique solution of Aw = b on its support, so each names one vertex.
+    Returns label -> {k: vertex}; a polytope's zero patterns are in vertex order.
     """
     patterns = window_records[0].signature.zero_patterns
     values = {f"v{i}": {} for i in range(1, len(patterns) + 1)}
     label_of = dict(zip(patterns, values))
     for record in window_records:
-        for v in record.polytope.vertices:
-            values[label_of[_zero_pattern(v)]][record.k] = v
-    return tuple(values), values
+        for pattern, v in zip(record.polytope.zero_patterns, record.polytope.vertices):
+            values[label_of[pattern]][record.k] = v
+    return values
 
 
 def _fit_trajectory(samples, polynomial: bool = False):
@@ -330,7 +322,8 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
         if start > 0:
             k0 = window[0] - 1
         templates = match_templates([(r.k, r.polytope.candidates) for r in window_records])
-        labels, values = _pair_vertices(window_records)
+        values = _pair_vertices(window_records)
+        labels = tuple(values)
         fit = cache(_fit_trajectory)  # one search per distinct (samples, polynomial)
         fits = []
         m = len(window_records[0].polytope.candidates)

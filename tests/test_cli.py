@@ -262,6 +262,19 @@ def test_oracle_reads_a_json_array_as_json(tmp_path, capsys):
     assert error["message"].startswith("malformed ideal JSON: ")
 
 
+def test_oracle_rejects_a_variable_index_above_the_cap(tmp_path, capsys):
+    # ten bytes of text must not ask for 10^8 exponents per generator
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x100000000", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "InputError",
+        "message": "variable index above 1000 in 'x100000000'",
+    }
+
+
 def test_formula_range_error_names_only_n_and_k(capsys):
     for n, k in (("6", "0"), ("1", "3")):
         code, out, _ = run_cli(capsys, "formula", "--n", n, "--k", k)

@@ -1,12 +1,13 @@
 import math
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bettistab import decomposition
 from bettistab.decomposition import (
     DecompositionPolytope,
     build_polytope,
@@ -179,7 +180,7 @@ def test_rows_are_the_cleared_fraction_system(diagram):
 
 
 def test_enumerate_simplex_segment():
-    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
+    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),))
     done = enumerate_vertices(polytope)
     assert done.vertices == ((0, 1), (1, 0))
 
@@ -193,9 +194,7 @@ def test_enumerate_pure_system_single_vertex():
 
 
 def test_enumerate_infeasible():
-    polytope = DecompositionPolytope(
-        candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)), rank=1
-    )
+    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)))
     assert enumerate_vertices(polytope).vertices == ()
 
 
@@ -211,7 +210,7 @@ def test_prune_drops_unused_candidate():
 
 
 def test_prune_keeps_used_polytope():
-    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
+    polytope = DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),))
     done = enumerate_vertices(polytope)
     assert prune(done) == done
 
@@ -253,7 +252,7 @@ def test_prune_preserves_vertices_under_reenumeration():
     diagram = path_diagram(6, 4)
     pruned = prune(_pipeline(diagram))
     redone = enumerate_vertices(
-        DecompositionPolytope(candidates=pruned.candidates, rows=pruned.rows, rank=pruned.rank)
+        DecompositionPolytope(candidates=pruned.candidates, rows=pruned.rows)
     )
     assert redone.vertices == pruned.vertices
 
@@ -490,6 +489,48 @@ def test_vertices_view_is_read_only_and_cached():
     assert build_polytope(path_diagram(6, 4), polytope.candidates).vertices is None
 
 
+def test_polytope_stores_only_its_system_and_rays():
+    assert [f.name for f in fields(DecompositionPolytope)] == ["candidates", "rows", "rays"]
+    with pytest.raises(TypeError):
+        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [path_diagram(6, 4), path_diagram(7, 6), betti_oracle(power(NON_PATH_IDEAL, 2))],
+    ids=["path6^4", "path7^6", "non-path^2"],
+)
+def test_derived_facts_follow_the_rows_and_rays(diagram):
+    built = build_polytope(diagram, candidate_degree_sequences(diagram))
+    for name in ("zero_patterns", "dimension"):
+        with pytest.raises(InputError, match="vertices not enumerated"):
+            getattr(built, name)
+    enumerated = enumerate_vertices(built)
+    pruned = prune(enumerated)
+    for polytope in (built, enumerated, pruned):
+        assert polytope.rank == matrix_rank(row[:-1] for row in polytope.rows)
+    for polytope in (enumerated, pruned):
+        # vertex by vertex, in vertex order, which on path7^6 and non-path^2 is
+        # not the patterns' sorted order
+        assert polytope.zero_patterns == tuple(
+            tuple(c for c, x in enumerate(v) if x == 0) for v in polytope.vertices
+        )
+        assert polytope.zero_patterns is polytope.zero_patterns
+        assert polytope.dimension == len(pruned.candidates) - pruned.rank
+
+
+def test_rank_is_one_echelon_on_first_read(monkeypatch):
+    calls = []
+    rank = decomposition.matrix_rank
+    monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))
+    polytope = prune(_pipeline(path_diagram(6, 4)))
+    assert calls == []  # building, enumerating and pruning read no rank
+    data = polytope.to_json_dict()
+    assert (data["rank"], data["dimension"]) == (6, 2)
+    assert polytope.to_json_dict() == data and polytope.rank == 6
+    assert len(calls) == 1
+
+
 def _with(weights, i, w):
     return [*weights[:i], w, *weights[i + 1:]]
 
@@ -523,24 +564,22 @@ def test_verify_matches_fraction_reference(terms, data):
             decomposition_reference.verify_decomposition(diagram, w, candidates)
 
 
-def _system(matrix, rhs, rank):
+def _system(matrix, rhs):
     m = len(matrix[0])
     return DecompositionPolytope(
-        candidates=tuple((0, d) for d in range(1, m + 1)),
-        rows=_cleared_rows(matrix, rhs),
-        rank=rank,
+        candidates=tuple((0, d) for d in range(1, m + 1)), rows=_cleared_rows(matrix, rhs)
     )
 
 
 @pytest.mark.parametrize(
     "polytope,expected",
     [
-        (_system(((0, 0), (0, 0)), (0, 0), 0), ((0, 0),)),
-        (_system(((0, 0), (0, 0)), (0, 3), 0), ()),
+        (_system(((0, 0), (0, 0)), (0, 0)), ((0, 0),)),
+        (_system(((0, 0), (0, 0)), (0, 3)), ()),
         # unbounded: no sum row, so w = (1, 0) + t (1, 1) is feasible for all t >= 0
-        (_system(((1, -1),), (1,), 1), ((1, 0),)),
+        (_system(((1, -1),), (1,)), ((1, 0),)),
         # degenerate: (0, 1, 0) is the basic solution of two column subsets
-        (_system(((1, 1, 1), (1, 2, 3)), (1, 2), 2), ((0, 1, 0), (Fraction(1, 2), 0, Fraction(1, 2)))),
+        (_system(((1, 1, 1), (1, 2, 3)), (1, 2)), ((0, 1, 0), (Fraction(1, 2), 0, Fraction(1, 2)))),
     ],
 )
 def test_vertices_match_reference_scan_on_degenerate_systems(polytope, expected):

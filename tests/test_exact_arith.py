@@ -292,6 +292,16 @@ def test_fit_zero_function():
     assert fit == RationalFunctionFit((), (1,))
 
 
+def test_fit_json_passes_coefficients_through():
+    assert RationalFunctionFit((2, 1), (3, 2)).to_json_dict() == {
+        "numerator": [2, 1],
+        "denominator": [3, 2],
+    }
+    # a fit built directly, not by `make`, is written as it is, never truncated to 0
+    data = RationalFunctionFit((Fraction(1, 2),), (1,)).to_json_dict()
+    assert data["numerator"] == [Fraction(1, 2)]
+
+
 def test_unattainable_point_returns_none():
     # data from (k-1)/(k-1) with a hole: value differs at the hole
     samples = [(k, Fraction(1)) for k in range(2, 6)] + [(1, Fraction(5))]

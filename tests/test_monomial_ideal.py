@@ -38,6 +38,18 @@ def test_parse_counts_variables_up_to_the_highest_index():
     assert parse_ideal("x5").num_vars == 5
 
 
+def test_parse_caps_the_variable_index():
+    # the variable count comes from the text, so it is capped: "x100000000" would
+    # otherwise ask for 10^8 exponents per generator
+    ideal = parse_ideal("x1*x1000")
+    assert ideal.num_vars == 1000
+    assert ideal.generators == ((1,) + (0,) * 998 + (1,),)
+    for text, token in (("x1*x1001", "x1001"), ("x2, x100000000", "x100000000")):
+        with pytest.raises(InputError) as info:
+            parse_ideal(text)
+        assert str(info.value) == f"variable index above 1000 in {token!r}"
+
+
 def test_parse_errors():
     # each check keeps its own message
     for text, message in [

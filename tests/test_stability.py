@@ -23,7 +23,7 @@ from bettistab.exact_arith import (
     poly_trim,
 )
 from bettistab.monomial_ideal import make_ideal
-from bettistab import stability
+from bettistab import decomposition, stability
 from bettistab.path_formula import path_diagram, path_ideal
 from bettistab.stability import (
     TrajectoryFit,
@@ -101,7 +101,7 @@ def test_signature_single_point():
 
 def test_signature_segment():
     polytope = enumerate_vertices(
-        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
+        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),))
     )
     sig = combinatorial_signature(polytope)
     assert (sig.vertex_count, sig.dimension) == (2, 1)
@@ -111,10 +111,38 @@ def test_signature_segment():
 def test_signature_empty_polytope():
     # w1 + w2 = 1 and 0 = 5: no vertices, so the empty polytope's dimension
     polytope = enumerate_vertices(
-        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)), rank=1)
+        DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1), (0, 0, -5)))
     )
     sig = combinatorial_signature(polytope)
     assert (sig.vertex_count, sig.dimension, sig.zero_patterns) == (0, -1, ())
+
+
+def test_signature_reads_the_polytope_zero_patterns():
+    diagram = path_diagram(7, 6)
+    built = build_polytope(diagram, candidate_degree_sequences(diagram))
+    with pytest.raises(InputError, match="vertices not enumerated"):
+        combinatorial_signature(built)
+    polytope = prune(enumerate_vertices(built))
+    sig = combinatorial_signature(polytope)
+    assert sig.zero_patterns == tuple(sorted(polytope.zero_patterns))
+    assert (sig.vertex_count, sig.dimension) == (len(polytope.vertices), polytope.dimension)
+
+
+@pytest.mark.parametrize(
+    "ideal,k_min,k_max,ranks",
+    [
+        (path_ideal(6), 4, 11, 8),
+        (make_ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]), 1, 7, 7),
+    ],
+    ids=["path6", "c4"],
+)
+def test_scan_computes_one_rank_per_power(monkeypatch, ideal, k_min, k_max, ranks):
+    # the pruned polytope's rank, shared by its dimension, signature and JSON
+    calls = []
+    rank = decomposition.matrix_rank
+    monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))
+    scan_powers(ideal, k_min, k_max).to_json_dict()
+    assert len(calls) == ranks
 
 
 def test_signature_path6_triangle():
@@ -486,7 +514,7 @@ def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
     extra = {}
 
     def pair_with_twin(window_records):
-        labels, values = pair_vertices(window_records)
+        values = pair_vertices(window_records)
         ks = [r.k for r in window_records]
         v1 = values["v1"]
         values["twin"] = {k: v1[k] if k != ks[-1] else tuple(x + 1 for x in v1[k]) for k in ks}
@@ -497,7 +525,7 @@ def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
             and _fit_trajectory([(k, v1[k][c]) for k in ks]) is not None
         )
         extra.update({id(r.diagram): v1[r.k][c] for r in window_records})
-        return labels + ("twin",), values
+        return values
 
     monkeypatch.setattr(stability, "_pair_vertices", pair_with_twin)
     monkeypatch.setattr(stability, "column_sums", lambda d: sums_of(d) + (extra[id(d)],))
