@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .diagram import BettiDiagram, pure_diagram, validate_cyclic
+from .diagram import BettiDiagram, integer_pure_diagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
 from .exact_arith import format_rational, integer_vector, kernel_basis, matrix_rank
 
@@ -86,8 +86,9 @@ def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
     """Exact check that sum(w_c * pure(candidates[c])) equals the diagram.
 
     With the weights cleared to integers x_c over their common denominator
-    S, and each pure diagram recomputed from its degrees, it checks
-    sum_c x_c * beta(c)_{i,d} = S * beta_{i,d} by integer cross-multiplication.
+    S, and each pure diagram recomputed from its degrees as beta(c)_i =
+    N / q_i, it checks sum_c x_c * beta(c)_{i,d} = S * beta_{i,d} by integer
+    cross-multiplication.
     """
     if len(weights) != len(candidates):
         raise InputError("weights and candidates differ in length")
@@ -98,9 +99,10 @@ def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
     for x, degrees in zip(xs, candidates):
         if x == 0:
             continue
-        for i, (d, v) in enumerate(zip(degrees, pure_diagram(degrees))):
+        numerator, denominators = integer_pure_diagram(degrees)
+        for i, (d, qi) in enumerate(zip(degrees, denominators)):
             n, q = total.get((i, d), (0, 1))
-            total[(i, d)] = (n * v.denominator + x * v.numerator * q, q * v.denominator)
+            total[(i, d)] = (n * qi + x * numerator * q, q * qi)
     entries = dict(diagram.items())
     total = {key: nq for key, nq in total.items() if nq[0]}
     return total.keys() == entries.keys() and all(
@@ -191,15 +193,29 @@ class DecompositionPolytope:
 
 
 def build_polytope(diagram: BettiDiagram, candidates) -> DecompositionPolytope:
-    """Set up the equality system; vertices stay unset until enumerated."""
+    """Set up the equality system; vertices stay unset until enumerated.
+
+    Each row is written in integers: candidate c's entry N / q_i is reduced
+    by gcd(N, q_i), and the row is scaled by the lcm of its denominators and
+    b's, so it equals `integer_vector` of the Fraction row.
+    """
     cands = sorted({tuple(c) for c in candidates})
     if not cands:
         raise InputError("no candidate degree sequences")
-    values = {c: pure_diagram(c) for c in cands}
+    at = {}  # (i, d_i) -> [(column, reduced numerator, reduced denominator)]
+    for col, c in enumerate(cands):
+        numerator, denominators = integer_pure_diagram(c)
+        for position, q in zip(enumerate(c), denominators):
+            g = math.gcd(numerator, q)
+            at.setdefault(position, []).append((col, numerator // g, q // g))
     rows = []
-    for (i, j), b in diagram.items():
-        a = [values[c][i] if i < len(c) and c[i] == j else 0 for c in cands]
-        rows.append(tuple(integer_vector((*a, -b))))
+    for position, b in diagram.items():
+        entries = at.get(position, ())
+        scale = math.lcm(b.denominator, *(q for _, _, q in entries))
+        row = [0] * len(cands) + [-b.numerator * (scale // b.denominator)]
+        for col, n, q in entries:
+            row[col] = n * (scale // q)
+        rows.append(tuple(row))
     return DecompositionPolytope(candidates=tuple(cands), rows=tuple(rows))
 
 
@@ -237,20 +253,32 @@ def _cut(rays, zeros, done, c, need):
 
     Rays p (x_c > 0) and q (x_c < 0) are adjacent iff their zero sets share
     at least `need` = dim - 2 constraints and no third ray is zero on them all;
-    each adjacent pair gives the ray p_c q - q_c p, divided by its content,
-    which has x_c = 0.
+    each adjacent pair gives the ray p_c q - q_c p, divided by its content
+    when that is above 1, which has x_c = 0.  The rays with x_c >= 0 are
+    kept, in order, and the new rays follow them.
     """
     bit = 1 << c
-    out = [(r, z | bit if r[c] == 0 else z) for r, z in zip(rays, zeros) if r[c] >= 0]
-    neg = [(j, z) for j, (r, z) in enumerate(zip(rays, zeros)) if r[c] < 0]
-    pos = [(i, r, z) for i, (r, z) in enumerate(zip(rays, zeros)) if r[c] > 0]
+    out_rays, out_zeros, pos, neg = [], [], [], []
+    for j, (r, z) in enumerate(zip(rays, zeros)):
+        x = r[c]
+        if x < 0:
+            neg.append((j, z))
+            continue
+        if x > 0:
+            pos.append((j, x, r, z))
+        else:
+            z |= bit
+        out_rays.append(r)
+        out_zeros.append(z)
     if neg and pos:
         holders = {}  # constraint bit -> bitmask of the rays zero on it
         for k in range(done.bit_length()):
             if done >> k & 1:
                 holders[1 << k] = int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
         everyone = (1 << len(rays)) - 1
-        for i, p, zp in pos:
+        for i, pc, p, zp in pos:
+            # the filter over every p x q stays a comprehension: it is the hot
+            # loop, and an explicit loop made path(8) at k = 51 about 7% slower
             for j, shared in [(j, zp & zq) for j, zq in neg if (zp & zq).bit_count() >= need]:
                 pair, common, rest = 1 << i | 1 << j, everyone, shared
                 while rest and common != pair:
@@ -259,10 +287,12 @@ def _cut(rays, zeros, done, c, need):
                     rest ^= low
                 if common == pair:
                     q = rays[j]
-                    new = [p[c] * y - q[c] * x for x, y in zip(p, q)]
+                    qc = q[c]
+                    new = [pc * y - qc * x for x, y in zip(p, q)]
                     g = math.gcd(*new)
-                    out.append((tuple(x // g for x in new), shared | bit))
-    return [r for r, _ in out], [z for _, z in out]
+                    out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+                    out_zeros.append(shared | bit)
+    return out_rays, out_zeros
 
 
 def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:

@@ -124,11 +124,16 @@ def pure_diagram(degrees) -> tuple:
     """The entries beta_0 = 1, ..., beta_s of the normalized pure diagram on a
     strictly increasing degree sequence, as a tuple of Fractions; entry i
     sits at position (i, degrees[i])."""
+    numerator, denominators = integer_pure_diagram(degrees)
+    return tuple(Fraction(numerator, q) for q in denominators)
+
+
+def integer_pure_diagram(degrees) -> tuple:
+    """The pure diagram as integers (N, (q_0, ..., q_s)), with beta_i = N / q_i
+    unreduced: N = prod_{j>=1} (d_j - d_0), q_i = prod_{j != i} |d_j - d_i|."""
     d = check_degrees(degrees)
-    numerator = prod(dj - d[0] for dj in d[1:])
-    return tuple(
-        Fraction(numerator, prod(abs(dj - di) for j, dj in enumerate(d) if j != i))
-        for i, di in enumerate(d)
+    return prod(dj - d[0] for dj in d[1:]), tuple(
+        prod(abs(dj - di) for dj in d if dj != di) for di in d
     )
 
 

@@ -64,8 +64,9 @@ field t + 1 lands on it and is cleared, so each field keeps a_t - 1 ones
 and `(a & a >> 1).bit_count()` is |a| - |supp a|.  The tests'
 generator-scan reference key relies on the guard bit too.
 
-Divisor index: `_divisor_index` maps, per variable t, each packed field
-value a & field_t to two generator bitsets, le_t = {g : g_t <= a_t} and
+Divisor index: `_divisor_index` maps, per variable t, the packed field
+values a & field_t that a lookup can meet (0, the field's bound and the
+g_t) to two generator bitsets, le_t = {g : g_t <= a_t} and
 eq_t = {g : g_t = a_t > 0}.  At a point a the divisors are D = AND_t le_t,
 with no scan over the generators, and the generators tight at t are
 E_t = eq_t & D, so g in D has the tight set T(g) = {t : g in E_t}.
@@ -162,13 +163,18 @@ def _divisor_index(fields, generators) -> tuple:
     their fields, [(1 << t, field_t, {packed a_t: (le_t, eq_t)}) per t in it]).
 
     le_t and eq_t are bitsets over the positions of the exponent tuples in
-    `generators`: g_t <= a_t, and g_t = a_t > 0.  One entry for each a_t
-    from 0 to the field's bound; a generator above the bound is in no le_t.
+    `generators`: g_t <= a_t, and g_t = a_t > 0.  Entries exist only at
+    a_t = 0, at the field's bound and at each g_t within the bound: every
+    point of the fold is an lcm of generators, so each of its coordinates is
+    0 or some g_t, and `_strand_key` looks up a_t at the bound.  The index
+    thus grows with the number of generators, not with the exponents.  A
+    generator above the bound is in no le_t.
     """
     variables = []
     for t, field in enumerate(fields):
-        low, table, le = field & -field, {}, 0
-        for v in range(field.bit_count()):
+        low, top = field & -field, field.bit_count() - 1
+        table, le = {}, 0
+        for v in sorted({0, top, *(g[t] for g in generators if g[t] <= top)}):
             eq = sum(1 << j for j, g in enumerate(generators) if g[t] == v)
             le |= eq
             table[((1 << v) - 1) * low] = (le, eq if v else 0)

@@ -19,6 +19,7 @@ from .exact_arith import require_int
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _MAX_INDEX = 1000  # caps the exponent table a text ideal can ask for
+_MAX_DIGITS = 100  # longer digit runs are rejected before int() converts them
 
 
 def monomial_divides(a, b) -> bool:
@@ -108,6 +109,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
             m = _FACTOR_RE.match(token.strip())
             if not m:
                 raise InputError(f"malformed token: {token.strip()!r}")
+            if max(len(m.group(1)), len(m.group(2) or "")) > _MAX_DIGITS:
+                raise InputError(f"digit run longer than {_MAX_DIGITS} characters in a token")
             idx = int(m.group(1))
             exp = int(m.group(2)) if m.group(2) else 1
             if idx < 1:

@@ -14,9 +14,11 @@ set directly.  The Koszul oracle independently validates this stitching.
 
 from __future__ import annotations
 
+from math import comb
+
 from .diagram import BettiDiagram
 from .errors import InputError
-from .exact_arith import binom, require_int
+from .exact_arith import require_int
 from .monomial_ideal import MonomialIdeal, make_ideal
 
 
@@ -47,23 +49,42 @@ def path_betti(n: int, k: int, i: int, j: int) -> int:
         raise InputError(f"parameters out of range: n={n}, k={k}, i={i}, j={j}")
     if i == 0:
         return 1 if j == 0 else 0
-    return (
-        binom(n + 3 * k - j - 2, 2 * j - 3 * i - 3 * k + 3)
-        * binom(n + 4 * k + 2 * i - 2 * j - 4, 2 * k + 2 * i - j - 2)
-        * binom(j - i - k, k - 1)
-    )
+    return _product(n, k, i, j)
+
+
+def _product(n: int, k: int, i: int, j: int) -> int:
+    """The triple binomial product at i >= 1, on checked parameters.
+
+    Each factor C(a, b) follows exact_arith.binom: 1 when b = 0, for every
+    a; 0 when b < 0, or b > 0 and a < b.
+    """
+    value = 1
+    for a, b in (
+        (n + 3 * k - j - 2, 2 * j - 3 * i - 3 * k + 3),
+        (n + 4 * k + 2 * i - 2 * j - 4, 2 * k + 2 * i - j - 2),
+        (j - i - k, k - 1),
+    ):
+        if b:
+            if b < 0 or a < b:
+                return 0
+            value *= comb(a, b)
+    return value
 
 
 def path_diagram(n: int, k: int) -> BettiDiagram:
-    """Assemble all nonzero values over the scan box 0 <= i <= n, i <= j <= 2k+n."""
+    """All nonzero values over the scan box 0 <= i <= n, i <= j <= 2k+n.
+
+    For i >= 1 only the band (3i+3k-3)/2 <= j <= 2k+2i-2 is evaluated:
+    outside it the lower index of the first or the second binomial is
+    negative, so the product is 0.
+    """
     require_int(n, "n")
     require_int(k, "k")
     if n < 2 or k < 1:
         raise InputError(f"parameters out of range: n={n}, k={k}")
-    entries = {}
-    for i in range(n + 1):
-        for j in range(i, 2 * k + n + 1):
-            v = path_betti(n, k, i, j)
-            if v:
+    entries = {(0, 0): 1}
+    for i in range(1, n + 1):
+        for j in range((3 * i + 3 * k - 2) // 2, min(2 * k + 2 * i - 2, 2 * k + n) + 1):
+            if v := _product(n, k, i, j):
                 entries[(i, j)] = v
     return BettiDiagram(entries)

@@ -193,6 +193,18 @@ def test_domain_error_exit_code(tmp_path, capsys):
         assert error == {"type": "InputError", "message": f"malformed token: {token!r}"}
 
 
+def test_overlong_digit_runs_are_domain_errors(tmp_path, capsys):
+    # without the length check, int() would raise a ValueError and a traceback
+    ideal_file = tmp_path / "long.txt"
+    for text in ("x1" + "0" * 5000, "x1^" + "7" * 4500):
+        ideal_file.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error == {"type": "InputError",
+                         "message": "digit run longer than 100 characters in a token"}
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--ideal", "/nonexistent/ideal.txt")
     assert code == 1

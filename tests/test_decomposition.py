@@ -169,11 +169,15 @@ def _checked_polytope(diagram, candidates):
 NON_PATH_IDEAL = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
 
 
+PATH_ROW_CASES = [(6, 1), (6, 4), (6, 11), (7, 3), (7, 6), (7, 31), (8, 2), (8, 5), (8, 12)]
+
+
 @pytest.mark.parametrize(
     "diagram",
-    [path_diagram(6, 4), path_diagram(7, 6)]
-    + [betti_oracle(power(NON_PATH_IDEAL, k)) for k in (1, 2)],
-    ids=["path6^4", "path7^6", "non-path^1", "non-path^2"],
+    [path_diagram(n, k) for n, k in PATH_ROW_CASES]
+    + [betti_oracle(power(NON_PATH_IDEAL, k)) for k in (1, 2)]
+    + [betti_oracle(power(make_ideal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 3)]), 2))],
+    ids=[f"path{n}^{k}" for n, k in PATH_ROW_CASES] + ["non-path^1", "non-path^2", "triple^2"],
 )
 def test_rows_are_the_cleared_fraction_system(diagram):
     _checked_polytope(diagram, candidate_degree_sequences(diagram))
@@ -323,6 +327,15 @@ def cyclic_diagrams(draw):
     moved = draw(st.sampled_from(sorted(entries)[1:]))
     entries[moved] *= draw(st.sampled_from([1, Fraction(1, 2), Fraction(3, 2), 2]))
     return BettiDiagram(entries)
+
+
+@given(cyclic_diagrams())
+@settings(max_examples=150, deadline=None)
+def test_rows_of_random_diagrams_are_the_cleared_fraction_system(diagram):
+    # entries with denominators, so b's denominator enters each row's scale
+    candidates = candidate_degree_sequences(diagram)
+    if candidates:
+        _checked_polytope(diagram, candidates)
 
 
 @given(cyclic_diagrams())
@@ -562,6 +575,33 @@ def test_verify_matches_fraction_reference(terms, data):
             verify_decomposition(diagram, w, candidates)
         with pytest.raises(InputError):
             decomposition_reference.verify_decomposition(diagram, w, candidates)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [path_diagram(6, 4), path_diagram(7, 4), betti_oracle(power(NON_PATH_IDEAL, 1))],
+    ids=["path6^4", "path7^4", "non-path^1"],
+)
+def test_verify_matches_fraction_reference_on_vertices(diagram):
+    # every enumerated vertex, each one perturbed in a coordinate, with weight
+    # moved between two coordinates, and with a coordinate negated
+    polytope = _pipeline(diagram)
+    candidates = polytope.candidates
+    rng = random.Random(len(candidates))
+    for v in polytope.vertices:
+        c, d = rng.sample(range(len(v)), 2)
+        moved = list(v)
+        moved[c], moved[d] = moved[c] + Fraction(1, 7), moved[d] - Fraction(1, 7)
+        up = next(t for t, x in enumerate(v) if x)
+        cases = [
+            (v, True),
+            (_with(v, c, v[c] + Fraction(1, 10**6)), False),
+            (moved, False),
+            (_with(v, up, -v[up]), False),
+        ]
+        for w, expected in cases:
+            assert verify_decomposition(diagram, w, candidates) is expected
+            assert decomposition_reference.verify_decomposition(diagram, w, candidates) is expected
 
 
 def _system(matrix, rhs):

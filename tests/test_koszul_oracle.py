@@ -383,6 +383,29 @@ def test_indexed_key_edge_cases():
     assert key == (0b1111, frozenset({0b1}))
 
 
+def test_divisor_index_grows_with_the_generators_not_the_exponents():
+    # x1^e, x2 with e = 10^6: fields of 10^6 + 1 bits, yet the index holds
+    # entries only at 0, the field's bound and the generators' exponents
+    e = 10**6
+    ideal = make_ideal(2, [(e, 0), (0, 1)])
+    index = _divisor_index(_fields(ideal.exponent_lcm()), ideal.generators)
+    tables = [table for _, half in index for _, _, table in half]
+    assert [len(table) for table in tables] == [2, 2]
+    # the complete intersection of degrees e and 1
+    assert dict(betti_oracle(ideal).items()) == {(0, 0): 1, (1, 1): 1, (1, e): 1, (2, e + 1): 1}
+
+
+def test_divisor_index_entries_at_the_bound_and_the_exponents():
+    # a generator above a field's bound is in no le_t; values between the
+    # exponents have no entry
+    generators = [(3, 0), (1, 2), (0, 5)]
+    fields = _fields((4, 2))
+    (_, low), (_, high) = _divisor_index(fields, generators)
+    (_, _, x1), (_, _, x2) = low[0], high[0]
+    assert x1 == {0: (0b100, 0), 0b1: (0b110, 0b010), 0b111: (0b111, 0b001), 0b1111: (0b111, 0)}
+    assert x2 == {0: (0b001, 0), 0b11 << 5: (0b011, 0b010)}
+
+
 @given(non_path_ideals())
 @settings(max_examples=150, deadline=None)
 def test_cone_keys_have_zero_reference_homology(ideal):

@@ -50,6 +50,19 @@ def test_parse_caps_the_variable_index():
         assert str(info.value) == f"variable index above 1000 in {token!r}"
 
 
+def test_parse_rejects_overlong_digit_runs_before_converting():
+    # int() refuses a decimal string of more than 4300 digits with a
+    # ValueError, so the runs are measured first: an index of 10^5000 and an
+    # exponent of 4500 digits are InputErrors, as is a run padded by zeros
+    message = "digit run longer than 100 characters in a token"
+    for text in ("x1" + "0" * 5000, "x1^" + "9" * 4500, "x2, x" + "0" * 100 + "1"):
+        with pytest.raises(InputError) as info:
+            parse_ideal(text)
+        assert str(info.value) == message
+    assert parse_ideal("x" + "0" * 99 + "1") == parse_ideal("x1")
+    assert parse_ideal("x1^" + "9" * 100).generators == ((10**100 - 1,),)
+
+
 def test_parse_errors():
     # each check keeps its own message
     for text, message in [

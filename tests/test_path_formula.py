@@ -1,10 +1,13 @@
 import pytest
 
-from bettistab.diagram import column_sums, validate_cyclic
+from itertools import product
+
+from bettistab.diagram import BettiDiagram, column_sums, validate_cyclic
 from bettistab.errors import InputError
 from bettistab.exact_arith import binom
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.path_formula import (
+    _product,
     path_betti,
     path_diagram,
     path_family_size,
@@ -42,6 +45,36 @@ def test_path_diagram_range_error_names_only_n_and_k():
         with pytest.raises(InputError) as info:
             path_diagram(n, k)
         assert str(info.value) == f"parameters out of range: n={n}, k={k}"
+
+
+def _box_scan(n, k):
+    """path_diagram as it was before the band: path_betti on every cell of the
+    box 0 <= i <= n, i <= j <= 2k+n."""
+    entries = {}
+    for i in range(n + 1):
+        for j in range(i, 2 * k + n + 1):
+            if v := path_betti(n, k, i, j):
+                entries[(i, j)] = v
+    return BettiDiagram(entries)
+
+
+def test_band_diagram_equals_the_box_scan():
+    for n in range(2, 10):
+        for k in range(1, 14):
+            assert path_diagram(n, k) == _box_scan(n, k), (n, k)
+
+
+def test_product_keeps_the_binom_conventions():
+    # on every integer quadruple here, in range or not; in ten of them the
+    # product is non-zero only because C(a, 0) = 1 for a negative a, as in
+    # (n, k, i, j) = (6, 1, 0, 0): C(7, 0) * C(6, 0) * C(-1, 0) = 1
+    for n, k, i, j in product(range(-3, 7), range(-1, 5), range(-2, 6), range(-2, 14)):
+        expected = (
+            binom(n + 3 * k - j - 2, 2 * j - 3 * i - 3 * k + 3)
+            * binom(n + 4 * k + 2 * i - 2 * j - 4, 2 * k + 2 * i - j - 2)
+            * binom(j - i - k, k - 1)
+        )
+        assert _product(n, k, i, j) == expected, (n, k, i, j)
 
 
 def test_path_diagram_small_cases():
