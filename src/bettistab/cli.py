@@ -23,7 +23,7 @@ from .decomposition import (
 )
 from .diagram import BettiDiagram, render_table
 from .errors import BettiStabError, InputError
-from .koszul_oracle import betti_oracle, edge_power_regularity
+from .koszul_oracle import automorphisms, betti_oracle, edge_power_regularity
 from .monomial_ideal import MonomialIdeal, parse_ideal, power
 from .path_formula import path_diagram, path_ideal
 from .stability import compare_reference, path6_reference, scan_powers
@@ -135,6 +135,9 @@ def run(args: argparse.Namespace) -> int:
             if regularity is None
             else f"regularity bound {regularity} (forest or cycle edge-ideal power)"
         )
+        perms, order = automorphisms(ideal)
+        plural = "" if len(perms) == 1 else "s"
+        _log(f"automorphism group of order {order} ({len(perms)} generator{plural})")
         diagram = betti_oracle(ideal)
         _emit_json(diagram.to_json_dict())
         return 0

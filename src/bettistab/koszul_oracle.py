@@ -91,6 +91,28 @@ tight set contains tau: none of them carries another minimal set, and no
 later round can emit tau again.  Each round removes j, so the rounds emit
 exactly the minimal tight sets, as variable bitmasks.
 
+Orbits: a permutation sigma of the variables that maps the generator set
+onto itself (`automorphisms` finds generators S of their group) maps
+L(I) onto itself and keeps |a| and |supp a|.  g divides x^a iff sigma(g)
+divides x^sigma(a), with tight set sigma(T(g)), so test (i) holds at
+sigma(a) iff it holds at a, and the strand of sigma(a) is that of a with
+its variables renamed: its homology, beta_{i,sigma(a)}(S/I) =
+beta_{i,a}(S/I), is the same.  M_sigma(t) = M_t, so sigma moves field t
+onto a field of the same width, and sigma(a) is the OR of the images of
+a's two half-points, which the fold memoizes per half-point as it does the
+index entries.  When the fold classifies a point b that passes test (ii),
+it closes b's orbit under S by breadth-first search and stores the result
+of test (i) under every other image; a later point pops its stored result
+in place of the lookup and the descent, so each orbit is looked up once.
+When b is classified no point of its orbit has been classified or
+stored, since classifying one stores all, so the orbit is counted once:
+the fold reaches every kept point, and a kept orbit adds its size under
+b's key and degree.  The kept set, and which points are classified, do
+not change; only the keys the points are counted under do.  An orbit that
+fails test (ii) fails it whole, and that test is cheaper than the memo,
+so it is never stored.  An image the fold never forms, which is only ever
+a dropped one, stays stored until the call ends.
+
 Shapes: a strand's signs and matrices depend on supp(a) only through the
 order of its variables, so `_shape` relabels a key onto bits 0..r-1
 (r = |supp a|) in that order; the homology is computed on shapes, once per
@@ -136,7 +158,7 @@ and every apex, against the full computation.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -447,7 +469,89 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     return 2 * k + nu - 2
 
 
-def _pruned_lattice(index, generators, regularity) -> tuple:
+def automorphisms(ideal: MonomialIdeal) -> tuple:
+    """(S, |G|): generators of G, the permutations of the variables that fix
+    the generator set and every variable in no generator, and its order.
+
+    Each element of S is a tuple perm with perm[t] the image of t.  A
+    variable in no generator is fixed: moving it moves no lattice point.
+    S is built bottom-up along the stabiliser chain with base 0..n-1, as in
+    nauty's search with orbit pruning (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): at level i, for each v > i of i's profile that
+    the elements found so far do not map i to, search for an element that
+    fixes 0..i-1 and maps i to v.  A candidate image must have the same
+    profile (sorted exponent column, sorted co-occurrence counts
+    |supp_t & supp_u| over the generators) and the same co-occurrence count
+    with every image assigned before it; a leaf is accepted only if it maps
+    the generator set onto itself.  Every element found joins two orbits of
+    the group generated before it, so |S| <= n - 1, and |G| is the product
+    of the level orbit lengths.
+    """
+    n, generators = ideal.num_vars, ideal.generators
+    columns = list(zip(*generators))
+    # one byte per generator, 1 iff the variable occurs in it: AND and
+    # bit_count then count the generators two variables share
+    supports = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
+    meets = [[(s & u).bit_count() for u in supports] for s in supports]
+    profiles = [(sorted(column), sorted(row)) for column, row in zip(columns, meets)]
+    used = [t for t in range(n) if supports[t]]
+    generator_set = set(generators)
+
+    def extend(perm, rest, assigned, free):
+        """Complete perm on `rest` from the images `free`, depth first; True at an automorphism."""
+        if not rest:
+            inverse = [0] * n
+            for t, image in enumerate(perm):
+                inverse[image] = t
+            return generator_set.issuperset(map(itemgetter(*inverse), generators))
+        w, row = rest[0], meets[rest[0]]
+        for x in free:
+            if profiles[x] == profiles[w] and all(row[u] == meets[x][perm[u]] for u in assigned):
+                perm[w] = x
+                if extend(perm, rest[1:], assigned + [w], [y for y in free if y != x]):
+                    return True
+        return False
+
+    perms, order = [], 1
+    for i in reversed(used):
+        orbit, rest = [i], [t for t in used if t > i]
+        for v in rest:
+            if profiles[v] != profiles[i] or v in orbit:
+                continue
+            perm = list(range(n))
+            perm[i] = v
+            if extend(perm, rest, [t for t in used if t <= i], [i] + [t for t in rest if t != v]):
+                perms.append(tuple(perm))
+                for t in orbit:  # close the orbit of i under every element so far
+                    for p in perms:
+                        if p[t] not in orbit:
+                            orbit.append(p[t])
+        order *= len(orbit)
+    return tuple(perms), order
+
+
+def _half_moves(index, perms) -> tuple:
+    """Per half of the index, per permutation sigma: ((field_t, offset of
+    field t, offset of field sigma(t)) for each t in the half).
+
+    sigma moves field t onto field sigma(t), which has the same width.
+    """
+    offsets = [(field & -field).bit_length() - 1 for _, half in index for _, field, _ in half]
+    halves = []
+    for _, half in index:
+        variables = [(bit.bit_length() - 1, field) for bit, field, _ in half]
+        halves.append(tuple(tuple((field, offsets[t], offsets[perm[t]]) for t, field in variables)
+                            for perm in perms))
+    return tuple(halves)
+
+
+def _images(moves, x) -> tuple:
+    """The images of a half-point under each permutation of `moves` (`_half_moves`)."""
+    return tuple(sum((x & field) >> source << target for field, source, target in move)
+                 for move in moves)
+
+
+def _pruned_lattice(index, generators, regularity, perms) -> tuple:
     """The fold: ({packed point: kept} for every point of L(I) it classifies,
     {(strand key, degree): number of kept points}).
 
@@ -455,10 +559,19 @@ def _pruned_lattice(index, generators, regularity) -> tuple:
     strand is zero) and |a| - |supp a| = `(a & a >> 1).bit_count()` <=
     regularity.  A dropped point is never expanded.  Each test fails upward
     in the lattice, so the kept points are exactly the points of L that
-    pass both (module docstring).  Index entries are memoized per
-    half-point for this call only.
+    pass both (module docstring).  `perms` generate a group of
+    automorphisms of I: the first point of an orbit to pass the regularity
+    test is classified, its classification is stored under the rest of the
+    orbit, and the orbit's kept points are counted under its key (module
+    docstring, "Orbits").  With no permutations every orbit is one point
+    and nothing is stored.  Index entries and images are memoized per
+    half-point, and everything lives for this call only.
     """
+    (low_mask, _), (high_mask, _) = index
+    low_moves, high_moves = _half_moves(index, perms)
     memos = {}, {}  # half-point -> `_half_entry`, for the low and the high half
+    low_images, high_images = {}, {}  # half-point -> `_images`
+    stored = {}  # point -> kept, for the unreached rest of each classified orbit
     seen, kept, points = {0: True}, [0], {(_indexed_key(index, 0), 0): 1}
     for g in generators:
         for a in kept[:]:
@@ -466,16 +579,35 @@ def _pruned_lattice(index, generators, regularity) -> tuple:
             if b in seen:
                 continue
             seen[b] = False
-            if (b & b >> 1).bit_count() <= regularity:
+            if (b & b >> 1).bit_count() > regularity:
+                continue
+            is_kept = stored.pop(b, None)
+            if is_kept is None:
                 support, divisors, tight = _lookup(index, b, memos)
                 untight = divisors
                 for _, e in tight:
                     untight &= ~e
-                if not untight:
+                is_kept = not untight
+                orbit = [b]
+                if perms:  # close b's orbit under S, storing is_kept under every image
+                    stored[b] = is_kept
+                    for x in orbit:
+                        x_low, x_high = x & low_mask, x & high_mask
+                        if (low := low_images.get(x_low)) is None:
+                            low = low_images[x_low] = _images(low_moves, x_low)
+                        if (high := high_images.get(x_high)) is None:
+                            high = high_images[x_high] = _images(high_moves, x_high)
+                        for y in map(or_, low, high):
+                            if y not in stored:
+                                stored[y] = is_kept
+                                orbit.append(y)
+                    del stored[b]
+                if is_kept:
                     key = (support, _minimal_tight_sets(divisors, tight)), b.bit_count()
-                    points[key] = points.get(key, 0) + 1
-                    seen[b] = True
-                    kept.append(b)
+                    points[key] = points.get(key, 0) + len(orbit)
+            if is_kept:
+                seen[b] = True
+                kept.append(b)
     return seen, points
 
 
@@ -484,7 +616,8 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
 
     The fold visits only the lattice points that can carry a Betti number:
     those with a non-zero strand and, when `edge_power_regularity` knows
-    reg(S/I), with |a| - |supp a| at most that.  The homology of the
+    reg(S/I), with |a| - |supp a| at most that.  It looks up and keys one
+    point per orbit of `automorphisms(ideal)`, and the homology of the
     non-cone keys is computed once per shape (module docstring).
     """
     lcm = ideal.exponent_lcm()
@@ -493,7 +626,8 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
     _, points = _pruned_lattice(
-        index, generators, sum(lcm) if regularity is None else regularity
+        index, generators, sum(lcm) if regularity is None else regularity,
+        automorphisms(ideal)[0],
     )
     homology = {None: ()}  # strand key, and shape, -> its homology; a cone has shape None
     totals = {}

@@ -53,6 +53,15 @@ def test_oracle_json_ideal_with_power(tmp_path, capsys):
     assert BettiDiagram.from_json_dict(json.loads(out)) == path_diagram(3, 2)
 
 
+# The line after the regularity bound: the path's reversal, the 4-cycle's
+# dihedral group and the swap of x1 and x2; a power has the group of its base.
+GROUP_LINES = {
+    "x3*x1, x1*x4, x4*x2": "automorphism group of order 2 (1 generator)",
+    "x1*x2, x2*x3, x3*x4, x4*x1": "automorphism group of order 8 (2 generators)",
+    "x1^2, x2^2": "automorphism group of order 2 (1 generator)",
+}
+
+
 @pytest.mark.parametrize(
     "text, power, line",
     [
@@ -68,9 +77,41 @@ def test_oracle_logs_its_regularity_bound(tmp_path, capsys, text, power, line):
     ideal_file.write_text(text + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", power)
     assert code == 0
-    assert err.splitlines()[1:] == [line]
+    assert err.splitlines()[1:] == [line, GROUP_LINES[text]]
     if text.startswith("x3"):
         assert out == json.dumps(path_diagram(4, 3).to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # the 5-cycle, labelled out of order: the dihedral group of order 10
+        ("x2*x4, x4*x1, x1*x5, x5*x3, x3*x2", "automorphism group of order 10 (2 generators)"),
+        # x2 is in no generator and stays fixed
+        ("x1*x3", "automorphism group of order 2 (1 generator)"),
+        ("x1^2*x2, x2^3", "automorphism group of order 1 (0 generators)"),
+    ],
+)
+def test_oracle_logs_its_automorphism_group(tmp_path, capsys, text, line):
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text(text + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", "2")
+    assert code == 0
+    assert err.splitlines()[2:] == [line]
+
+
+def test_oracle_output_does_not_depend_on_labels_or_order(tmp_path, capsys):
+    # the 5-cycle squared, labelled in order and then relabelled with its
+    # generators reordered: the same bytes on stdout
+    outputs = []
+    for text in ("x1*x2, x2*x3, x3*x4, x4*x5, x5*x1", "x3*x2, x2*x5, x5*x1, x1*x4, x4*x3"):
+        ideal_file = tmp_path / "ideal.txt"
+        ideal_file.write_text(text + "\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file), "--power", "2")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["entries"]
 
 
 def test_oracle_rejects_power_zero(tmp_path, capsys):

@@ -14,6 +14,7 @@ from bettistab.koszul_oracle import (
     _lookup,
     _pack,
     _pruned_lattice,
+    automorphisms,
     betti_oracle,
     edge_power_regularity,
     strand_homology,
@@ -61,16 +62,26 @@ def _reference_kept(ideal, regularity):
     return kept, {_unpack(fields, x) for x in lattice}
 
 
+def _per_degree(points) -> Counter:
+    degrees = Counter()
+    for (_, d), count in points.items():
+        degrees[d] += count
+    return degrees
+
+
 def _assert_pruned_matches_reference(ideal):
     """The fold keeps exactly the points that pass the two tests, counts
     them by indexed key and degree, classifies only lcms of a kept point and
-    a generator, and gives the reference diagram."""
+    a generator, and gives the reference diagram.  Over the automorphism
+    group it classifies and keeps the same points, with the same count per
+    degree, on no more keys."""
     regularity = edge_power_regularity(ideal)
     top = sum(ideal.exponent_lcm())
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
-    seen, points = _pruned_lattice(index, generators, top if regularity is None else regularity)
+    bound = top if regularity is None else regularity
+    seen, points = _pruned_lattice(index, generators, bound, ())
     expected, lattice = _reference_kept(ideal, regularity)
     kept = [a for a, is_kept in seen.items() if is_kept]
     assert {_unpack(fields, a) for a in kept} == expected
@@ -78,6 +89,12 @@ def _assert_pruned_matches_reference(ideal):
     # a dropped point is never expanded
     assert set(seen) <= {0} | {a | g for a in kept for g in generators}
     assert points == Counter((_indexed_key(index, a), a.bit_count()) for a in kept)
+    group_seen, group_points = _pruned_lattice(
+        index, generators, bound, automorphisms(ideal)[0]
+    )
+    assert group_seen == seen
+    assert _per_degree(group_points) == _per_degree(points)
+    assert len(group_points) <= len(points)
     assert betti_oracle(ideal) == reference_oracle(ideal)
     return regularity
 
@@ -95,7 +112,8 @@ def test_dropped_points_have_zero_homology(ideal):
     fields = _fields(ideal.exponent_lcm())
     top = sum(ideal.exponent_lcm())
     seen, _ = _pruned_lattice(
-        _divisor_index(fields, ideal.generators), [_pack(fields, g) for g in ideal.generators], top
+        _divisor_index(fields, ideal.generators), [_pack(fields, g) for g in ideal.generators],
+        top, (),
     )
     kept = {a for a, is_kept in seen.items() if is_kept}
     for a in lcm_lattice([_pack(fields, g) for g in ideal.generators]) - kept:
@@ -118,7 +136,7 @@ def _assert_lookups_match_reference(ideal):
     top = sum(ideal.exponent_lcm())
     seen, _ = _pruned_lattice(
         index, [_pack(fields, g) for g in ideal.generators],
-        top if regularity is None else regularity,
+        top if regularity is None else regularity, (),
     )
     memos = {}, {}
     for a in seen:
