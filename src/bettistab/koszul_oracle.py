@@ -30,8 +30,8 @@ lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
 to supp(a): the strand key.  The fold counts the kept points per
 (key, degree), and `betti_oracle` computes the homology once per distinct
-key, in a single thread; a key's homology, times the number of its points
-of degree d, adds into the diagram's column d.
+shape of a key (below), in a single thread; a key's homology, times the
+number of its points of degree d, adds into the diagram's column d.
 
 Pruning: the fold keeps a new point a only if it passes two tests, and
 never expands a point it drops.
@@ -100,18 +100,17 @@ its variables renamed: its homology, beta_{i,sigma(a)}(S/I) =
 beta_{i,a}(S/I), is the same.  M_sigma(t) = M_t, so sigma moves field t
 onto a field of the same width, and sigma(a) is the OR of the images of
 a's two half-points, which the fold memoizes per half-point as it does the
-index entries.  When the fold classifies a point b that passes test (ii),
-it closes b's orbit under S by breadth-first search and stores the result
-of test (i) under every other image; a later point pops its stored result
-in place of the lookup and the descent, so each orbit is looked up once.
-When b is classified no point of its orbit has been classified or
-stored, since classifying one stores all, so the orbit is counted once:
-the fold reaches every kept point, and a kept orbit adds its size under
-b's key and degree.  The kept set, and which points are classified, do
-not change; only the keys the points are counted under do.  An orbit that
-fails test (ii) fails it whole, and that test is cheaper than the memo,
-so it is never stored.  An image the fold never forms, which is only ever
-a dropped one, stays stored until the call ends.
+index entries.  The only orbit memo is the set `pending` of kept points
+that are counted but not yet formed.  When a lookup keeps a point b, the
+fold closes b's orbit under S by breadth-first search into `pending` and
+adds the orbit's size under b's key and degree; a pending point, when
+formed, leaves the set and is kept with no lookup.  No point of b's orbit
+was counted before (else b would be pending) or dropped (an orbit fails
+either test whole), so each kept orbit is looked up and counted once.  A
+dropped point gets no memo: each point of its orbit that the fold forms
+is looked up again.  The fold reaches every kept point, so `pending` is
+empty when it returns.  The kept set, and which points are classified,
+do not change with S; only the keys the points are counted under do.
 
 Shapes: a strand's signs and matrices depend on supp(a) only through the
 order of its variables, so `_shape` relabels a key onto bits 0..r-1
@@ -167,7 +166,10 @@ from .monomial_ideal import MonomialIdeal, is_equigenerated
 
 
 def _fields(bounds) -> list:
-    """Bit mask of each variable's field: bounds[t] + 1 bits, variable 0 lowest."""
+    """Bit mask of each variable's field: bounds[t] + 1 bits, variable 0 lowest.
+    Raises InputError above 2^27 bits in all, 16 MB per point, before any is built."""
+    if (width := sum(bounds) + len(bounds)) > 1 << 27:
+        raise InputError(f"a packed monomial would take {width} bits, over the cap of 2^27")
     fields, offset = [], 0
     for bound in bounds:
         fields.append(((2 << bound) - 1) << offset)
@@ -552,63 +554,60 @@ def _images(moves, x) -> tuple:
 
 
 def _pruned_lattice(index, generators, regularity, perms) -> tuple:
-    """The fold: ({packed point: kept} for every point of L(I) it classifies,
-    {(strand key, degree): number of kept points}).
+    """The fold: (a dict whose keys are the points of L(I) it classifies,
+    the list of those it keeps, {(strand key, degree): number of kept points}).
 
     A point a is kept iff no divisor is tight at no variable (else the
     strand is zero) and |a| - |supp a| = `(a & a >> 1).bit_count()` <=
     regularity.  A dropped point is never expanded.  Each test fails upward
     in the lattice, so the kept points are exactly the points of L that
     pass both (module docstring).  `perms` generate a group of
-    automorphisms of I: the first point of an orbit to pass the regularity
-    test is classified, its classification is stored under the rest of the
-    orbit, and the orbit's kept points are counted under its key (module
-    docstring, "Orbits").  With no permutations every orbit is one point
-    and nothing is stored.  Index entries and images are memoized per
-    half-point, and everything lives for this call only.
+    automorphisms of I: when a lookup keeps a point, the rest of its orbit
+    goes into `pending`, which keeps them without a lookup when they are
+    formed, and the orbit is counted under the looked-up point's key
+    (module docstring, "Orbits").  Index entries and images are memoized
+    per half-point, and everything lives for this call only.
     """
     (low_mask, _), (high_mask, _) = index
     low_moves, high_moves = _half_moves(index, perms)
     memos = {}, {}  # half-point -> `_half_entry`, for the low and the high half
     low_images, high_images = {}, {}  # half-point -> `_images`
-    stored = {}  # point -> kept, for the unreached rest of each classified orbit
-    seen, kept, points = {0: True}, [0], {(_indexed_key(index, 0), 0): 1}
+    pending = set()  # kept points, counted with their orbit, that the fold has not formed
+    # seen is a dict, not a set: points below 2^61 hash to themselves, and on their
+    # repeating low bits a set's linear probing made the pair loop ~20% slower on C6^8
+    seen, kept, points = {0: None}, [0], {((0, frozenset()), 0): 1}
     for g in generators:
         for a in kept[:]:
             b = a | g
             if b in seen:
                 continue
-            seen[b] = False
-            if (b & b >> 1).bit_count() > regularity:
-                continue
-            is_kept = stored.pop(b, None)
-            if is_kept is None:
+            seen[b] = None
+            if b in pending:
+                pending.remove(b)
+            else:
+                if (b & b >> 1).bit_count() > regularity:
+                    continue
                 support, divisors, tight = _lookup(index, b, memos)
                 untight = divisors
                 for _, e in tight:
                     untight &= ~e
-                is_kept = not untight
-                orbit = [b]
-                if perms:  # close b's orbit under S, storing is_kept under every image
-                    stored[b] = is_kept
-                    for x in orbit:
-                        x_low, x_high = x & low_mask, x & high_mask
-                        if (low := low_images.get(x_low)) is None:
-                            low = low_images[x_low] = _images(low_moves, x_low)
-                        if (high := high_images.get(x_high)) is None:
-                            high = high_images[x_high] = _images(high_moves, x_high)
-                        for y in map(or_, low, high):
-                            if y not in stored:
-                                stored[y] = is_kept
-                                orbit.append(y)
-                    del stored[b]
-                if is_kept:
-                    key = (support, _minimal_tight_sets(divisors, tight)), b.bit_count()
-                    points[key] = points.get(key, 0) + len(orbit)
-            if is_kept:
-                seen[b] = True
-                kept.append(b)
-    return seen, points
+                if untight:
+                    continue
+                orbit = [b]  # close b's orbit under S into pending
+                for x in orbit:
+                    x_low, x_high = x & low_mask, x & high_mask
+                    if (low := low_images.get(x_low)) is None:
+                        low = low_images[x_low] = _images(low_moves, x_low)
+                    if (high := high_images.get(x_high)) is None:
+                        high = high_images[x_high] = _images(high_moves, x_high)
+                    for y in map(or_, low, high):
+                        if y != b and y not in pending:
+                            pending.add(y)
+                            orbit.append(y)
+                key = (support, _minimal_tight_sets(divisors, tight)), b.bit_count()
+                points[key] = points.get(key, 0) + len(orbit)
+            kept.append(b)
+    return seen, kept, points
 
 
 def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
@@ -617,27 +616,28 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     The fold visits only the lattice points that can carry a Betti number:
     those with a non-zero strand and, when `edge_power_regularity` knows
     reg(S/I), with |a| - |supp a| at most that.  It looks up and keys one
-    point per orbit of `automorphisms(ideal)`, and the homology of the
-    non-cone keys is computed once per shape (module docstring).
+    point per kept orbit of `automorphisms(ideal)`.  Cone keys are skipped,
+    and the homology of the rest is computed once per shape (module
+    docstring).  A packed point takes sum over t of (M_t + 1) bits, M_t the
+    largest g_t; above 2^27 of them `_fields` raises InputError.
     """
     lcm = ideal.exponent_lcm()
-    regularity = edge_power_regularity(ideal)
     fields = _fields(lcm)
+    regularity = edge_power_regularity(ideal)
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
-    _, points = _pruned_lattice(
+    _, _, points = _pruned_lattice(
         index, generators, sum(lcm) if regularity is None else regularity,
         automorphisms(ideal)[0],
     )
-    homology = {None: ()}  # strand key, and shape, -> its homology; a cone has shape None
-    totals = {}
+    homology, totals = {}, {}  # shape -> its homology
     for (key, d), count in points.items():
-        if key not in homology:
-            shape = None if _is_cone(key) else _shape(key)
-            if shape not in homology:
-                homology[shape] = _key_homology(ideal.num_vars, shape)
-            homology[key] = homology[shape]
-        for i, h in enumerate(homology[key]):
+        if _is_cone(key):
+            continue
+        shape = _shape(key)
+        if (dims := homology.get(shape)) is None:
+            dims = homology[shape] = _key_homology(ideal.num_vars, shape)
+        for i, h in enumerate(dims):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h * count
     return BettiDiagram(totals)

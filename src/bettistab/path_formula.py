@@ -14,7 +14,7 @@ set directly.  The Koszul oracle independently validates this stitching.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -56,27 +56,27 @@ def _product(n: int, k: int, i: int, j: int) -> int:
     """The triple binomial product at i >= 1, on checked parameters.
 
     Each factor C(a, b) follows exact_arith.binom: 1 when b = 0, for every
-    a; 0 when b < 0, or b > 0 and a < b.
+    a; 0 when b < 0, or b > 0 and a < b.  All three ranges are checked
+    before any `comb`, so a zero factor costs no large binomial.
     """
-    value = 1
-    for a, b in (
+    factors = (
         (n + 3 * k - j - 2, 2 * j - 3 * i - 3 * k + 3),
         (n + 4 * k + 2 * i - 2 * j - 4, 2 * k + 2 * i - j - 2),
         (j - i - k, k - 1),
-    ):
-        if b:
-            if b < 0 or a < b:
-                return 0
-            value *= comb(a, b)
-    return value
+    )
+    if any(b and (b < 0 or a < b) for a, b in factors):
+        return 0
+    return prod(comb(a, b) for a, b in factors if b)
 
 
 def path_diagram(n: int, k: int) -> BettiDiagram:
     """All nonzero values over the scan box 0 <= i <= n, i <= j <= 2k+n.
 
-    For i >= 1 only the band (3i+3k-3)/2 <= j <= 2k+2i-2 is evaluated:
-    outside it the lower index of the first or the second binomial is
-    negative, so the product is 0.
+    For i >= 1 only the band max((3i+3k-3)/2, 2k+i-1) <= j <= 2k+2i-2 is
+    evaluated: below (3i+3k-3)/2 or above 2k+2i-2 the lower index of the
+    first or the second binomial is negative, and below 2k+i-1 the third
+    binomial C(j-i-k, k-1) is 0 (at k = 1 that bound is never the larger).
+    The band has at most i cells per row, so the cost does not grow with k.
     """
     require_int(n, "n")
     require_int(k, "k")
@@ -84,7 +84,8 @@ def path_diagram(n: int, k: int) -> BettiDiagram:
         raise InputError(f"parameters out of range: n={n}, k={k}")
     entries = {(0, 0): 1}
     for i in range(1, n + 1):
-        for j in range((3 * i + 3 * k - 2) // 2, min(2 * k + 2 * i - 2, 2 * k + n) + 1):
+        low = max((3 * i + 3 * k - 2) // 2, 2 * k + i - 1)
+        for j in range(low, min(2 * k + 2 * i - 2, 2 * k + n) + 1):
             if v := _product(n, k, i, j):
                 entries[(i, j)] = v
     return BettiDiagram(entries)

@@ -183,32 +183,46 @@ def test_ideals_closed_under_a_random_permutation(closed):
     assert restricted in generated_group(automorphisms(ideal)[0], ideal.num_vars)
 
 
-@pytest.mark.parametrize("ideal", [
-    power(_relabelled(path_ideal(6), 6), 3),
-    power(_relabelled(edge_ideal(5, cycle_edges(5)), 5), 2),
-    power(_relabelled(edge_ideal(5, star_edges(4)), 4), 2),
-    power(maximal_ideal(3), 2),
+@pytest.mark.parametrize("ideal, kept_orbits, dropped", [
+    (power(_relabelled(path_ideal(6), 6), 3), 215, 65),
+    (power(_relabelled(edge_ideal(5, cycle_edges(5)), 5), 2), 15, 0),
+    (power(_relabelled(edge_ideal(5, star_edges(4)), 4), 2), 10, 0),
+    (power(maximal_ideal(3), 2), 5, 5),
 ], ids=["path6^3", "C5^2", "star4^2", "m3^2"])
-def test_one_lookup_per_orbit(ideal, monkeypatch):
-    # the fold looks up one point per orbit of the points it classifies
-    # under test (ii), and reads the rest from the memo
-    looked_up, lookup = [], koszul_oracle._lookup
+def test_one_lookup_per_orbit(ideal, kept_orbits, dropped, monkeypatch):
+    # the fold looks up one point of each kept orbit but {0}, and each point
+    # that passes test (ii) and is dropped; the rest of a kept orbit waits in
+    # `pending`, the one set() the fold makes, which is empty at the end
+    looked_up, lookup, made = [], koszul_oracle._lookup, []
 
     def counted(index, a, memos):
         looked_up.append(a)
         return lookup(index, a, memos)
 
-    monkeypatch.setattr(koszul_oracle, "_lookup", counted)
+    class Recorded(set):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
     fields = _fields(ideal.exponent_lcm())
     regularity = edge_power_regularity(ideal)
     bound = sum(ideal.exponent_lcm()) if regularity is None else regularity
-    seen, _ = _pruned_lattice(
-        _divisor_index(fields, ideal.generators), [_pack(fields, g) for g in ideal.generators],
-        bound, automorphisms(ideal)[0],
-    )
+    index = _divisor_index(fields, ideal.generators)
+    generators = [_pack(fields, g) for g in ideal.generators]
+    perms = automorphisms(ideal)[0]
+    monkeypatch.setattr(koszul_oracle, "_lookup", counted)
+    monkeypatch.setattr(koszul_oracle, "set", Recorded, raising=False)
+    seen, kept, points = _pruned_lattice(index, generators, bound, perms)
+    assert len(made) == 1 and not made[0]
+    assert sum(points.values()) == len(kept)
     group = brute_automorphisms(ideal)
-    orbits = {
-        frozenset(_pack(fields, permuted(_unpack(fields, a), perm)) for perm in group)
-        for a in seen if (a & a >> 1).bit_count() <= bound
-    }
-    assert len(looked_up) == len(set(looked_up)) == len(orbits) < len(seen)
+
+    def orbit(a):
+        return frozenset(_pack(fields, permuted(_unpack(fields, a), perm)) for perm in group)
+
+    orbits = {orbit(a) for a in kept if a}
+    drops = {a for a in seen.keys() - set(kept) if (a & a >> 1).bit_count() <= bound}
+    assert (len(orbits), len(drops)) == (kept_orbits, dropped)
+    assert len(looked_up) == len(set(looked_up)) == len(orbits) + len(drops)
+    assert drops <= set(looked_up)
+    assert {orbit(a) for a in set(looked_up) - drops} == orbits

@@ -328,6 +328,19 @@ def test_oracle_rejects_a_variable_index_above_the_cap(tmp_path, capsys):
     }
 
 
+def test_oracle_rejects_a_packing_over_the_cap(tmp_path, capsys):
+    # 19 bytes of text must not ask for a 10^10-bit int per lattice point
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1^10000000000, x2", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "type": "InputError",
+        "message": "a packed monomial would take 10000000003 bits, over the cap of 2^27",
+    }
+
+
 def test_formula_range_error_names_only_n_and_k(capsys):
     for n, k in (("6", "0"), ("1", "3")):
         code, out, _ = run_cli(capsys, "formula", "--n", n, "--k", k)

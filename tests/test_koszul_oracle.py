@@ -55,6 +55,17 @@ def test_strand_rejects_non_integer_multidegree():
         strand_homology(ideal, (1.7, 1.2))
 
 
+def test_packing_over_the_cap_is_refused_before_it_is_built():
+    # 2^27 bits, 16 MB per packed point, is the cap: one bit past it raises
+    # at once, with no int of that width made
+    ideal = make_ideal(2, [((1 << 27) - 2, 0), (0, 1)])
+    message = f"a packed monomial would take {(1 << 27) + 1} bits, over the cap of 2^27"
+    with pytest.raises(InputError, match=message.replace("^", r"\^")):
+        betti_oracle(ideal)
+    with pytest.raises(InputError, match="over the cap"):
+        strand_homology(make_ideal(2, [(1, 0), (0, 1)]), (10**10, 1))
+
+
 def test_oracle_two_variables():
     ideal = make_ideal(2, [(1, 0), (0, 1)])
     assert dict(betti_oracle(ideal).items()) == {(0, 0): 1, (1, 1): 2, (2, 2): 1}

@@ -59,9 +59,25 @@ def _box_scan(n, k):
 
 
 def test_band_diagram_equals_the_box_scan():
-    for n in range(2, 10):
-        for k in range(1, 14):
+    for n in range(2, 11):
+        for k in range(1, 31):
             assert path_diagram(n, k) == _box_scan(n, k), (n, k)
+
+
+def test_band_at_a_million():
+    # the band's cost does not grow with k: at k = 10^6 each row i is checked
+    # against path_betti three cells past the band on both sides, and the
+    # support above row 0 is that of k = n + 1 moved 2 per unit of k
+    k = 10**6
+    for n in range(2, 11):
+        diagram = dict(path_diagram(n, k).items())
+        for i in range(1, n + 1):
+            low = max((3 * i + 3 * k - 2) // 2, 2 * k + i - 1)
+            high = min(2 * k + 2 * i - 2, 2 * k + n)
+            for j in range(low - 3, high + 4):
+                assert diagram.get((i, j), 0) == path_betti(n, k, i, j), (n, i, j)
+        shifted = {(i, j + 2 * (k - n - 1)) for i, j in path_diagram(n, n + 1).support() if i}
+        assert set(diagram) == shifted | {(0, 0)}, n
 
 
 def test_product_keeps_the_binom_conventions():

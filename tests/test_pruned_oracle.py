@@ -81,18 +81,19 @@ def _assert_pruned_matches_reference(ideal):
     index = _divisor_index(fields, ideal.generators)
     generators = [_pack(fields, g) for g in ideal.generators]
     bound = top if regularity is None else regularity
-    seen, points = _pruned_lattice(index, generators, bound, ())
+    seen, kept, points = _pruned_lattice(index, generators, bound, ())
     expected, lattice = _reference_kept(ideal, regularity)
-    kept = [a for a, is_kept in seen.items() if is_kept]
+    assert len(set(kept)) == len(kept) and set(kept) <= seen.keys()
     assert {_unpack(fields, a) for a in kept} == expected
     assert {_unpack(fields, a) for a in seen} <= lattice
     # a dropped point is never expanded
     assert set(seen) <= {0} | {a | g for a in kept for g in generators}
     assert points == Counter((_indexed_key(index, a), a.bit_count()) for a in kept)
-    group_seen, group_points = _pruned_lattice(
+    group_seen, group_kept, group_points = _pruned_lattice(
         index, generators, bound, automorphisms(ideal)[0]
     )
     assert group_seen == seen
+    assert group_kept == kept
     assert _per_degree(group_points) == _per_degree(points)
     assert len(group_points) <= len(points)
     assert betti_oracle(ideal) == reference_oracle(ideal)
@@ -111,12 +112,11 @@ def test_dropped_points_have_zero_homology(ideal):
     # every point of L the fold does not keep carries no Betti number
     fields = _fields(ideal.exponent_lcm())
     top = sum(ideal.exponent_lcm())
-    seen, _ = _pruned_lattice(
+    _, kept, _ = _pruned_lattice(
         _divisor_index(fields, ideal.generators), [_pack(fields, g) for g in ideal.generators],
         top, (),
     )
-    kept = {a for a, is_kept in seen.items() if is_kept}
-    for a in lcm_lattice([_pack(fields, g) for g in ideal.generators]) - kept:
+    for a in lcm_lattice([_pack(fields, g) for g in ideal.generators]) - set(kept):
         assert not any(strand_homology(ideal, _unpack(fields, a)))
 
 
@@ -134,7 +134,7 @@ def _assert_lookups_match_reference(ideal):
         [1 << t for t in range(n // 2)], [1 << t for t in range(n // 2, n)]]
     regularity = edge_power_regularity(ideal)
     top = sum(ideal.exponent_lcm())
-    seen, _ = _pruned_lattice(
+    seen, _, _ = _pruned_lattice(
         index, [_pack(fields, g) for g in ideal.generators],
         top if regularity is None else regularity, (),
     )
