@@ -34,16 +34,23 @@ def _log(message: str) -> None:
 
 
 def _emit_json(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Indented JSON and a newline, streamed to `path` or stdout: the text is
+    never held whole, which on a large scan report would be several times
+    the report's own size."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                _dump_json(obj, fh)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
         _log(f"wrote {path}")
     else:
-        print(text)
+        _dump_json(obj, sys.stdout)
+
+
+def _dump_json(obj, stream) -> None:
+    json.dump(obj, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def _read_text(path: str) -> str:

@@ -20,8 +20,10 @@ extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
 at a time from a kernel basis of the rows, and the rays with s > 0, divided
 by s, are the vertices.  The work follows the number of rays, not the
 C(m, rank(A)) column subsets.  Each vertex is kept as that primitive ray
-(x, s): sorting, pruning and the signature read the integers, and Fractions
-x / s are built only in the `vertices` view and the JSON.
+(x, s): sorting, pruning, the signature, the JSON (through
+`format_quotient`) and `verify_rays` read the integers, and Fractions x / s
+are built only in the `vertices` view, which the stability scan does not
+read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ from functools import cached_property
 
 from .diagram import BettiDiagram, integer_pure_diagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
-from .exact_arith import format_rational, integer_vector, kernel_basis, matrix_rank
+from .exact_arith import (
+    format_quotient,
+    format_rational,
+    integer_vector,
+    kernel_basis,
+    matrix_rank,
+)
 
 
 @dataclass(frozen=True)
@@ -85,30 +93,47 @@ def greedy_decompose(diagram: BettiDiagram) -> Decomposition:
 def verify_decomposition(diagram: BettiDiagram, weights, candidates) -> bool:
     """Exact check that sum(w_c * pure(candidates[c])) equals the diagram.
 
-    With the weights cleared to integers x_c over their common denominator
-    S, and each pure diagram recomputed from its degrees as beta(c)_i =
-    N / q_i, it checks sum_c x_c * beta(c)_{i,d} = S * beta_{i,d} by integer
-    cross-multiplication.
+    The weights are cleared to integers x_c over their common denominator
+    S, and the ray (x, S) goes through `verify_rays`.
     """
     if len(weights) != len(candidates):
         raise InputError("weights and candidates differ in length")
-    *xs, scale = integer_vector((*weights, 1))  # InputError unless ints or Fractions
-    if any(x < 0 for x in xs):
-        return False
-    total = {}  # (i, d) -> (n, q): the sum n / q of x_c * beta(c)_{i,d}, unreduced
-    for x, degrees in zip(xs, candidates):
-        if x == 0:
-            continue
-        numerator, denominators = integer_pure_diagram(degrees)
-        for i, (d, qi) in enumerate(zip(degrees, denominators)):
-            n, q = total.get((i, d), (0, 1))
-            total[(i, d)] = (n * qi + x * numerator * q, q * qi)
+    ray = integer_vector((*weights, 1))  # InputError unless ints or Fractions
+    return verify_rays(diagram, (ray,), candidates)
+
+
+def verify_rays(diagram: BettiDiagram, rays, candidates) -> bool:
+    """Whether every ray (x_0, ..., x_{m-1}, s) of the sequence `rays` has
+    s > 0, x >= 0 and sum(x_c / s * pure(candidates[c])) equal to the diagram.
+
+    The pure diagram of each candidate that a ray uses is recomputed from its
+    degrees, once, as beta(c)_i = N / q_i.  At each position (i, d) of the
+    diagram or of such a candidate, the values are written over the lcm L of
+    their denominators, and sum_c x_c * beta(c)_{i,d} * L = s * beta_{i,d} * L
+    is checked in the integers.
+    """
+    if any(len(ray) != len(candidates) + 1 for ray in rays):
+        raise InputError("rays and candidates differ in length")
     entries = dict(diagram.items())
-    total = {key: nq for key, nq in total.items() if nq[0]}
-    return total.keys() == entries.keys() and all(
-        n * entries[key].denominator == scale * entries[key].numerator * q
-        for key, (n, q) in total.items()
-    )
+    at = {position: [] for position in entries}  # (i, d) -> [(c, N, q_i)]
+    for c in sorted({c for ray in rays for c, x in enumerate(ray[:-1]) if x}):
+        numerator, denominators = integer_pure_diagram(candidates[c])
+        for position, q in zip(enumerate(candidates[c]), denominators):
+            at.setdefault(position, []).append((c, numerator, q))
+    checks = []  # per position: [(c, beta(c)_{i,d} * L)], and beta_{i,d} * L as n / d
+    for position, terms in at.items():
+        scale = math.lcm(*(q for _, _, q in terms))
+        b = entries.get(position, 0)
+        checks.append(
+            ([(c, n * (scale // q)) for c, n, q in terms], b.numerator * scale, b.denominator)
+        )
+    for *xs, s in rays:
+        if s <= 0 or any(x < 0 for x in xs):
+            return False
+        for terms, target, den in checks:
+            if sum(xs[c] * w for c, w in terms) * den != s * target:
+                return False
+    return True
 
 
 def candidate_degree_sequences(diagram: BettiDiagram) -> list:
@@ -186,7 +211,7 @@ class DecompositionPolytope:
             raise InputError("vertices not enumerated")
         return {
             "candidates": [list(c) for c in self.candidates],
-            "vertices": [[format_rational(Fraction(x, r[-1])) for x in r[:-1]] for r in self.rays],
+            "vertices": [[format_quotient(x, r[-1]) for x in r[:-1]] for r in self.rays],
             "rank": self.rank,
             "dimension": self.dimension,
         }

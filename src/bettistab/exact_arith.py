@@ -18,21 +18,25 @@ This module supplies the shared numeric machinery:
   by integer back substitution on the pivot rows; `solve_exact` takes the
   kernel of [A | -b] and divides each vector by its free entry,
 * integer polynomials as coefficient tuples (lowest degree first):
-  evaluation (Horner in the integers at an integer point, one Fraction at
-  the end), product and primitive gcd (Euclid on integer
-  pseudo-remainders); `RationalFunctionFit.make` divides by that gcd with
-  an exact integer quotient, so no polynomial routine uses Fractions,
+  evaluation (Horner in the integers at an integer point: a fit's
+  `pair_at` gives (p(x), q(x)), and `evaluate` makes one Fraction of
+  them), product and primitive gcd (Euclid on integer pseudo-remainders);
+  `RationalFunctionFit.make` divides by that gcd with an exact integer
+  quotient, so no polynomial routine uses Fractions,
 * `rational_reconstructions` -- the one fitting core: the extended
   Euclidean algorithm on prod(x - k_i) and the samples' interpolant, run in
-  the integers as a pseudo-remainder sequence; `interpolates` checks an
-  integer pair against samples without Fractions,
+  the integers as a pseudo-remainder sequence whose pairs are made only as
+  they are read; `interpolates` checks an integer pair against samples
+  without Fractions,
 * `fit_rational_function` -- exact rational interpolation under degree
   bounds: the Euclid pair that answers them, in canonical form
   (`fit_polynomial` is its denominator-degree-0 case).
 
-Serialized forms: a rational is the string "num/den" ("n" when integral);
-a polynomial is its coefficient list, lowest degree first, with no trailing
-zeros (the zero polynomial is the empty list).
+Serialized forms: a rational is the string "num/den" ("n" when integral),
+which `format_quotient` writes from an integer pair and `format_rational`
+from a Fraction through it; a polynomial is its coefficient list, lowest
+degree first, with no trailing zeros (the zero polynomial is the empty
+list).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -73,7 +77,20 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Inverse of parse_rational; integers render without a denominator."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    return format_quotient(value.numerator, value.denominator)
+
+
+def format_quotient(numerator: int, denominator: int) -> str:
+    """The rational n/d of two integers as `format_rational` writes it, in
+    lowest terms with a positive denominator; d = 0 is a ZeroDivisionError."""
+    if denominator == 0:
+        raise ZeroDivisionError(f"{numerator}/0")
+    g = math.gcd(numerator, denominator)
+    if denominator < 0:
+        g = -g
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +357,33 @@ class RationalFunctionFit:
             joint = tuple(-x for x in joint)
         return RationalFunctionFit(joint[: len(num)], joint[len(num) :])
 
-    def evaluate(self, x) -> Fraction:
+    def pair_at(self, x) -> tuple:
+        """(p(x), q(x)) in the integers, unreduced; q(x) may be 0."""
         require_int(x, "evaluation point")
-        q = poly_eval(self.denominator, x)
+        return _horner(self.numerator, x), _horner(self.denominator, x)
+
+    def evaluate(self, x) -> Fraction:
+        p, q = self.pair_at(x)
         if q == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return poly_eval(self.numerator, x) / q
+        return Fraction(p, q)
 
     def to_json_dict(self) -> dict:
         return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
 
 
-def rational_reconstructions(samples: Sequence[tuple]) -> list:
+def rational_reconstructions(samples: Sequence[tuple]) -> Iterator[tuple]:
     """Extended Euclid on m = prod(x - k_i) and the samples' interpolant f.
 
-    Returns the integer pairs (r_j, t_j), j >= 1, with r_j = t_j f mod m,
-    down to the first zero r_j: (r_1, t_1) = (L f, L), L the least common
-    denominator of f's Lagrange coefficients, and each next pair is the
-    pseudo-remainder step on the two before it, from (r_0, t_0) = (m, 0),
-    divided by its joint content.  So each pair is a nonzero multiple of the
-    pair of the Euclidean algorithm over the rationals: deg r_j falls
-    strictly and deg t_j rises.  Abscissae are distinct integers; values
-    are ints or Fractions (bools are not).
+    Yields the integer pairs (r_j, t_j), j >= 1, with r_j = t_j f mod m,
+    down to the first zero r_j, each one only when it is asked for:
+    (r_1, t_1) = (L f, L), L the least common denominator of f's Lagrange
+    coefficients, and each next pair is the pseudo-remainder step on the
+    two before it, from (r_0, t_0) = (m, 0), divided by its joint content.
+    So each pair is a nonzero multiple of the pair of the Euclidean
+    algorithm over the rationals: deg r_j falls strictly and deg t_j rises.
+    Abscissae are distinct integers; values are ints or Fractions (bools
+    are not).
     """
     ks = [require_int(k, "sample abscissa") for k, _ in samples]
     if len(set(ks)) != len(ks):
@@ -386,13 +408,12 @@ def rational_reconstructions(samples: Sequence[tuple]) -> list:
             f[e - 1] += scale * q
     f = poly_trim(f)
     g = math.gcd(*f, v_den * lcd)
-    pairs = [(tuple(c // g for c in f), (v_den * lcd // g,))]
     r0, t0 = tuple(m), ()
-    while pairs[-1][0]:
-        r1, t1 = pairs[-1]
-        pairs.append(_pseudo_remainder_step(r0, t0, r1, t1))
-        r0, t0 = r1, t1
-    return pairs
+    r1, t1 = tuple(c // g for c in f), (v_den * lcd // g,)
+    yield r1, t1
+    while r1:
+        r0, t0, (r1, t1) = r1, t1, _pseudo_remainder_step(r0, t0, r1, t1)
+        yield r1, t1
 
 
 def interpolates(num, den, samples) -> bool:

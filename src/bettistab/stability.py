@@ -11,6 +11,11 @@ window as affine-in-k templates, pairs vertices across k by zero pattern,
 and fits each vertex coordinate with an exact rational function of k.  A
 finite scan can only certify "stable in range", never stability itself.
 
+A vertex stays the pruned polytope's primitive integer ray (x_0, ..., x_{m-1},
+s), with coordinate c the value x_c / s: the scan, the report JSON and
+`compare_reference` read the rays, never the polytope's Fraction `vertices`
+view.  Fractions are made only for the fit samples, and only for the window.
+
 Every trajectory fit is validated on a held-out sample: the fit uses all
 window samples except the last and must reproduce the last exactly.  The
 degree search is bounded only by what that held-out sample can check: over
@@ -44,8 +49,11 @@ exactly the fit that a new search would find.
 `compare_reference` reports, per vertex coordinate, whether the fitted
 trajectory equals a reference closed form exactly and whether the two agree
 up to a constant factor over the window, plus per-vertex zero-pattern
-matches and coordinate-sum bookkeeping.  The reference values are reported
-against, never asserted as ground truth.
+matches and coordinate-sum bookkeeping.  It works in the integers: a
+reference formula is read as its pair (p(k), q(k)), a ratio and a sum are
+cross-multiplied, and every record's rays go through
+`decomposition.verify_rays`.  The reference values are reported against,
+never asserted as ground truth.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import islice
 
 from .decomposition import (
     DecompositionPolytope,
@@ -60,13 +69,13 @@ from .decomposition import (
     candidate_degree_sequences,
     enumerate_vertices,
     prune,
-    verify_decomposition,
+    verify_rays,
 )
 from .diagram import BettiDiagram, TranslationTemplate, column_sums
 from .errors import InputError, NotEquigeneratedError, StabilityError
 from .exact_arith import (
     RationalFunctionFit,
-    format_rational,
+    format_quotient,
     interpolates,
     poly_mul,
     rational_reconstructions,
@@ -130,7 +139,9 @@ class StabilityReport:
     window: tuple | None  # (first stable k, k_max)
     templates: tuple | None  # TranslationTemplate per pruned coordinate
     vertex_labels: tuple
-    vertex_values: dict  # label -> {k: coordinate tuple}
+    # label -> {k: ray}: the pruned polytope's primitive integer ray
+    # (x_0, ..., x_{m-1}, s), s > 0, whose coordinate c is x_c / s
+    vertex_values: dict
     trajectories: tuple  # TrajectoryFit per (vertex, coordinate)
     column_sum_fits: tuple  # RationalFunctionFit | None per column
     verdict: dict
@@ -161,8 +172,8 @@ class StabilityReport:
             "vertex_labels": list(self.vertex_labels),
             "vertex_coordinates": {
                 label: {
-                    str(k): [format_rational(x) for x in vec]
-                    for k, vec in sorted(per_k.items())
+                    str(k): [format_quotient(x, ray[-1]) for x in ray[:-1]]
+                    for k, ray in sorted(per_k.items())
                 }
                 for label, per_k in self.vertex_values.items()
             },
@@ -241,14 +252,14 @@ def _pair_vertices(window_records):
     window record shares (the window is a run of equal signatures), so no
     record is checked.  Patterns never tie: a vertex of {w >= 0 : Aw = b} is
     the unique solution of Aw = b on its support, so each names one vertex.
-    Returns label -> {k: vertex}; a polytope's zero patterns are in vertex order.
+    Returns label -> {k: ray}; a polytope's zero patterns are in ray order.
     """
     patterns = window_records[0].signature.zero_patterns
     values = {f"v{i}": {} for i in range(1, len(patterns) + 1)}
     label_of = dict(zip(patterns, values))
     for record in window_records:
-        for pattern, v in zip(record.polytope.zero_patterns, record.polytope.vertices):
-            values[label_of[pattern]][record.k] = v
+        for pattern, ray in zip(record.polytope.zero_patterns, record.polytope.rays):
+            values[label_of[pattern]][record.k] = ray
     return values
 
 
@@ -268,11 +279,14 @@ def _fit_trajectory(samples, polynomial: bool = False):
     if not fit_set:
         return None
     require_int(samples[-1][0], "sample abscissa")
+    pairs = rational_reconstructions(fit_set)
+    if polynomial:  # deg t_j rises from deg t_1 = 0, so only the first pair
+        pairs = islice(pairs, 1)
     candidates = []
-    for r, t in rational_reconstructions(fit_set):
+    for r, t in pairs:
         dn = max(len(r) - 1, 0)
         total = dn + len(t) - 1
-        if total < len(fit_set) and not (polynomial and len(t) > 1):
+        if total < len(fit_set):
             candidates.append((total, dn, r, t))
     for _, _, r, t in sorted(candidates, key=lambda c: c[:2]):
         if interpolates(r, t, [samples[-1]]) and interpolates(r, t, fit_set):
@@ -327,9 +341,13 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
         fit = cache(_fit_trajectory)  # one search per distinct (samples, polynomial)
         fits = []
         m = len(window_records[0].polytope.candidates)
+        zero = Fraction(0)
         for label in labels:
+            rays = [(r.k, values[label][r.k]) for r in window_records]
             for c in range(m):
-                samples = tuple((r.k, values[label][r.k][c]) for r in window_records)
+                samples = tuple(
+                    (k, Fraction(ray[c], ray[-1]) if ray[c] else zero) for k, ray in rays
+                )
                 fits.append(TrajectoryFit(label, c, fit(samples)))
         trajectories = tuple(fits)
         # Kodiyalam check: total Betti numbers are polynomial in k.
@@ -463,20 +481,35 @@ def path6_reference() -> ReferenceVertexFamily:
 
 
 def _constant_ratio(computed, reference_fit):
-    """(flag, ratio) for computed/reference over the window; ratio None if mixed."""
-    ratios = set()
-    for k, c in computed:
-        try:
-            p = reference_fit.evaluate(k)
-        except ZeroDivisionError:
+    """(flag, ratio) for computed/reference over the window; ratio None if mixed.
+
+    `computed` holds (k, x, s) with value x / s, and the ratio is an integer
+    pair (a, b), a / b: with (p, q) the reference's integer pair at k, each
+    ratio is x q / (s p), compared with the first by cross-multiplying.
+    """
+    ratio = None
+    for k, x, s in computed:
+        p, q = reference_fit.pair_at(k)
+        if q == 0:
             return False, None
         if p != 0:
-            ratios.add(c / p)
-        elif c != 0:
+            a, b = x * q, s * p
+            if ratio is None:
+                ratio = (a, b)
+            elif a * ratio[1] != ratio[0] * b:
+                return False, None
+        elif x != 0:
             return False, None
-    if len(ratios) > 1:
-        return False, None
-    return True, next(iter(ratios), None)
+    return True, ratio
+
+
+def _format_sum(pairs) -> str:
+    """The sum of the quotients p / q of integer pairs, formatted; a zero q
+    leaves the denominator 0, which `format_quotient` refuses."""
+    n, d = 0, 1
+    for p, q in pairs:
+        n, d = n * q + p * d, d * q
+    return format_quotient(n, d)
 
 
 def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily) -> dict:
@@ -515,20 +548,21 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
             fit, ratio_flag, ratio = None, False, None
             if matched is not None:
                 fit = trajectory[(matched, c)].fit
-                computed_values = [(k, report.vertex_values[matched][k][c]) for k in window_ks]
+                rays = report.vertex_values[matched]
+                computed_values = [(k, rays[k][c], rays[k][-1]) for k in window_ks]
                 ratio_flag, ratio = _constant_ratio(computed_values, formula)
             coords_out.append(
                 {
                     "template": label,
                     "exact_equal": fit == formula,
                     "constant_ratio": ratio_flag,
-                    "ratio": format_rational(ratio) if ratio is not None else None,
+                    "ratio": format_quotient(*ratio) if ratio is not None else None,
                     "computed_fit": fit.to_json_dict() if fit else None,
                     "reference_formula": formula.to_json_dict(),
                 }
             )
         reference_sums = {
-            str(k): format_rational(sum(f.evaluate(k) for f in reference.coordinate_formulas[vi]))
+            str(k): _format_sum(f.pair_at(k) for f in reference.coordinate_formulas[vi])
             for k in window_ks
         }
         vertices_out.append(
@@ -542,16 +576,11 @@ def compare_reference(report: StabilityReport, reference: ReferenceVertexFamily)
         )
 
     computed_sums = {
-        label: {
-            str(k): format_rational(sum(report.vertex_values[label][k], Fraction(0)))
-            for k in window_ks
-        }
-        for label in report.vertex_labels
+        label: {str(k): format_quotient(sum(rays[k][:-1]), rays[k][-1]) for k in window_ks}
+        for label, rays in report.vertex_values.items()
     }
     reconstruction_ok = all(
-        verify_decomposition(r.diagram, v, r.polytope.candidates)
-        for r in report.records
-        for v in r.polytope.vertices
+        verify_rays(r.diagram, r.polytope.rays, r.polytope.candidates) for r in report.records
     )
     return {
         "window": list(report.window),

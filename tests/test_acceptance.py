@@ -157,10 +157,11 @@ def test_ac5_trajectory_stability(scan_4_11):
     for t in report.trajectories:
         assert t.fit is not None
         assert len(t.fit.numerator) <= 4 and len(t.fit.denominator) <= 4  # degrees <= (3,3)
+        rays = report.vertex_values[t.vertex]  # coordinate c of ray r is r[c] / r[-1]
         for k in range(4, 11):
-            assert t.fit.evaluate(k) == report.vertex_values[t.vertex][k][t.coordinate]
-        assert (
-            t.fit.evaluate(11) == report.vertex_values[t.vertex][11][t.coordinate]
+            assert t.fit.evaluate(k) == Fraction(rays[k][t.coordinate], rays[k][-1])
+        assert t.fit.evaluate(11) == Fraction(
+            rays[11][t.coordinate], rays[11][-1]
         ), "fit fails to predict k=11"
 
     reference = path6_reference()
@@ -170,7 +171,8 @@ def test_ac5_trajectory_stability(scan_4_11):
     for k in range(4, 12):
         for c in (pi4, pi8):
             values = {
-                report.vertex_values[label][k][c] for label in report.vertex_labels
+                Fraction(report.vertex_values[label][k][c], report.vertex_values[label][k][-1])
+                for label in report.vertex_labels
             }
             assert len(values) == 1, f"coordinate {c} differs across vertices at k={k}"
     elapsed = time.monotonic() - start

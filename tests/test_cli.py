@@ -177,6 +177,27 @@ def test_scan_writes_report(tmp_path, capsys):
     assert report["verdict"]["stabilized_in_range"]
     assert report["verdict"]["all_trajectories_fit"]
     assert "stable window" in err
+    assert out == ""
+    _, stdout, _ = run_cli(capsys, "scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5")
+    assert out_file.read_text(encoding="utf-8") == stdout
+
+
+def test_json_is_streamed_not_built_whole(tmp_path, capsys, monkeypatch):
+    # The text of a large report is several times its size: no output path
+    # may build it with json.dumps.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps builds the whole text")
+
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1*x2, x2*x3", encoding="utf-8")
+    report = scan_powers(parse_ideal("x1*x2, x2*x3"), 1, 5).to_json_dict()
+    expected = json.dumps(report, indent=2, sort_keys=True)
+    monkeypatch.setattr(json, "dumps", refuse)
+    out_file = tmp_path / "report.json"
+    args = ("scan", "--ideal", str(ideal_file), "--kmin", "1", "--kmax", "5")
+    assert run_cli(capsys, *args)[:2] == (0, expected + "\n")
+    assert run_cli(capsys, *args, "--json", str(out_file))[:2] == (0, "")
+    assert out_file.read_text(encoding="utf-8") == expected + "\n"
 
 
 def test_scan_deterministic_output(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bettistab.decomposition import (
     greedy_decompose,
     prune,
     verify_decomposition,
+    verify_rays,
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
@@ -602,6 +603,28 @@ def test_verify_matches_fraction_reference_on_vertices(diagram):
         for w, expected in cases:
             assert verify_decomposition(diagram, w, candidates) is expected
             assert decomposition_reference.verify_decomposition(diagram, w, candidates) is expected
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [path_diagram(6, 4), path_diagram(7, 4), betti_oracle(power(NON_PATH_IDEAL, 1))],
+    ids=["path6^4", "path7^4", "non-path^1"],
+)
+def test_verify_rays_checks_every_ray(diagram):
+    # every enumerated ray passes, and no ray with one entry raised by 1,
+    # s included, passes alone or among the others
+    polytope = _pipeline(diagram)
+    rays, candidates = polytope.rays, polytope.candidates
+    assert verify_rays(diagram, rays, candidates)
+    assert verify_rays(diagram, (), candidates)
+    for i, ray in enumerate(rays):
+        for j in range(len(ray)):
+            raised = tuple(x + (n == j) for n, x in enumerate(ray))
+            assert verify_rays(diagram, (raised,), candidates) is False, (i, j)
+    last = rays[-1]
+    assert verify_rays(diagram, rays[:-1] + ((*last[:-1], last[-1] + 1),), candidates) is False
+    with pytest.raises(InputError):
+        verify_rays(diagram, (last[1:],), candidates)
 
 
 def _system(matrix, rhs):

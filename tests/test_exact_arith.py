@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bettistab import exact_arith
 from bettistab.errors import InputError
 from bettistab.exact_arith import (
     RationalFunctionFit,
     binom,
     fit_polynomial,
     fit_rational_function,
+    format_quotient,
     format_rational,
     integer_vector,
     interpolates,
@@ -445,7 +447,7 @@ def test_make_matches_fraction_division(p, q, common):
 def test_rational_reconstructions_are_euclid_pairs(samples):
     # r_j = t_j v at every sample, deg r_j falls strictly to the zero
     # polynomial, deg t_j rises, and t_1 is the constant denominator.
-    pairs = rational_reconstructions(samples)
+    pairs = list(rational_reconstructions(samples))
     assert len(pairs[0][1]) == 1 and pairs[0][1][0] > 0
     assert pairs[-1][0] == () and all(r for r, _ in pairs[:-1])
     for (r0, t0), (r1, t1) in zip(pairs, pairs[1:]):
@@ -454,6 +456,43 @@ def test_rational_reconstructions_are_euclid_pairs(samples):
         assert all(type(c) is int for c in r + t)
         for k, v in samples:
             assert poly_eval(r, k) == v * poly_eval(t, k)
+
+
+def test_rational_reconstructions_steps_only_when_read(monkeypatch):
+    # The first pair, the interpolant, takes no pseudo-remainder step, and
+    # each later pair one, when it is read.
+    steps = []
+    step = exact_arith._pseudo_remainder_step
+    monkeypatch.setattr(
+        exact_arith, "_pseudo_remainder_step", lambda *a: steps.append(1) or step(*a)
+    )
+    samples = [(k, Fraction(k * k + 1, k + 2)) for k in range(6)]
+    pairs = rational_reconstructions(samples)
+    first = next(pairs)
+    assert len(first[1]) == 1 and steps == []
+    second = next(pairs)
+    assert len(steps) == 1
+    assert [first, second, *pairs] == list(rational_reconstructions(samples))
+
+
+@given(polys, polys, st.integers(min_value=-30, max_value=30))
+def test_pair_at_is_the_integer_evaluation(num, den, k):
+    if not any(den):
+        den = [1]
+    fit = RationalFunctionFit.make(num, den)
+    p, q = fit.pair_at(k)
+    assert (p, q) == (poly_eval(fit.numerator, k), poly_eval(fit.denominator, k))
+    assert type(p) is int and type(q) is int
+    if q:
+        assert fit.evaluate(k) == Fraction(p, q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            fit.evaluate(k)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+def test_format_quotient_writes_the_fraction(n, d):
+    assert format_quotient(n, d) == format_rational(Fraction(n, d)) == str(Fraction(n, d))
 
 
 def test_interpolates_in_the_integers():
@@ -476,6 +515,10 @@ def test_poly_gcd_divides(p, q):
 def test_rational_serialization():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5)) == "5"
+    assert format_quotient(6, -8) == "-3/4"
+    assert format_quotient(0, -8) == "0"
+    with pytest.raises(ZeroDivisionError):
+        format_quotient(1, 0)
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     with pytest.raises(InputError):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -20,12 +22,14 @@ from bettistab.exact_arith import (
     integer_vector,
     kernel_basis,
     poly_eval,
+    poly_mul,
     poly_trim,
 )
 from bettistab.monomial_ideal import make_ideal
 from bettistab import decomposition, stability
 from bettistab.path_formula import path_diagram, path_ideal
 from bettistab.stability import (
+    ReferenceVertexFamily,
     TrajectoryFit,
     _fit_trajectory,
     combinatorial_signature,
@@ -35,7 +39,14 @@ from bettistab.stability import (
     scan_powers,
 )
 
+import stability_reference
+
 REFERENCE = path6_reference()
+
+
+def _value(ray, c):
+    """Coordinate c of the vertex that the ray (x_0, ..., x_{m-1}, s) stands for."""
+    return Fraction(ray[c], ray[-1])
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +199,8 @@ def test_scan_report_structure(path6_report):
 def test_scan_trajectories_validate_exactly(path6_report):
     for t in path6_report.trajectories:
         assert t.fit is not None
-        for k, vec in path6_report.vertex_values[t.vertex].items():
-            assert t.fit.evaluate(k) == vec[t.coordinate]
+        for k, ray in path6_report.vertex_values[t.vertex].items():
+            assert t.fit.evaluate(k) == _value(ray, t.coordinate)
 
 
 def test_scan_shared_coordinates_across_vertices(path6_report):
@@ -201,7 +212,7 @@ def test_scan_shared_coordinates_across_vertices(path6_report):
     pi8 = by_positions[REFERENCE.templates[7].positions]
     for k in range(4, 11):
         for c in (pi4, pi8):
-            values = {report.vertex_values[label][k][c] for label in report.vertex_labels}
+            values = {_value(report.vertex_values[label][k], c) for label in report.vertex_labels}
             assert len(values) == 1
 
 
@@ -237,7 +248,7 @@ def test_path8_reaches_its_stable_window():
     assert report.window == (51, 64)
     assert report.k0 == 50
     window = [r for r in report.records if r.k >= 51]
-    assert {len(r.polytope.vertices) for r in window} == {7296}
+    assert {len(r.polytope.rays) for r in window} == {7296}
     assert len(report.vertex_labels) == 7296
     assert report.trajectories and all(t.fit is not None for t in report.trajectories)
     assert report.column_sum_fits and all(f is not None for f in report.column_sum_fits)
@@ -422,21 +433,74 @@ def _ideal_id(ideal):
     )
 
 
+def _self_reference(report) -> ReferenceVertexFamily:
+    """A reference family read off a scan's own window.
+
+    Its templates are the scan's, labelled in reverse order.  Reference
+    vertex i is computed vertex i, in reverse label order, with every fitted
+    coordinate times i + 1 (so only the first is exactly equal, the others
+    at the constant ratio 1 / (i + 1)) and an unfitted one as 0.  A last
+    vertex, zero on every template, matches no computed vertex.
+    """
+    m = len(report.templates)
+    order = list(reversed(range(m)))  # template label t_j is coordinate order[j]
+    labels = tuple(f"t{j}" for j in range(m))
+    label_of = {c: labels[j] for j, c in enumerate(order)}
+    fits = {(t.vertex, t.coordinate): t.fit for t in report.trajectories}
+    patterns = dict(zip(report.vertex_labels, report.records[-1].signature.zero_patterns))
+    zero = RationalFunctionFit((), (1,))
+    zero_patterns, formulas = [], []
+    for i, vertex in enumerate(reversed(report.vertex_labels)):
+        zero_patterns.append(tuple(label_of[c] for c in patterns[vertex]))
+        formulas.append(
+            tuple(
+                RationalFunctionFit.make(poly_mul(fit.numerator, (i + 1,)), fit.denominator)
+                if fit
+                else zero
+                for fit in (fits[(vertex, c)] for c in order)
+            )
+        )
+    zero_patterns.append(labels)
+    formulas.append(tuple(zero for _ in labels))
+    return ReferenceVertexFamily(
+        min_k=report.window[0],
+        template_labels=labels,
+        templates=tuple(report.templates[c] for c in order),
+        vertex_labels=tuple(f"r{i}" for i in range(len(formulas))),
+        zero_patterns=tuple(zero_patterns),
+        coordinate_formulas=tuple(formulas),
+    )
+
+
+def _assert_matches_the_fraction_reference(report, families):
+    # The report JSON and every comparison read the rays: no record's
+    # polytope builds its Fraction view.  The references then read it.
+    data = report.to_json_dict()
+    records = [compare_reference(report, family) for family in families]
+    assert not [r.k for r in report.records if "vertices" in r.polytope.__dict__]
+    assert data == stability_reference.report_json(report)
+    for family, record in zip(families, records):
+        assert record == stability_reference.compare_reference(report, family)
+        assert record["reconstruction_ok"]
+
+
 @pytest.mark.parametrize("ideal", NON_PATH_IDEALS, ids=_ideal_id)
 def test_oracle_scans_of_non_path_ideals(ideal):
     # Every quadratic monomial ideal in three variables, C4 and the star:
     # the window, labels, fits and templates must agree with the records.
     report = scan_powers(ideal, 1, 5)
+    assert report.window is not None
+    _assert_matches_the_fraction_reference(report, [_self_reference(report)])
     for record in report.records:
         for v in record.polytope.vertices:
             assert verify_decomposition(record.diagram, v, record.polytope.candidates)
-    assert report.window is not None
     window = [r for r in report.records if r.k >= report.window[0]]
     labels = report.vertex_labels
     for record in window:
         signature = record.signature
         assert len(labels) == signature.vertex_count
-        vertices = [report.vertex_values[label][record.k] for label in labels]
+        rays = [report.vertex_values[label][record.k] for label in labels]
+        vertices = [tuple(_value(ray, c) for c in range(len(ray) - 1)) for ray in rays]
         assert sorted(vertices) == sorted(record.polytope.vertices)
         assert tuple(_zeros(v) for v in vertices) == signature.zero_patterns
         for c, template in enumerate(report.templates):
@@ -444,7 +508,7 @@ def test_oracle_scans_of_non_path_ideals(ideal):
     for t in report.trajectories:
         if t.fit is not None:
             for record in window:
-                value = report.vertex_values[t.vertex][record.k][t.coordinate]
+                value = _value(report.vertex_values[t.vertex][record.k], t.coordinate)
                 assert t.fit.evaluate(record.k) == value
 
 
@@ -457,6 +521,101 @@ NAMED_SCANS = [
 NAMED_SCAN_IDS = ["path6", "c4", "path7", "star"]
 
 
+@pytest.mark.parametrize("ideal, k_min, k_max", NAMED_SCANS, ids=NAMED_SCAN_IDS)
+def test_named_scans_match_the_fraction_reference(ideal, k_min, k_max):
+    report = scan_powers(ideal, k_min, k_max)
+    families = [_self_reference(report)]
+    if ideal == path_ideal(6):
+        families.append(REFERENCE)
+    _assert_matches_the_fraction_reference(report, families)
+    # The self reference meets each outcome: exact, a constant ratio of
+    # 1/2, 1/3, ... and no matching vertex.
+    first, *scaled, unmatched = compare_reference(report, families[0])["vertices"]
+    assert all(c["exact_equal"] and c["constant_ratio"] for c in first["coordinates"])
+    for i, vertex in enumerate(scaled, 2):
+        assert {
+            (c["exact_equal"], c["constant_ratio"], c["ratio"])
+            for c in vertex["coordinates"]
+            if c["reference_formula"]["numerator"]
+        } == {(False, True, f"1/{i}")}
+    assert unmatched["computed"] is None and not unmatched["zero_pattern_match"]
+
+
+def _raised(report, k, i, j):
+    """The report with coordinate j of ray i of record k raised by 1."""
+    records = list(report.records)
+    index = next(n for n, r in enumerate(records) if r.k == k)
+    polytope = records[index].polytope
+    rays = list(polytope.rays)
+    rays[i] = tuple(x + (n == j) for n, x in enumerate(rays[i]))
+    records[index] = dataclasses.replace(
+        records[index], polytope=dataclasses.replace(polytope, rays=tuple(rays))
+    )
+    return dataclasses.replace(report, records=tuple(records))
+
+
+def test_reconstruction_fails_on_a_raised_ray_coordinate():
+    # Raising any one entry of one ray, s included, breaks A x = s b, in the
+    # window (k = 4) and before it (k = 3).  The Fraction reference pairs
+    # the window's vertices by their zero patterns, which a raised zero
+    # moves, so it is checked on k = 3 alone.
+    report = scan_powers(path_ideal(6), 3, 11)
+    assert report.window == (4, 11)
+    assert compare_reference(report, REFERENCE)["reconstruction_ok"]
+    for record in report.records[:2]:
+        last_ray = len(record.polytope.rays) - 1
+        for j in range(len(record.polytope.candidates) + 1):
+            mutated = _raised(report, record.k, last_ray, j)
+            assert compare_reference(mutated, REFERENCE)["reconstruction_ok"] is False, j
+            if record.k == 3:
+                reference = stability_reference.compare_reference(mutated, REFERENCE)
+                assert reference["reconstruction_ok"] is False
+
+
+def _scaled_at(fit, ks, k_star, factor):
+    """fit * (1 + (factor - 1) p / d), p = prod(k - k_i) over ks without
+    k_star and d = p(k_star): `factor` times fit at k_star, fit at every
+    other k of ks."""
+    p = reduce(poly_mul, [(-k, 1) for k in ks if k != k_star], (1,))
+    d = int(poly_eval(p, k_star))
+    g = list(poly_mul(p, (factor - 1,)))
+    g[0] += d
+    return RationalFunctionFit.make(poly_mul(fit.numerator, g), poly_mul(fit.denominator, (d,)))
+
+
+def test_constant_ratio_clears_when_a_formula_moves_at_one_k(path6_report):
+    # h1's pi_3 formula equals the computed fit: exact, at ratio 1.  Scaled
+    # by 3 at every k it keeps a constant ratio, 1/3; scaled at one k only,
+    # it has none.
+    ks = list(range(path6_report.window[0], path6_report.window[1] + 1))
+    formulas = [list(f) for f in REFERENCE.coordinate_formulas]
+    h1_pi3 = formulas[0][2]
+
+    def coordinate(formula):
+        formulas[0][2] = formula
+        family = dataclasses.replace(
+            REFERENCE, coordinate_formulas=tuple(tuple(f) for f in formulas)
+        )
+        record = compare_reference(path6_report, family)
+        assert record == stability_reference.compare_reference(path6_report, family)
+        c = record["vertices"][0]["coordinates"][2]
+        return c["exact_equal"], c["constant_ratio"], c["ratio"]
+
+    assert coordinate(h1_pi3) == (True, True, "1")
+    tripled = RationalFunctionFit.make(poly_mul(h1_pi3.numerator, (3,)), h1_pi3.denominator)
+    assert coordinate(tripled) == (False, True, "1/3")
+    for k_star in ks:
+        moved = _scaled_at(h1_pi3, ks, k_star, 2)
+        assert [moved.evaluate(k) == h1_pi3.evaluate(k) for k in ks] == [k != k_star for k in ks]
+        assert coordinate(moved) == (False, False, None), k_star
+    # a pole in the window: no ratio, and the reference sum there is refused
+    formulas[0][2] = RationalFunctionFit((1,), (-ks[0], 1))
+    family = dataclasses.replace(REFERENCE, coordinate_formulas=tuple(tuple(f) for f in formulas))
+    for compare in (compare_reference, stability_reference.compare_reference):
+        with pytest.raises(ZeroDivisionError):
+            compare(path6_report, family)
+
+
 def _fits_one_by_one(report):
     """Reference for the scan's memo: one `_fit_trajectory` search per fit."""
     window = [r for r in report.records if r.k >= report.window[0]]
@@ -464,7 +623,7 @@ def _fits_one_by_one(report):
         TrajectoryFit(
             label,
             c,
-            _fit_trajectory([(r.k, report.vertex_values[label][r.k][c]) for r in window]),
+            _fit_trajectory([(r.k, _value(report.vertex_values[label][r.k], c)) for r in window]),
         )
         for label in report.vertex_labels
         for c in range(len(window[0].polytope.candidates))
@@ -517,14 +676,18 @@ def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
         values = pair_vertices(window_records)
         ks = [r.k for r in window_records]
         v1 = values["v1"]
-        values["twin"] = {k: v1[k] if k != ks[-1] else tuple(x + 1 for x in v1[k]) for k in ks}
+        # the twin's last ray adds its s to every x: each coordinate moves by 1
+        values["twin"] = {
+            k: v1[k] if k != ks[-1] else tuple(x + v1[k][-1] for x in v1[k][:-1]) + v1[k][-1:]
+            for k in ks
+        }
         c = next(
             c
-            for c in range(len(v1[ks[0]]))
-            if _fit_trajectory([(k, v1[k][c]) for k in ks], polynomial=True) is None
-            and _fit_trajectory([(k, v1[k][c]) for k in ks]) is not None
+            for c in range(len(v1[ks[0]]) - 1)
+            if _fit_trajectory([(k, _value(v1[k], c)) for k in ks], polynomial=True) is None
+            and _fit_trajectory([(k, _value(v1[k], c)) for k in ks]) is not None
         )
-        extra.update({id(r.diagram): v1[r.k][c] for r in window_records})
+        extra.update({id(r.diagram): _value(v1[r.k], c) for r in window_records})
         return values
 
     monkeypatch.setattr(stability, "_pair_vertices", pair_with_twin)
