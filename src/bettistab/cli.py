@@ -23,7 +23,7 @@ from .decomposition import (
 )
 from .diagram import BettiDiagram, render_table
 from .errors import BettiStabError, InputError
-from .koszul_oracle import automorphisms, betti_oracle, edge_power_regularity
+from .koszul_oracle import oracle_plan
 from .monomial_ideal import MonomialIdeal, parse_ideal, power
 from .path_formula import path_diagram, path_ideal
 from .stability import compare_reference, path6_reference, scan_powers
@@ -136,17 +136,15 @@ def run(args: argparse.Namespace) -> int:
     if args.subcommand == "oracle":
         ideal = power(_load_ideal(args.ideal), args.power)
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
-        regularity = edge_power_regularity(ideal)
+        plan = oracle_plan(ideal)  # the bound and the group that the diagram uses
         _log(
             "no regularity bound"
-            if regularity is None
-            else f"regularity bound {regularity} (forest or cycle edge-ideal power)"
+            if plan.regularity is None
+            else f"regularity bound {plan.regularity} (forest or cycle edge-ideal power)"
         )
-        perms, order = automorphisms(ideal)
-        plural = "" if len(perms) == 1 else "s"
-        _log(f"automorphism group of order {order} ({len(perms)} generator{plural})")
-        diagram = betti_oracle(ideal)
-        _emit_json(diagram.to_json_dict())
+        plural = "" if len(plan.perms) == 1 else "s"
+        _log(f"automorphism group of order {plan.order} ({len(plan.perms)} generator{plural})")
+        _emit_json(plan.diagram().to_json_dict())
         return 0
 
     if args.subcommand == "decompose":

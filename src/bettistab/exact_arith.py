@@ -102,9 +102,12 @@ def integer_vector(values) -> list:
     """Scale a sequence of rationals by the lcm of its denominators; ints out.
 
     Entries must be ints or Fractions; anything else, bools included, raises
-    InputError.
+    InputError.  A row of ints alone comes back as they are, with no lcm.
     """
-    if bool in map(type, values):
+    types = set(map(type, values))
+    if types == {int}:
+        return list(values)
+    if bool in types:
         raise InputError("entries must be ints or Fractions, not bools")
     try:
         scale = math.lcm(*(x.denominator for x in values))

@@ -37,8 +37,10 @@ Pruning: the fold keeps a new point a only if it passes two tests, and
 never expands a point it drops.
 (i) No divisor is tight at no variable.  A divisor g with g_t < a_t for
 every t in supp(a) divides x^(a - 1_supp(a)), and so x^(a - e_sigma) for
-every subset sigma of supp(a): the strand is zero.  The test reads
-`divisors & ~(OR of the E_t)` off the index lookups that the key uses.
+every subset sigma of supp(a): the strand is zero.  `_lookup` returns
+`divisors & ~(OR of the E_t)` with the key's other fields, from an OR of
+the eq_t that each half-point entry holds, so the fold tests it with no
+pass over the E_t.
 (ii) |a| - |supp a| <= reg(S/I), when that is known.  beta_{i,a} != 0
 needs i <= |supp a|, since the strand lives on the subsets of supp(a), and
 |a| - i <= reg(S/I).  `edge_power_regularity` knows reg(S/I) for
@@ -67,16 +69,18 @@ generator-scan reference key relies on the guard bit too.
 Divisor index: `_divisor_index` maps, per variable t, the packed field
 values a & field_t that a lookup can meet (0, the field's bound and the
 g_t) to two generator bitsets, le_t = {g : g_t <= a_t} and
-eq_t = {g : g_t = a_t > 0}.  At a point a the divisors are D = AND_t le_t,
-with no scan over the generators, and the generators tight at t are
-E_t = eq_t & D, so g in D has the tight set T(g) = {t : g in E_t}.
+eq_t = {g : g_t = a_t > 0}, built in one pass over the generators per
+variable.  At a point a the divisors are D = AND_t le_t, with no scan
+over the generators, and the generators tight at t are E_t = eq_t & D, so
+g in D has the tight set T(g) = {t : g in E_t}.
 
 Half-point memo: the index splits the variables into the first n // 2
 and the rest.  The entry of a half-point (a on one half's fields) holds
-the AND of its le_t, its support bits and its (bit of t, eq_t) pairs, and
-`_lookup` joins a's two entries, D being the AND of their le.  The fold's
-points share most half-points, so it keeps the entries in two dicts for
-one call, and a lookup is mostly two dict hits and one AND.
+the AND of its le_t, its support bits, its (bit of t, eq_t) pairs and the
+OR of those eq_t, and `_lookup` joins a's two entries, D being the AND of
+their le.  The fold's points share most half-points, so it keeps the
+entries in two dicts for one call, and a lookup is mostly two dict hits
+and one AND.
 
 Descent (`_indexed_key`): start with R = D.  For j in R and tau = T(j),
 above = R & AND_{t in tau} E_t is {g in R : T(g) contains tau}, outside =
@@ -145,7 +149,8 @@ mask without t, so keep is the AND of those tables; sigma - {t} survives
 iff rho meets m - {t} for every mask m with t, so inner is the AND of
 those.  The set bits of keep & ~inner are C_t.  That is O(|masks| r)
 operations on 2^r-bit ints in place of 2^r Python steps that each test
-every mask.
+every mask.  The columns depend on r alone, so `betti_oracle` builds them
+once per support size, in a dict that lives for the call.
 
 Cone rule: when the apex lies in no minimal tight set (and a != 0), every
 set is matched and C_t is empty, so the strand is exact: sigma <-> sigma
@@ -158,6 +163,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import itemgetter, mul, or_
+from typing import NamedTuple
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -194,22 +200,27 @@ def _divisor_index(fields, generators) -> tuple:
     thus grows with the number of generators, not with the exponents.  A
     generator above the bound is in no le_t.
     """
+    bits = [1 << j for j in range(len(generators))]
     variables = []
     for t, field in enumerate(fields):
         low, top = field & -field, field.bit_count() - 1
+        eqs = {0: 0, top: 0}  # g_t -> {g : g_t = that value}, in one pass
+        for bit, g in zip(bits, generators):
+            if (v := g[t]) <= top:
+                eqs[v] = eqs.get(v, 0) | bit
         table, le = {}, 0
-        for v in sorted({0, top, *(g[t] for g in generators if g[t] <= top)}):
-            eq = sum(1 << j for j, g in enumerate(generators) if g[t] == v)
-            le |= eq
-            table[((1 << v) - 1) * low] = (le, eq if v else 0)
+        for v in sorted(eqs):
+            le |= eqs[v]
+            table[((1 << v) - 1) * low] = (le, eqs[v] if v else 0)
         variables.append((1 << t, field, table))
     split = len(fields) // 2
     return (sum(fields[:split]), variables[:split]), (sum(fields[split:]), variables[split:])
 
 
 def _half_entry(half, x) -> tuple:
-    """(AND of le_t, support bits, ((bit of t, eq_t), ...) for t in supp x) over one half."""
-    divisors, support, eqs = -1, 0, []
+    """(AND of le_t, support bits, ((bit of t, eq_t), ...) for t in supp x,
+    OR of those eq_t) over one half."""
+    divisors, support, eqs, eq_union = -1, 0, [], 0
     for bit, field, table in half:
         y = x & field
         le, eq = table[y]
@@ -217,14 +228,18 @@ def _half_entry(half, x) -> tuple:
         if y:
             support |= bit
             eqs.append((bit, eq))
-    return divisors, support, tuple(eqs)
+            eq_union |= eq
+    return divisors, support, tuple(eqs), eq_union
 
 
 def _lookup(index, a, memos) -> tuple:
-    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty).
+    """(supp(a), the divisors D, [(bit of t, E_t)] for each t with E_t non-empty,
+    the divisors tight at no variable, D & ~(OR of the E_t)).
 
     The join of the entries of a's two halves, each memoized by its
-    half-point in its dict of `memos` (module docstring).
+    half-point in its dict of `memos` (module docstring).  E_t = eq_t & D,
+    so the last field is D & ~(OR of the halves' eq_t), with no pass over
+    the E_t.
     """
     (low_mask, low), (high_mask, high) = index
     low_memo, high_memo = memos
@@ -235,7 +250,8 @@ def _lookup(index, a, memos) -> tuple:
         high_entry = high_memo[y] = _half_entry(high, y)
     divisors = low_entry[0] & high_entry[0]
     tight = [(bit, e) for bit, eq in low_entry[2] + high_entry[2] if (e := eq & divisors)]
-    return low_entry[1] | high_entry[1], divisors, tight
+    untight = divisors & ~(low_entry[3] | high_entry[3])
+    return low_entry[1] | high_entry[1], divisors, tight, untight
 
 
 def _minimal_tight_sets(divisors, tight) -> frozenset:
@@ -262,7 +278,7 @@ def _minimal_tight_sets(divisors, tight) -> frozenset:
 
 def _indexed_key(index, a) -> tuple:
     """(supp(a), inclusion-minimal tight sets of the divisors) as variable bitmasks."""
-    support, divisors, tight = _lookup(index, a, ({}, {}))
+    support, divisors, tight, _ = _lookup(index, a, ({}, {}))
     return support, _minimal_tight_sets(divisors, tight)
 
 
@@ -301,15 +317,24 @@ def _apex(shape) -> int:
     return 1 << counts.index(min(counts)) if counts else 0
 
 
-def _critical_bases(n, shape, apex):
+def _columns(r) -> tuple:
+    """(full, columns) on truth tables over r variables: full = 2^(2^r) - 1,
+    and columns[i], with h = 2^i, the table of the rho that contain b_i."""
+    full = (1 << (1 << r)) - 1
+    return full, [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+                  for h in (1 << i for i in range(r))]
+
+
+def _critical_bases(n, shape, apex, tables):
     """Per homological degree, the critical cells of the apex matching, as bitmasks.
 
     sigma = rho | apex with rho in supp - apex is critical iff rho meets
     every mask without the apex (so sigma survives) and misses some mask
     with it (so sigma - apex does not).  Both tests run on truth tables
     over the 2^r subsets rho of the r variables in supp - apex (module
-    docstring).  The one cell of an empty support survives iff there are
-    no masks.
+    docstring), whose `_columns` are read from the caller's dict `tables`,
+    r -> `_columns(r)`, and added to it on a miss.  The one cell of an
+    empty support survives iff there are no masks.
     """
     support, masks = shape
     bases = [[] for _ in range(n + 1)]
@@ -317,10 +342,9 @@ def _critical_bases(n, shape, apex):
         if not masks:
             bases[0].append(0)
         return bases
-    below, full = apex - 1, (1 << (1 << support.bit_length() - 1)) - 1
-    # per index bit i, with h = 2^i: the table of the rho that contain b_i
-    columns = [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
-               for h in (1 << i for i in range(support.bit_length() - 1))]
+    if (table := tables.get(r := support.bit_length() - 1)) is None:
+        table = tables[r] = _columns(r)
+    below, (full, columns) = apex - 1, table
     keep, inner = full, full
     for m in masks:
         rho, meets = m & below | m >> 1 & ~below, 0  # m - apex, as index bits
@@ -369,9 +393,10 @@ def _homology(bases) -> tuple:
     return tuple(len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases))
 
 
-def _key_homology(n, shape) -> tuple:
-    """Homology of the strand with this shape, on the critical cells of `_apex`'s matching."""
-    return _homology(_critical_bases(n, shape, _apex(shape)))
+def _key_homology(n, shape, tables) -> tuple:
+    """Homology of the strand with this shape, on the critical cells of `_apex`'s
+    matching; `tables` is `_critical_bases`'s dict of truth-table columns."""
+    return _homology(_critical_bases(n, shape, _apex(shape), tables))
 
 
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
@@ -384,7 +409,7 @@ def strand_homology(ideal: MonomialIdeal, a) -> tuple:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
         raise InputError("multidegree must be componentwise nonnegative")
-    return _key_homology(ideal.num_vars, _shape(_strand_key(ideal, a)))
+    return _key_homology(ideal.num_vars, _shape(_strand_key(ideal, a)), {})
 
 
 def _induced_matching_number(edges, k) -> int | None:
@@ -456,15 +481,22 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     if not edges or (nu := _induced_matching_number(edges, k)) is None:
         return None
     # Monomials as base-(2k + 1) ints: no exponent here exceeds 2k, so a
-    # product is a sum with no carry.  I(G)^j times a fixed edge embeds in
-    # I(G)^(j+1), so a product set larger than the generators rules I out
-    # before the last step.
+    # product is a sum with no carry.  The j-fold products P_j are built by
+    # doubling, P_(a+b) = P_a + P_b, in O(log k) sumsets.  I(G)^j times a
+    # fixed edge embeds in I(G)^(j+1), so |P_j| never falls as j grows, and
+    # any P_j, j <= k, larger than the generators rules I out.
     weights = [(degree + 1) ** t for t in range(ideal.num_vars)]
-    units = [weights[u] + weights[v] for u, v in edges]
-    products = {0}
-    for _ in range(k):
-        products = {p + unit for p in products for unit in units}
-        if len(products) > len(ideal.generators):
+    limit = len(ideal.generators)
+    doubled, products, j = {weights[u] + weights[v] for u, v in edges}, {0}, k
+    while True:  # doubled = P_(2^i); products = P_(k mod 2^i)
+        if j & 1:
+            products = {p + q for p in products for q in doubled}
+            if len(products) > limit:
+                return None
+        if not (j := j >> 1):
+            break
+        doubled = {p + q for p in doubled for q in doubled}
+        if len(doubled) > limit:
             return None
     if products != {sum(map(mul, g, weights)) for g in ideal.generators}:
         return None
@@ -587,10 +619,7 @@ def _pruned_lattice(index, generators, regularity, perms) -> tuple:
             else:
                 if (b & b >> 1).bit_count() > regularity:
                     continue
-                support, divisors, tight = _lookup(index, b, memos)
-                untight = divisors
-                for _, e in tight:
-                    untight &= ~e
+                support, divisors, tight, untight = _lookup(index, b, memos)
                 if untight:
                     continue
                 orbit = [b]  # close b's orbit under S into pending
@@ -610,6 +639,47 @@ def _pruned_lattice(index, generators, regularity, perms) -> tuple:
     return seen, kept, points
 
 
+class OraclePlan(NamedTuple):
+    """What `betti_oracle` fixes about I before its fold: the packing
+    `fields`, `edge_power_regularity(ideal)`, and `automorphisms(ideal)` as
+    `perms` and their group's `order`.  `oracle_plan` builds it; `diagram`
+    runs the fold and the homology on it, so a caller that reads the bound
+    or the group before the diagram computes neither twice."""
+
+    ideal: MonomialIdeal
+    fields: list
+    regularity: int | None
+    perms: tuple
+    order: int
+
+    def diagram(self) -> BettiDiagram:
+        """The Betti diagram of S/I (`betti_oracle`)."""
+        ideal, fields = self.ideal, self.fields
+        index = _divisor_index(fields, ideal.generators)
+        generators = [_pack(fields, g) for g in ideal.generators]
+        bound = sum(ideal.exponent_lcm()) if self.regularity is None else self.regularity
+        _, _, points = _pruned_lattice(index, generators, bound, self.perms)
+        homology, totals = {}, {}  # shape -> its homology
+        tables = {}  # support size - 1 -> `_columns`, for this call only
+        for (key, d), count in points.items():
+            if _is_cone(key):
+                continue
+            shape = _shape(key)
+            if (dims := homology.get(shape)) is None:
+                dims = homology[shape] = _key_homology(ideal.num_vars, shape, tables)
+            for i, h in enumerate(dims):
+                if h:
+                    totals[(i, d)] = totals.get((i, d), 0) + h * count
+        return BettiDiagram(totals)
+
+
+def oracle_plan(ideal: MonomialIdeal) -> OraclePlan:
+    """The `OraclePlan` of I.  `_fields` checks the packing cap first and
+    raises InputError above it, before the recogniser or the group search."""
+    fields = _fields(ideal.exponent_lcm())
+    return OraclePlan(ideal, fields, edge_power_regularity(ideal), *automorphisms(ideal))
+
+
 def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     """Graded Betti diagram of S/I, always complete.
 
@@ -621,23 +691,4 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     docstring).  A packed point takes sum over t of (M_t + 1) bits, M_t the
     largest g_t; above 2^27 of them `_fields` raises InputError.
     """
-    lcm = ideal.exponent_lcm()
-    fields = _fields(lcm)
-    regularity = edge_power_regularity(ideal)
-    index = _divisor_index(fields, ideal.generators)
-    generators = [_pack(fields, g) for g in ideal.generators]
-    _, _, points = _pruned_lattice(
-        index, generators, sum(lcm) if regularity is None else regularity,
-        automorphisms(ideal)[0],
-    )
-    homology, totals = {}, {}  # shape -> its homology
-    for (key, d), count in points.items():
-        if _is_cone(key):
-            continue
-        shape = _shape(key)
-        if (dims := homology.get(shape)) is None:
-            dims = homology[shape] = _key_homology(ideal.num_vars, shape)
-        for i, h in enumerate(dims):
-            if h:
-                totals[(i, d)] = totals.get((i, d), 0) + h * count
-    return BettiDiagram(totals)
+    return oracle_plan(ideal).diagram()

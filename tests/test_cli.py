@@ -5,6 +5,7 @@ import types
 import pytest
 
 import bettistab
+from bettistab import cli, koszul_oracle
 from bettistab.cli import build_parser, main
 from bettistab.diagram import BettiDiagram
 from bettistab.monomial_ideal import parse_ideal
@@ -112,6 +113,45 @@ def test_oracle_output_does_not_depend_on_labels_or_order(tmp_path, capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["entries"]
+
+
+def _count_searches(monkeypatch) -> dict:
+    """Count the calls of the regularity recogniser and the group search,
+    wherever the oracle or the CLI module binds them."""
+    calls = {"edge_power_regularity": 0, "automorphisms": 0}
+    for name in calls:
+        def counted(ideal, name=name, original=getattr(koszul_oracle, name)):
+            calls[name] += 1
+            return original(ideal)
+        for module in (koszul_oracle, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_oracle_computes_its_bound_and_group_once(tmp_path, capsys, monkeypatch):
+    # the stderr lines name the bound and the group that the diagram uses
+    calls = _count_searches(monkeypatch)
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1^1000000*x2^1000000\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 0
+    assert calls == {"edge_power_regularity": 1, "automorphisms": 1}
+    assert err.splitlines()[1:] == [
+        "regularity bound 1999999 (forest or cycle edge-ideal power)",
+        "automorphism group of order 2 (1 generator)",
+    ]
+    assert json.loads(out)["entries"] == [[0, 0, "1"], [1, 2000000, "1"]]
+
+
+def test_oracle_refuses_an_over_cap_ideal_before_either_search(tmp_path, capsys, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    ideal_file = tmp_path / "ideal.txt"
+    ideal_file.write_text("x1^10000000000, x2\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "oracle", "--ideal", str(ideal_file))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
+    assert calls == {"edge_power_regularity": 0, "automorphisms": 0}
 
 
 def test_oracle_rejects_power_zero(tmp_path, capsys):

@@ -11,6 +11,7 @@ from bettistab.errors import InputError
 from bettistab.koszul_oracle import (
     _apex,
     _boundary_matrix,
+    _columns,
     _critical_bases,
     _divisor_index,
     _fields,
@@ -470,7 +471,7 @@ def _assert_cells_match_reference(n, key, apex):
     support = key[0]
     shape_apex = 1 << (support & apex - 1).bit_count() if apex else 0
     cells = [[_unshape(support, sigma) for sigma in level]
-             for level in _critical_bases(n, _shape(key), shape_apex)]
+             for level in _critical_bases(n, _shape(key), shape_apex, {})]
     reference = _reference_critical_bases(n, key, apex)
     assert len(cells) == len(reference) == n + 1
     for level, expected in zip(cells, reference):
@@ -562,7 +563,7 @@ def test_shape_relabels_in_order(support, masks):
 def test_shape_homology_matches_full_strand_on_arbitrary_masks(r, masks):
     # any masks, not only minimal tight sets: the surviving sets are an up-set either way
     key = ((1 << r) - 1, frozenset(m & ((1 << r) - 1) for m in masks))
-    assert _key_homology(6, _shape(key)) == _tuple_homology(_as_tuples(_key_bases(6, key)))
+    assert _key_homology(6, _shape(key), {}) == _tuple_homology(_as_tuples(_key_bases(6, key)))
 
 
 def test_shape_examples():
@@ -576,9 +577,36 @@ def test_shape_examples():
     # critical cells {0, 1} and {1, 2, 3}, neither a face of the other: each
     # one-cell side has a zero boundary, so H_2 and H_3 are both 1
     key = (0b11110, frozenset({0b00110, 0b01010, 0b10010, 0b11100}))
-    assert _critical_bases(4, _shape(key), _apex(_shape(key))) == [[], [], [0b0011], [0b1110], []]
-    assert _key_homology(4, _shape(key)) == (0, 0, 1, 1, 0)
-    assert _key_homology(4, _shape(key)) == _tuple_homology(_as_tuples(_key_bases(4, key)))
+    assert _critical_bases(4, _shape(key), _apex(_shape(key)), {}) == [[], [], [0b0011], [0b1110], []]
+    assert _key_homology(4, _shape(key), {}) == (0, 0, 1, 1, 0)
+    assert _key_homology(4, _shape(key), {}) == _tuple_homology(_as_tuples(_key_bases(4, key)))
+
+
+def _per_shape_columns(support):
+    """The truth-table columns as built inside each shape's cell search."""
+    full = (1 << (1 << support.bit_length() - 1)) - 1
+    return full, [full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+                  for h in (1 << i for i in range(support.bit_length() - 1))]
+
+
+def test_column_tables_once_per_support_size():
+    # for r = 0..8 index bits: one `_columns(r)` entry in the caller's dict,
+    # equal to the per-shape construction, with column i the idx whose bit i
+    # is set, and read again, not rebuilt, by the next shape of that size
+    tables = {}
+    for r in range(9):
+        support = (1 << r + 1) - 1
+        full, columns = _columns(r)
+        assert (full, columns) == _per_shape_columns(support)
+        assert full == (1 << (1 << r)) - 1
+        assert columns == [sum(1 << idx for idx in range(1 << r) if idx >> i & 1)
+                           for i in range(r)]
+        shapes = [(support, frozenset({support})), (support, frozenset({1, support & ~1}))]
+        _critical_bases(r + 1, shapes[0], _apex(shapes[0]), tables)
+        assert set(tables) == set(range(r + 1)) and tables[r] == (full, columns)
+        entry = tables[r]
+        _critical_bases(r + 1, shapes[1], _apex(shapes[1]), tables)
+        assert tables[r] is entry
 
 
 def _assert_shapes_match_reference(ideal):
@@ -588,7 +616,7 @@ def _assert_shapes_match_reference(ideal):
     n = ideal.num_vars
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
-    supports, homology = {}, {}
+    supports, homology, tables = {}, {}, {}  # one column dict for every shape, as in the oracle
     for x in lcm_lattice([_pack(fields, g) for g in ideal.generators]):
         key = _indexed_key(index, x)
         if _is_cone(key):
@@ -596,7 +624,7 @@ def _assert_shapes_match_reference(ideal):
         a = _unpack(fields, x)
         expected = _reference_homology(ideal, a)
         shape = _shape(key)
-        assert _key_homology(n, shape) == expected
+        assert _key_homology(n, shape, tables) == expected
         assert strand_homology(ideal, a) == expected and len(expected) == n + 1
         assert homology.setdefault(shape, expected) == expected
         supports.setdefault(shape, set()).add(key[0])

@@ -1,7 +1,9 @@
 """The pruned lattice fold against the unpruned reference, and the regularity recogniser."""
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,8 @@ from bettistab.koszul_oracle import (
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_ideal
 from oracle_reference import betti_oracle as reference_oracle
+from oracle_reference import divisor_index as reference_divisor_index
+from oracle_reference import edge_power_regularity as reference_regularity
 from oracle_reference import lcm_lattice, lookup as reference_lookup
 from test_koszul_oracle import _relabelled, _unpack, non_path_ideals
 
@@ -76,6 +80,7 @@ def _assert_pruned_matches_reference(ideal):
     group it classifies and keeps the same points, with the same count per
     degree, on no more keys."""
     regularity = edge_power_regularity(ideal)
+    assert regularity == reference_regularity(ideal)
     top = sum(ideal.exponent_lcm())
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
@@ -122,7 +127,8 @@ def test_dropped_points_have_zero_homology(ideal):
 
 def _assert_lookups_match_reference(ideal):
     """Every point the fold classifies, replayed in the fold's order through one
-    pair of memos: the half-entry lookup equals the per-variable reference.
+    pair of memos: the half-entry lookup equals the per-variable reference, and
+    its divisors tight at no variable are D & ~(OR of the reference's E_t).
 
     Returns (points, memo entries over both halves).
     """
@@ -140,7 +146,10 @@ def _assert_lookups_match_reference(ideal):
     )
     memos = {}, {}
     for a in seen:
-        assert _lookup(index, a, memos) == reference_lookup(index, a)
+        support, divisors, tight, untight = _lookup(index, a, memos)
+        expected = reference_lookup(index, a)
+        assert (support, divisors, tight) == expected
+        assert untight == expected[1] & ~reduce(or_, (e for _, e in expected[2]), 0)
     return len(seen), sum(map(len, memos))
 
 
@@ -250,6 +259,7 @@ def test_recogniser_on_random_forests(forest, k):
         return
     ideal = power(edge_ideal(n, edges), k)
     assert edge_power_regularity(ideal) == 2 * k + brute_induced_matching(edges) - 2
+    assert reference_regularity(ideal) == edge_power_regularity(ideal)
 
 
 @given(forests(), st.integers(1, 2))
@@ -275,9 +285,10 @@ def test_recogniser_rejects_what_bht_does_not_cover():
         make_ideal(4, list(path4.generators) + [(3, 0, 0, 1)]),  # path(4)^2 and one more
         make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)]),
     ]
-    assert edge_power_regularity(path4) == 3
+    assert edge_power_regularity(path4) == reference_regularity(path4) == 3
     for ideal in rejected:
         assert edge_power_regularity(ideal) is None
+        assert reference_regularity(ideal) is None
 
 
 def test_recogniser_counts_isolated_variables_out():
@@ -288,6 +299,44 @@ def test_recogniser_counts_isolated_variables_out():
     # a 4-cycle inside six variables
     cycle = edge_ideal(6, [(0, 2), (2, 4), (4, 5), (5, 0)])
     assert edge_power_regularity(power(cycle, 3)) == 5
+
+
+@given(forests(), st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_recogniser_matches_reference_on_perturbed_forest_powers(forest, k, data):
+    # I(G)^k with one generator removed, or with one more monomial of its
+    # degree: the product sets outgrow the generators or miss one of them
+    n, edges = forest
+    if not edges:
+        return
+    generators = list(power(edge_ideal(n, edges), k).generators)
+    if len(generators) > 1 and data.draw(st.booleans()):
+        generators.pop(data.draw(st.integers(0, len(generators) - 1)))
+    else:
+        parts = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * k, max_size=2 * k))
+        generators.append(tuple(parts.count(t) for t in range(n)))
+    ideal = make_ideal(n, generators)
+    assert edge_power_regularity(ideal) == reference_regularity(ideal)
+
+
+def test_recogniser_takes_logarithmic_steps_on_one_edge():
+    # x1^e x2^e = I(G)^e for G one edge, nu = 1: reg = 2e - 1, and the
+    # product sets are built in about log2(e) sumsets, not e
+    for e in (1, 2, 3, 5, 8, 13, 10**6):
+        assert edge_power_regularity(make_ideal(2, [(e, e)])) == 2 * e - 1
+    assert reference_regularity(make_ideal(2, [(13, 13)])) == 25
+
+
+@given(non_path_ideals(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_divisor_index_matches_reference(ideal, data):
+    # on the lcm's fields, and on narrower ones that some generators exceed
+    bounds = [ideal.exponent_lcm()]
+    bounds.append(tuple(data.draw(st.integers(0, c)) for c in ideal.exponent_lcm()))
+    for bound in bounds:
+        fields = _fields(bound)
+        assert _divisor_index(fields, ideal.generators) == reference_divisor_index(
+            fields, ideal.generators)
 
 
 def test_reach_c6_fifth_power():
