@@ -136,15 +136,15 @@ def run(args: argparse.Namespace) -> int:
     if args.subcommand == "oracle":
         ideal = power(_load_ideal(args.ideal), args.power)
         _log(f"oracle over {ideal.num_vars} variables, {len(ideal.generators)} generators")
-        plan = oracle_plan(ideal)  # the bound and the group that the diagram uses
+        regularity, perms, order, diagram = oracle_plan(ideal)  # what the diagram uses
         _log(
             "no regularity bound"
-            if plan.regularity is None
-            else f"regularity bound {plan.regularity} (forest or cycle edge-ideal power)"
+            if regularity is None
+            else f"regularity bound {regularity} (forest or cycle edge-ideal power)"
         )
-        plural = "" if len(plan.perms) == 1 else "s"
-        _log(f"automorphism group of order {plan.order} ({len(plan.perms)} generator{plural})")
-        _emit_json(plan.diagram().to_json_dict())
+        plural = "" if len(perms) == 1 else "s"
+        _log(f"automorphism group of order {order} ({len(perms)} generator{plural})")
+        _emit_json(diagram().to_json_dict())
         return 0
 
     if args.subcommand == "decompose":

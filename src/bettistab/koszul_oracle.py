@@ -163,7 +163,6 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import itemgetter, mul, or_
-from typing import NamedTuple
 
 from .diagram import BettiDiagram
 from .errors import InputError
@@ -458,6 +457,11 @@ def _induced_matching_number(edges, k) -> int | None:
     return nu
 
 
+def _sumset(p, q) -> set:
+    """{a + b : a in p, b in q}, one step of `edge_power_regularity`."""
+    return {a + b for a in p for b in q}
+
+
 def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     """reg(S/I) when I = I(G)^k for a forest G, or for a cycle G and k >= 2; else None.
 
@@ -490,12 +494,12 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     doubled, products, j = {weights[u] + weights[v] for u, v in edges}, {0}, k
     while True:  # doubled = P_(2^i); products = P_(k mod 2^i)
         if j & 1:
-            products = {p + q for p in products for q in doubled}
+            products = _sumset(products, doubled)
             if len(products) > limit:
                 return None
         if not (j := j >> 1):
             break
-        doubled = {p + q for p in doubled for q in doubled}
+        doubled = _sumset(doubled, doubled)
         if len(doubled) > limit:
             return None
     if products != {sum(map(mul, g, weights)) for g in ideal.generators}:
@@ -639,26 +643,22 @@ def _pruned_lattice(index, generators, regularity, perms) -> tuple:
     return seen, kept, points
 
 
-class OraclePlan(NamedTuple):
-    """What `betti_oracle` fixes about I before its fold: the packing
-    `fields`, `edge_power_regularity(ideal)`, and `automorphisms(ideal)` as
-    `perms` and their group's `order`.  `oracle_plan` builds it; `diagram`
-    runs the fold and the homology on it, so a caller that reads the bound
-    or the group before the diagram computes neither twice."""
+def oracle_plan(ideal: MonomialIdeal) -> tuple:
+    """(regularity, perms, order, diagram): what `betti_oracle` fixes about I
+    before its fold, and the zero-argument `diagram()` that runs the fold and
+    the homology on exactly those values.  `_fields` checks the packing cap
+    first and raises InputError above it, before the recogniser or the group
+    search, so a caller that reads the bound or the group before the diagram
+    computes neither twice."""
+    fields = _fields(ideal.exponent_lcm())
+    regularity = edge_power_regularity(ideal)
+    perms, order = automorphisms(ideal)
 
-    ideal: MonomialIdeal
-    fields: list
-    regularity: int | None
-    perms: tuple
-    order: int
-
-    def diagram(self) -> BettiDiagram:
-        """The Betti diagram of S/I (`betti_oracle`)."""
-        ideal, fields = self.ideal, self.fields
+    def diagram() -> BettiDiagram:
         index = _divisor_index(fields, ideal.generators)
         generators = [_pack(fields, g) for g in ideal.generators]
-        bound = sum(ideal.exponent_lcm()) if self.regularity is None else self.regularity
-        _, _, points = _pruned_lattice(index, generators, bound, self.perms)
+        bound = sum(ideal.exponent_lcm()) if regularity is None else regularity
+        _, _, points = _pruned_lattice(index, generators, bound, perms)
         homology, totals = {}, {}  # shape -> its homology
         tables = {}  # support size - 1 -> `_columns`, for this call only
         for (key, d), count in points.items():
@@ -672,12 +672,7 @@ class OraclePlan(NamedTuple):
                     totals[(i, d)] = totals.get((i, d), 0) + h * count
         return BettiDiagram(totals)
 
-
-def oracle_plan(ideal: MonomialIdeal) -> OraclePlan:
-    """The `OraclePlan` of I.  `_fields` checks the packing cap first and
-    raises InputError above it, before the recogniser or the group search."""
-    fields = _fields(ideal.exponent_lcm())
-    return OraclePlan(ideal, fields, edge_power_regularity(ideal), *automorphisms(ideal))
+    return regularity, perms, order, diagram
 
 
 def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
@@ -691,4 +686,5 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     docstring).  A packed point takes sum over t of (M_t + 1) bits, M_t the
     largest g_t; above 2^27 of them `_fields` raises InputError.
     """
-    return oracle_plan(ideal).diagram()
+    *_, diagram = oracle_plan(ideal)
+    return diagram()

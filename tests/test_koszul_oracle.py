@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bettistab.diagram import BettiDiagram, validate_cyclic
 from bettistab.errors import InputError
+from bettistab import koszul_oracle
 from bettistab.koszul_oracle import (
     _apex,
     _boundary_matrix,
@@ -23,6 +24,7 @@ from bettistab.koszul_oracle import (
     _shape,
     _strand_key,
     betti_oracle,
+    oracle_plan,
     strand_homology,
 )
 from bettistab.monomial_ideal import make_ideal, power
@@ -223,6 +225,23 @@ def test_oracle_has_no_degree_bound():
     assert str(inspect.signature(betti_oracle)) == "(ideal: 'MonomialIdeal') -> 'BettiDiagram'"
     with pytest.raises(TypeError):
         betti_oracle(path_ideal(4), degree_bound=1)
+    # nothing public in the module takes a bound or a group: each takes the
+    # ideal (and strand_homology a lattice point), and the plan's diagram nothing
+    public = {
+        name: inspect.signature(f)
+        for name, f in vars(koszul_oracle).items()
+        if callable(f) and not name.startswith("_") and f.__module__ == koszul_oracle.__name__
+    }
+    assert set(public) == {
+        "automorphisms", "betti_oracle", "edge_power_regularity", "oracle_plan", "strand_homology"}
+    for name, signature in public.items():
+        assert list(signature.parameters) == (
+            ["ideal", "a"] if name == "strand_homology" else ["ideal"]), name
+    ideal = power(path_ideal(4), 2)
+    plan = oracle_plan(ideal)
+    assert type(plan) is tuple and len(plan) == 4
+    assert not inspect.signature(plan[3]).parameters
+    assert plan[3]() == betti_oracle(ideal)
 
 
 def _reference_strand_bases(ideal, a):

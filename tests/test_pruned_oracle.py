@@ -8,6 +8,7 @@ from operator import or_
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bettistab import koszul_oracle
 from bettistab.koszul_oracle import (
     _divisor_index,
     _fields,
@@ -16,6 +17,7 @@ from bettistab.koszul_oracle import (
     _lookup,
     _pack,
     _pruned_lattice,
+    _sumset as sumset,
     automorphisms,
     betti_oracle,
     edge_power_regularity,
@@ -319,11 +321,20 @@ def test_recogniser_matches_reference_on_perturbed_forest_powers(forest, k, data
     assert edge_power_regularity(ideal) == reference_regularity(ideal)
 
 
-def test_recogniser_takes_logarithmic_steps_on_one_edge():
+def test_recogniser_takes_logarithmic_steps_on_one_edge(monkeypatch):
     # x1^e x2^e = I(G)^e for G one edge, nu = 1: reg = 2e - 1, and the
-    # product sets are built in about log2(e) sumsets, not e
+    # product sets are built in at most 2 log2(e) + 1 sumsets, not e
+    steps = []
+
+    def counted(p, q):
+        steps.append(None)
+        return sumset(p, q)
+
+    monkeypatch.setattr(koszul_oracle, "_sumset", counted)
     for e in (1, 2, 3, 5, 8, 13, 10**6):
+        steps.clear()
         assert edge_power_regularity(make_ideal(2, [(e, e)])) == 2 * e - 1
+        assert e.bit_length() <= len(steps) <= 2 * e.bit_length() - 1
     assert reference_regularity(make_ideal(2, [(13, 13)])) == 25
 
 
