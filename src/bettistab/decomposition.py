@@ -19,11 +19,18 @@ enumerated exactly by the double description method over the integers: the
 extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
 at a time from a kernel basis of the rows, and the rays with s > 0, divided
 by s, are the vertices.  The work follows the number of rays, not the
-C(m, rank(A)) column subsets.  Each vertex is kept as that primitive ray
-(x, s): sorting, pruning, the signature, the JSON (through
-`format_quotient`) and `verify_rays` read the integers, and Fractions x / s
-are built only in the `vertices` view, which the stability scan does not
-read.
+C(m, rank(A)) column subsets.  Adjacency is decided by count where that is
+exact: with d the kernel dimension and r the redundancy of the implicit
+equalities (the constraints zero on every ray, whose rank is read only when
+they change before a cut that pairs rays), a ray zero on exactly d - 1 + r
+constraints is nondegenerate, and it is adjacent to another ray iff they
+share d - 2 + r zeros.  Two nondegenerate rays are paired through a dict of
+the 2-faces through them; only pairs of two degenerate rays run the holder
+test, which asks that no third ray be zero on all the zeros they share.
+Each vertex is kept as that primitive ray (x, s): sorting, pruning, the
+signature, the JSON (through `format_quotient`) and `verify_rays` read the
+integers, and Fractions x / s are built only in the `vertices` view, which
+the stability scan does not read.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .diagram import BettiDiagram, integer_pure_diagram, pure_diagram, validate_cyclic
 from .errors import ConeError, InputError
@@ -255,6 +263,15 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     the rows are scaled.  Each pivot column's x_c >= 0 is then added in turn
     (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
     on its negative side first.  Returns no rays iff infeasible.
+
+    Before a cut that pairs rays, the implicit equalities E (the constraints
+    added so far that are zero on every ray) are read off the zero sets.
+    Their redundancy r is |E| minus the rank of E on the kernel, which is
+    the rank of the rows (v_f[k] for each basis vector v_f), one per k in E;
+    it is computed only when E has grown since the last such cut.  With d
+    the kernel dimension, every extreme ray is zero on at least d - 1 + r
+    constraints and two adjacent rays share at least d - 2 + r, which
+    `_cut` uses as its count filter and its test for nondegenerate rays.
     """
     m = len(polytope.candidates)
     basis = kernel_basis(polytope.rows, m + 1)
@@ -262,10 +279,18 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     todo = [c for c in range(m + 1) if c not in basis]
     done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
     zeros = [done ^ 1 << f for f in free]  # each ray's zero set within `done`
+    implicit = redundancy = 0  # E, as a bitmask, and r
     while todo:
         c = max(todo, key=lambda k: sum(r[k] < 0 for r in rays))
         todo.remove(c)
-        rays, zeros = _cut(rays, zeros, done, c, len(free) - 2)
+        if any(r[c] < 0 for r in rays) and any(r[c] > 0 for r in rays):
+            grown = reduce(and_, zeros)
+            if grown != implicit:
+                implicit = grown
+                redundancy = grown.bit_count() - matrix_rank(
+                    [v[k] for v in basis.values()] for k in range(m + 1) if grown >> k & 1
+                )
+        rays, zeros = _cut(rays, zeros, done, c, len(free) - 2 + redundancy, implicit)
         done |= 1 << c
     rays = [tuple(r) for r in rays if r[m] > 0]
     scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
@@ -273,51 +298,103 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     return replace(polytope, rays=tuple(rays))
 
 
-def _cut(rays, zeros, done, c, need):
+def _cut(rays, zeros, done, c, need, implicit):
     """Extreme rays, with their zero sets, of the cone cut by x_c >= 0.
 
-    Rays p (x_c > 0) and q (x_c < 0) are adjacent iff their zero sets share
-    at least `need` = dim - 2 constraints and no third ray is zero on them all;
-    each adjacent pair gives the ray p_c q - q_c p, divided by its content
-    when that is above 1, which has x_c = 0.  The rays with x_c >= 0 are
-    kept, in order, and the new rays follow them.
+    Each pair of adjacent rays p (x_c > 0) and q (x_c < 0) gives the ray
+    p_c q - q_c p, divided by its content when that is above 1, which has
+    x_c = 0.  The rays with x_c >= 0 are kept, in order, and the new rays
+    follow them.
+
+    With d the kernel dimension and r the redundancy of the `implicit`
+    equalities E, p and q are adjacent iff the zeros they share have rank
+    d - 2 on the kernel.  Every zero set contains E, so at least r of its
+    members are redundant: adjacent rays share at least `need` = d - 2 + r
+    zeros, and every ray has at least d - 1 + r.  A ray with exactly
+    d - 1 + r is nondegenerate: its zeros outside E are independent modulo
+    E, so a set of its zeros that contains E has rank its size minus r.  So
+    a nondegenerate ray is adjacent to another iff they share d - 2 + r
+    zeros; sharing all d - 1 + r would put the other ray on its line.  Two
+    nondegenerate rays are then adjacent iff each one's zero set minus one
+    constraint outside E is the same set, the 2-face through both, and
+    `_face_pairs` finds them through a dict.  A pair with one degenerate
+    member is decided by the count; a pair of two degenerate rays that
+    passes it also needs the holder test: no third ray is zero on all the
+    zeros they share.  `_holders` builds the test's table on the first such
+    pair.
     """
-    bit = 1 << c
-    out_rays, out_zeros, pos, neg = [], [], [], []
+    bit, least = 1 << c, need + 1  # least: the zero count of a nondegenerate ray
+    out_rays, out_zeros, pos, neg, pos_degenerate, neg_degenerate = [], [], [], [], [], []
     for j, (r, z) in enumerate(zip(rays, zeros)):
         x = r[c]
         if x < 0:
-            neg.append((j, z))
+            (neg if z.bit_count() == least else neg_degenerate).append((j, z))
             continue
         if x > 0:
-            pos.append((j, x, r, z))
+            (pos if z.bit_count() == least else pos_degenerate).append((j, z))
         else:
             z |= bit
         out_rays.append(r)
         out_zeros.append(z)
-    if neg and pos:
-        holders = {}  # constraint bit -> bitmask of the rays zero on it
-        for k in range(done.bit_length()):
-            if done >> k & 1:
-                holders[1 << k] = int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
-        everyone = (1 << len(rays)) - 1
-        for i, pc, p, zp in pos:
-            # the filter over every p x q stays a comprehension: it is the hot
-            # loop, and an explicit loop made path(8) at k = 51 about 7% slower
-            for j, shared in [(j, zp & zq) for j, zq in neg if (zp & zq).bit_count() >= need]:
-                pair, common, rest = 1 << i | 1 << j, everyone, shared
-                while rest and common != pair:
-                    low = rest & -rest
-                    common &= holders[low]
-                    rest ^= low
-                if common == pair:
-                    q = rays[j]
-                    qc = q[c]
-                    new = [pc * y - qc * x for x, y in zip(p, q)]
-                    g = math.gcd(*new)
-                    out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
-                    out_zeros.append(shared | bit)
+    if (neg or neg_degenerate) and (pos or pos_degenerate):
+        pairs = _face_pairs(pos, neg, done & ~implicit)
+        pairs += [
+            (i, j, zp & zq)
+            for i, zp in pos
+            for j, zq in neg_degenerate
+            if (zp & zq).bit_count() >= need
+        ]
+        holders, everyone, negatives = None, (1 << len(rays)) - 1, neg + neg_degenerate
+        for i, zp in pos_degenerate:
+            for j, shared in [(j, zp & zq) for j, zq in negatives if (zp & zq).bit_count() >= need]:
+                if zeros[j].bit_count() > least:
+                    if holders is None:
+                        holders = _holders(zeros, done)
+                    pair, common, rest = 1 << i | 1 << j, everyone, shared
+                    while rest and common != pair:
+                        low = rest & -rest
+                        common &= holders[low]
+                        rest ^= low
+                    if common != pair:
+                        continue
+                pairs.append((i, j, shared))
+        for i, j, shared in pairs:
+            p, q = rays[i], rays[j]
+            pc, qc = p[c], q[c]
+            new = [pc * y - qc * x for x, y in zip(p, q)]
+            g = math.gcd(*new)
+            out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+            out_zeros.append(shared | bit)
     return out_rays, out_zeros
+
+
+def _face_pairs(pos, neg, loose):
+    """The adjacent pairs (i, j, shared zeros) of nondegenerate rays.
+
+    Each ray (index, zero set) is keyed by its zero set minus one of its
+    constraints in `loose`, the ones outside E: the keys name the 2-faces
+    through it.  Two nondegenerate rays are adjacent iff they have a key in
+    common, and then exactly one, so each pair is found once.  A 2-face
+    holds two extreme rays, so a key that two rays of one side share is on
+    no ray of the other, and the dict keeps one ray per key.  It is built
+    from the smaller side and looked up from the larger.
+    """
+    small, large = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+    if not small:
+        return []
+    bits = [1 << k for k in range(loose.bit_length()) if loose >> k & 1]
+    faces = {z ^ b: i for i, z in small for b in bits if z & b}
+    found = [(faces[k], j, k) for j, z in large for b in bits if z & b and (k := z ^ b) in faces]
+    return found if small is pos else [(i, j, k) for j, i, k in found]
+
+
+def _holders(zeros, done):
+    """Per constraint bit in `done`, the bitmask of the rays zero on it."""
+    return {
+        1 << k: int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
+        for k in range(done.bit_length())
+        if done >> k & 1
+    }
 
 
 def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:

@@ -4,10 +4,13 @@
 before vertices were held as integer rays: one `Fraction(x, s)` per
 coordinate, then a sort of the Fraction tuples.  `prune_vertices` is the old
 `prune` on those tuples.  `verify_decomposition` is the old Fraction check,
-which sums w_c * pure(c) position by position.  The tests compare the ray
-code with them.
+which sums w_c * pure(c) position by position.  `cut_reference` is the double
+description step that `enumerate_vertices` ran before it knew the implicit
+equalities: the count filter and then the holder test on every pair.  The
+tests compare the ray code with them.
 """
 
+import math
 from fractions import Fraction
 
 from bettistab.diagram import pure_diagram
@@ -44,3 +47,48 @@ def verify_decomposition(diagram, weights, candidates) -> bool:
             key = (i, d)
             total[key] = total.get(key, Fraction(0)) + w * v
     return {k: v for k, v in total.items() if v} == dict(diagram.items())
+
+
+def cut_reference(rays, zeros, done, c, need):
+    """Extreme rays, with their zero sets, of the cone cut by x_c >= 0.
+
+    Rays p (x_c > 0) and q (x_c < 0) are adjacent iff their zero sets share
+    at least `need` = dim - 2 constraints and no third ray is zero on them all;
+    each adjacent pair gives the ray p_c q - q_c p, divided by its content
+    when that is above 1, which has x_c = 0.  The rays with x_c >= 0 are
+    kept, in order, and the new rays follow them.
+    """
+    bit = 1 << c
+    out_rays, out_zeros, pos, neg = [], [], [], []
+    for j, (r, z) in enumerate(zip(rays, zeros)):
+        x = r[c]
+        if x < 0:
+            neg.append((j, z))
+            continue
+        if x > 0:
+            pos.append((j, x, r, z))
+        else:
+            z |= bit
+        out_rays.append(r)
+        out_zeros.append(z)
+    if neg and pos:
+        holders = {}  # constraint bit -> bitmask of the rays zero on it
+        for k in range(done.bit_length()):
+            if done >> k & 1:
+                holders[1 << k] = int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
+        everyone = (1 << len(rays)) - 1
+        for i, pc, p, zp in pos:
+            for j, shared in [(j, zp & zq) for j, zq in neg if (zp & zq).bit_count() >= need]:
+                pair, common, rest = 1 << i | 1 << j, everyone, shared
+                while rest and common != pair:
+                    low = rest & -rest
+                    common &= holders[low]
+                    rest ^= low
+                if common == pair:
+                    q = rays[j]
+                    qc = q[c]
+                    new = [pc * y - qc * x for x, y in zip(p, q)]
+                    g = math.gcd(*new)
+                    out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+                    out_zeros.append(shared | bit)
+    return out_rays, out_zeros

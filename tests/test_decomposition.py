@@ -20,7 +20,7 @@ from bettistab.decomposition import (
 )
 from bettistab.diagram import BettiDiagram, pure_diagram
 from bettistab.errors import ConeError, InputError
-from bettistab.exact_arith import integer_vector, matrix_rank
+from bettistab.exact_arith import integer_vector, kernel_basis, matrix_rank
 from bettistab.koszul_oracle import betti_oracle
 from bettistab.monomial_ideal import make_ideal, power
 from bettistab.path_formula import path_diagram
@@ -168,6 +168,7 @@ def _checked_polytope(diagram, candidates):
 
 
 NON_PATH_IDEAL = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
+TRIPLE_IDEAL = make_ideal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 3)])
 
 
 PATH_ROW_CASES = [(6, 1), (6, 4), (6, 11), (7, 3), (7, 6), (7, 31), (8, 2), (8, 5), (8, 12)]
@@ -177,7 +178,7 @@ PATH_ROW_CASES = [(6, 1), (6, 4), (6, 11), (7, 3), (7, 6), (7, 31), (8, 2), (8, 
     "diagram",
     [path_diagram(n, k) for n, k in PATH_ROW_CASES]
     + [betti_oracle(power(NON_PATH_IDEAL, k)) for k in (1, 2)]
-    + [betti_oracle(power(make_ideal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 3)]), 2))],
+    + [betti_oracle(power(TRIPLE_IDEAL, 2))],
     ids=[f"path{n}^{k}" for n, k in PATH_ROW_CASES] + ["non-path^1", "non-path^2", "triple^2"],
 )
 def test_rows_are_the_cleared_fraction_system(diagram):
@@ -409,12 +410,15 @@ def _reference_vertices(polytope):
 
 
 @pytest.mark.parametrize(
-    "n,k", [(n, k) for n in range(2, 7) for k in (1, 2, 3)] + [(7, 4), (7, 6)]
+    # path6^5 has a degenerate vertex; on path7^6 an implicit equality comes
+    # before a cut that pairs rays
+    "n,k", [(n, k) for n in range(2, 7) for k in (1, 2, 3)] + [(6, 5), (7, 4), (7, 6)]
 )
 def test_vertices_match_reference_scan_on_paths(n, k):
     diagram = path_diagram(n, k)
     polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
     assert enumerate_vertices(polytope).vertices == _reference_vertices(polytope)
+    _assert_cuts_match_reference(polytope)
 
 
 @st.composite
@@ -446,6 +450,89 @@ def test_vertices_match_reference_scan_on_chains(system):
     vertices = enumerate_vertices(polytope).vertices
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
+    _assert_cuts_match_reference(polytope)
+
+
+def _assert_cuts_match_reference(polytope):
+    """Every cut of enumerate_vertices gives the rays of `cut_reference`, and
+    so do its final rays.
+
+    `cut_reference` runs the holder test on every pair that shares d - 2
+    zeros, d the kernel dimension.  On every cut, `_cut` must return the same
+    rays with the same zero sets, as many of each, as the reference does on
+    the same input; then the whole enumeration is run again with the
+    reference in place of `_cut`.
+    """
+    need = len(kernel_basis(polytope.rows, len(polytope.candidates) + 1)) - 2
+    cut = decomposition._cut
+
+    def reference(rays, zeros, done, c, *_):
+        return decomposition_reference.cut_reference(rays, zeros, done, c, need)
+
+    def checked(rays, zeros, done, c, *rest):
+        out = cut(rays, zeros, done, c, *rest)
+        expected = reference(rays, zeros, done, c)
+        assert sorted((tuple(r), z) for r, z in zip(*out)) == sorted(
+            (tuple(r), z) for r, z in zip(*expected)
+        )
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "_cut", checked)
+        rays = enumerate_vertices(polytope).rays
+        patch.setattr(decomposition, "_cut", reference)
+        assert rays == enumerate_vertices(polytope).rays
+
+
+@st.composite
+def cone_points(draw):
+    """A cyclic diagram on several chains: a convex combination of two to
+    four pure diagrams whose degrees start at 2 or 3 and then step by 1 or 2.
+
+    The single-chain systems of `chain_systems` rarely have a cut with rays
+    of both signs; these have many, with implicit equalities and pairs of
+    degenerate rays among them.  Equal weights are likely, and with them
+    degenerate vertices.
+    """
+    terms = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        degrees = [0, draw(st.integers(min_value=2, max_value=3))]
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            degrees.append(degrees[-1] + draw(st.integers(min_value=1, max_value=2)))
+        terms.append((draw(st.sampled_from([1, 1, 2, 3])), tuple(degrees)))
+    total = sum(w for w, _ in terms)
+    return _combination([(Fraction(w, total), degrees) for w, degrees in terms])
+
+
+@given(cone_points())
+@settings(max_examples=150, deadline=None)
+def test_cuts_match_the_holder_test_on_cone_points(diagram):
+    _assert_cuts_match_reference(build_polytope(diagram, candidate_degree_sequences(diagram)))
+
+
+def _calls(name, diagram):
+    """The results of each call of decomposition.`name` while `diagram` is enumerated."""
+    calls, function = [], getattr(decomposition, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, name, lambda *a: calls.append(function(*a)) or calls[-1])
+        _pipeline(diagram)
+    return calls
+
+
+def test_face_dict_pairs_rays():
+    assert sum(map(len, _calls("_face_pairs", path_diagram(7, 4)))) > 0
+
+
+def test_holder_test_runs_on_degenerate_pairs():
+    # triple^2 has pairs of degenerate rays, and the holder test rejects one
+    diagram = betti_oracle(power(TRIPLE_IDEAL, 2))
+    assert _calls("_holders", diagram)
+    _assert_cuts_match_reference(build_polytope(diagram, candidate_degree_sequences(diagram)))
+
+
+def test_redundancy_takes_one_rank():
+    # path7^6 has one implicit equality before a cut that pairs rays
+    assert len(_calls("matrix_rank", path_diagram(7, 6))) == 1
 
 
 def _combination(terms):
@@ -656,6 +743,23 @@ def test_path8_square_vertices():
     assert len(prune(polytope).candidates) == 19
     for v in polytope.vertices:
         assert verify_decomposition(diagram, v, polytope.candidates)
+
+
+@pytest.mark.slow
+def test_path9_square_vertices():
+    # A reach check of about 3 s and 0.1 GB, run with `pytest -m slow`.  Pins
+    # the polytope as a regression check: the paper has no n = 9 reference.
+    diagram = path_diagram(9, 2)
+    polytope = _pipeline(diagram)
+    assert len(polytope.rays) == 33211
+    assert verify_rays(diagram, polytope.rays, polytope.candidates)
+    pruned = prune(polytope)
+    assert (len(pruned.candidates), len(pruned.rays), pruned.rank, pruned.dimension) == (
+        30,
+        33211,
+        8,
+        22,
+    )
 
 
 @pytest.mark.parametrize("k,count", [(1, 337), (2, 505)])

@@ -242,7 +242,7 @@ def test_path7_transitions():
 
 @pytest.mark.slow
 def test_path8_reaches_its_stable_window():
-    # A reach check of about 70 s and 0.4 GB, run with `pytest -m slow`.
+    # A reach check of about 35 s and 0.26 GB, run with `pytest -m slow`.
     # Pins the scan as a regression check: the paper has no n = 8 reference.
     report = scan_powers(path_ideal(8), 45, 64)
     assert report.window == (51, 64)
