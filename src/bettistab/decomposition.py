@@ -294,7 +294,7 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
         done |= 1 << c
     rays = [tuple(r) for r in rays if r[m] > 0]
     scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
-    rays.sort(key=lambda r: tuple(x * (scale // r[m]) for x in r[:m]))
+    rays.sort(key=lambda r: [x * f for f in (scale // r[m],) for x in r[:m]])
     return replace(polytope, rays=tuple(rays))
 
 
@@ -363,7 +363,7 @@ def _cut(rays, zeros, done, c, need, implicit):
             pc, qc = p[c], q[c]
             new = [pc * y - qc * x for x, y in zip(p, q)]
             g = math.gcd(*new)
-            out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
+            out_rays.append(tuple([x // g for x in new]) if g > 1 else tuple(new))
             out_zeros.append(shared | bit)
     return out_rays, out_zeros
 

@@ -119,7 +119,14 @@ do not change with S; only the keys the points are counted under do.
 Shapes: a strand's signs and matrices depend on supp(a) only through the
 order of its variables, so `_shape` relabels a key onto bits 0..r-1
 (r = |supp a|) in that order; the homology is computed on shapes, once per
-shape in each `betti_oracle` call.
+shape in each `betti_oracle` call.  Keys share a shape only when their
+supports line up in the same order, so `oracle_plan` packs the variables
+in `_locality_order`, read off the generators' co-occurrence counts, not
+in the order they are labelled.  On a path or a cycle, however labelled,
+that is the path's order or its reverse, or a cyclic order, so a
+relabelled path computes the shapes of the path labelled in order.  Every
+order is exact: it renames the variables of the generators, the fields and
+the automorphisms alike, and the diagram does not depend on their names.
 
 Morse matching: the surviving sets S form an up-set in supp(a), and
 `_key_homology` computes on the critical cells of one element matching
@@ -507,6 +514,30 @@ def edge_power_regularity(ideal: MonomialIdeal) -> int | None:
     return 2 * k + nu - 2
 
 
+def _cooccurrence(generators) -> tuple:
+    """(exponent columns, supports, meets): supports[t] has bit j iff x_t
+    occurs in generator j, and meets[t][u] = |supports[t] & supports[u]|."""
+    columns = list(zip(*generators))
+    # one byte per generator, 1 iff the variable occurs in it: AND and
+    # bit_count then count the generators two variables share
+    supports = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
+    return columns, supports, [[(s & u).bit_count() for u in supports] for s in supports]
+
+
+def _locality_order(meets) -> list:
+    """The variables in locality order: first the one sharing the fewest
+    generators with the others, then each time the unvisited one sharing the
+    most with the last taken, lowest index on ties."""
+    shared = [sum(row) - row[t] for t, row in enumerate(meets)]
+    order = [shared.index(min(shared))]
+    rest = [t for t in range(len(meets)) if t != order[0]]
+    while rest:
+        row = meets[order[-1]]
+        order.append(t := max(rest, key=row.__getitem__))  # the first maximum: lowest index
+        rest.remove(t)
+    return order
+
+
 def automorphisms(ideal: MonomialIdeal) -> tuple:
     """(S, |G|): generators of G, the permutations of the variables that fix
     the generator set and every variable in no generator, and its order.
@@ -526,11 +557,7 @@ def automorphisms(ideal: MonomialIdeal) -> tuple:
     of the level orbit lengths.
     """
     n, generators = ideal.num_vars, ideal.generators
-    columns = list(zip(*generators))
-    # one byte per generator, 1 iff the variable occurs in it: AND and
-    # bit_count then count the generators two variables share
-    supports = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
-    meets = [[(s & u).bit_count() for u in supports] for s in supports]
+    columns, supports, meets = _cooccurrence(generators)
     profiles = [(sorted(column), sorted(row)) for column, row in zip(columns, meets)]
     used = [t for t in range(n) if supports[t]]
     generator_set = set(generators)
@@ -649,16 +676,23 @@ def oracle_plan(ideal: MonomialIdeal) -> tuple:
     the homology on exactly those values.  `_fields` checks the packing cap
     first and raises InputError above it, before the recogniser or the group
     search, so a caller that reads the bound or the group before the diagram
-    computes neither twice."""
-    fields = _fields(ideal.exponent_lcm())
+    computes neither twice.  The diagram packs the variables in
+    `_locality_order`: the fields, the index and the sorted generators take
+    the permuted exponents, and the group generators are conjugated."""
+    locality = _locality_order(_cooccurrence(ideal.generators)[2])
+    lcm = ideal.exponent_lcm()
+    fields = _fields([lcm[t] for t in locality])
     regularity = edge_power_regularity(ideal)
     perms, order = automorphisms(ideal)
 
     def diagram() -> BettiDiagram:
-        index = _divisor_index(fields, ideal.generators)
-        generators = [_pack(fields, g) for g in ideal.generators]
-        bound = sum(ideal.exponent_lcm()) if regularity is None else regularity
-        _, _, points = _pruned_lattice(index, generators, bound, perms)
+        generators = sorted(tuple(map(g.__getitem__, locality)) for g in ideal.generators)
+        index = _divisor_index(fields, generators)
+        packed = [_pack(fields, g) for g in generators]
+        where = {t: i for i, t in enumerate(locality)}  # variable -> its place in the order
+        moved = [tuple(where[perm[t]] for t in locality) for perm in perms]
+        bound = sum(lcm) if regularity is None else regularity
+        _, _, points = _pruned_lattice(index, packed, bound, moved)
         homology, totals = {}, {}  # shape -> its homology
         tables = {}  # support size - 1 -> `_columns`, for this call only
         for (key, d), count in points.items():

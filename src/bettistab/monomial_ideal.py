@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 
 from .errors import InputError
 from .exact_arith import require_int
@@ -50,16 +50,19 @@ class MonomialIdeal:
     def __post_init__(self):
         if require_int(self.num_vars, "num_vars") < 1:
             raise InputError("num_vars must be positive")
-        if not self.generators:
+        gens = self.generators
+        if not gens:
             raise InputError("ideal needs at least one generator")
-        for g in self.generators:
-            if len(g) != self.num_vars:
-                raise InputError("generator length does not match num_vars")
-            if any(require_int(e, "exponent") < 0 for e in g):
-                raise InputError("negative exponent in generator")
-            if all(e == 0 for e in g):
-                raise InputError("unit generator makes the quotient zero")
-        if self.generators != _minimalize(self.generators):
+        if set(map(len, gens)) != {self.num_vars}:
+            raise InputError("generator length does not match num_vars")
+        if set(map(type, chain.from_iterable(gens))) != {int}:  # bools too are refused
+            for e in chain.from_iterable(gens):
+                require_int(e, "exponent")
+        if min(map(min, gens)) < 0:
+            raise InputError("negative exponent in generator")
+        if not all(map(any, gens)):
+            raise InputError("unit generator makes the quotient zero")
+        if gens != _minimalize(gens):
             raise InputError("generators are not a sorted minimal generating set")
 
     def contains(self, monomial) -> bool:
@@ -131,10 +134,9 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         raise InputError("power exponent must be >= 1")
     if k == 1:
         return ideal
-    products = set()
-    for combo in combinations_with_replacement(ideal.generators, k):
-        products.add(tuple(sum(es) for es in zip(*combo)))
-    return make_ideal(ideal.num_vars, products)
+    combos = combinations_with_replacement(ideal.generators, k)
+    # sums of checked ints: the constructor's own checks are the only pass needed
+    return MonomialIdeal(ideal.num_vars, _minimalize({tuple(map(sum, zip(*c))) for c in combos}))
 
 
 def is_equigenerated(ideal: MonomialIdeal):

@@ -14,7 +14,7 @@ finite scan can only certify "stable in range", never stability itself.
 A vertex stays the pruned polytope's primitive integer ray (x_0, ..., x_{m-1},
 s), with coordinate c the value x_c / s: the scan, the report JSON and
 `compare_reference` read the rays, never the polytope's Fraction `vertices`
-view.  Fractions are made only for the fit samples, and only for the window.
+view.  Fractions are made only for the window's distinct fit samples.
 
 Every trajectory fit is validated on a held-out sample: the fit uses all
 window samples except the last and must reproduce the last exactly.  The
@@ -43,8 +43,10 @@ held-out check.
 Each scan fits every distinct sample sequence once: many trajectories
 repeat (coordinates shared between vertices, coordinates that vanish on the
 whole window), and a fit is a function of its (k, value) samples and the
-polynomial flag alone, so a cache local to the scan, keyed by both, returns
-exactly the fit that a new search would find.
+polynomial flag alone, so a memo local to the scan returns exactly the fit
+that a new search would find.  A trajectory's key is its values x_c / s as
+reduced pairs of ints (s > 0), equal exactly when the values are, and its
+Fractions are made only for a new key; column sums are cached as samples.
 
 `compare_reference` reports, per vertex coordinate, whether the fitted
 trajectory equals a reference closed form exactly and whether the two agree
@@ -62,6 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import islice
+from math import gcd
 
 from .decomposition import (
     DecompositionPolytope,
@@ -338,18 +341,20 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
         templates = match_templates([(r.k, r.polytope.candidates) for r in window_records])
         values = _pair_vertices(window_records)
         labels = tuple(values)
-        fit = cache(_fit_trajectory)  # one search per distinct (samples, polynomial)
-        fits = []
-        m = len(window_records[0].polytope.candidates)
-        zero = Fraction(0)
+        ks = [r.k for r in window_records]
+        fitted, fits = {}, []  # reduced (x_c, s) pairs over the window -> their fit
         for label in labels:
-            rays = [(r.k, values[label][r.k]) for r in window_records]
-            for c in range(m):
-                samples = tuple(
-                    (k, Fraction(ray[c], ray[-1]) if ray[c] else zero) for k, ray in rays
-                )
-                fits.append(TrajectoryFit(label, c, fit(samples)))
+            reduced = []  # per k, each coordinate x_c / s as a reduced pair of ints
+            for k in ks:
+                ray = values[label][k]
+                s = ray[-1]
+                reduced.append([(x // g, s // g) for x in ray[:-1] for g in (gcd(x, s),)])
+            for c, key in enumerate(zip(*reduced)):
+                if key not in fitted:
+                    fitted[key] = _fit_trajectory(tuple((k, Fraction(*q)) for k, q in zip(ks, key)))
+                fits.append(TrajectoryFit(label, c, fitted[key]))
         trajectories = tuple(fits)
+        fit = cache(_fit_trajectory)  # one search per distinct column-sum sequence
         # Kodiyalam check: total Betti numbers are polynomial in k.
         sums = [column_sums(r.diagram) for r in window_records]
         fits = []

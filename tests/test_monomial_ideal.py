@@ -128,6 +128,56 @@ def test_invalid_ideals():
         MonomialIdeal(2, ((1, 1), (1, 0)))  # not minimal/sorted
 
 
+# (num_vars, generators as given, the constructor's message, what make_ideal
+# raises (None: it builds the canonical ideal), a text form with the message
+# parse_ideal gives it, or None where the text syntax cannot write the list)
+INVALID_GENERATOR_LISTS = [
+    (0, ((),), "num_vars must be positive", "num_vars must be positive", None),
+    (2.0, ((1, 0),), "num_vars must be an integer, got 2.0",
+     "num_vars must be an integer, got 2.0", None),
+    (2, (), "ideal needs at least one generator", "ideal needs at least one generator",
+     ("", "empty generator list")),
+    (2, ((1, 0, 0),), "generator length does not match num_vars",
+     "generator length does not match num_vars", None),
+    (2, ((0, 1), (1,)), "generator length does not match num_vars",
+     "generator length does not match num_vars", None),
+    (2, ((1.5, 1),), "exponent must be an integer, got 1.5", "exponent must be an integer, got 1.5",
+     ("x1^1.5*x2", "malformed token: 'x1^1.5'")),
+    (2, ((0, 1), (True, 1)), "exponent must be an integer, got True",
+     "exponent must be an integer, got True", None),
+    (2, ((1, "1"),), "exponent must be an integer, got '1'", "exponent must be an integer, got '1'",
+     None),
+    (2, ((-1, 1),), "negative exponent in generator", "negative exponent in generator",
+     ("x1^-1*x2", "malformed token: 'x1^-1'")),
+    (2, ((0, 2), (1, -1)), "negative exponent in generator", "negative exponent in generator",
+     None),
+    (2, ((0, 0),), "unit generator makes the quotient zero",
+     "unit generator makes the quotient zero", ("x1^0", "exponent must be positive in 'x1^0'")),
+    (2, ((0, 0), (1, 0)), "unit generator makes the quotient zero",
+     "unit generator makes the quotient zero", None),
+    (2, ((1, 0), (0, 1)), "generators are not a sorted minimal generating set", None, None),
+    (2, ((1, 0), (1, 0)), "generators are not a sorted minimal generating set", None, None),
+    (2, ((1, 0), (1, 1)), "generators are not a sorted minimal generating set", None, None),
+]
+
+
+@pytest.mark.parametrize("num_vars, gens, message, made, text", INVALID_GENERATOR_LISTS)
+def test_invalid_generator_lists_raise_at_every_entry(num_vars, gens, message, made, text):
+    with pytest.raises(InputError) as info:
+        MonomialIdeal(num_vars, gens)
+    assert str(info.value) == message
+    if made is None:  # make_ideal sorts and minimalizes what the constructor refuses
+        assert make_ideal(num_vars, gens) == MonomialIdeal(num_vars, _minimalize(gens))
+    else:
+        with pytest.raises(InputError) as info:
+            make_ideal(num_vars, gens)
+        assert str(info.value) == made
+    if text is not None:
+        with pytest.raises(InputError) as info:
+            parse_ideal(text[0])
+        assert str(info.value) == text[1]
+
+
 def test_json_round_trip():
     ideal = power(path_ideal(4), 2)
     assert MonomialIdeal.from_json_dict(ideal.to_json_dict()) == ideal

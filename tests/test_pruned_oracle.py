@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from bettistab import koszul_oracle
 from bettistab.koszul_oracle import (
+    _cooccurrence,
     _divisor_index,
     _fields,
     _indexed_key,
     _induced_matching_number,
+    _locality_order,
     _lookup,
     _pack,
     _pruned_lattice,
@@ -21,10 +23,11 @@ from bettistab.koszul_oracle import (
     automorphisms,
     betti_oracle,
     edge_power_regularity,
+    oracle_plan,
     strand_homology,
 )
 from bettistab.monomial_ideal import make_ideal, power
-from bettistab.path_formula import path_ideal
+from bettistab.path_formula import path_diagram, path_ideal
 from oracle_reference import betti_oracle as reference_oracle
 from oracle_reference import divisor_index as reference_divisor_index
 from oracle_reference import edge_power_regularity as reference_regularity
@@ -354,3 +357,62 @@ def test_reach_c6_fifth_power():
     ideal = power(_relabelled(edge_ideal(6, cycle_edges(6)), 6), 5)
     assert edge_power_regularity(ideal) == 10
     assert betti_oracle(ideal) == reference_oracle(ideal)
+
+
+@pytest.mark.parametrize("graph, n", [("path", n) for n in range(5, 10)]
+                         + [("cycle", n) for n in range(5, 8)])
+def test_locality_order_walks_paths_and_cycles(graph, n):
+    # every two consecutive variables of the order share an edge: on a path
+    # that is the path's order or its reverse, on a cycle a cyclic order
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if graph == "cycle" else [])
+    for seed in range(8):
+        base = _relabelled(edge_ideal(n, edges), seed)
+        relabelled = {frozenset(t for t, e in enumerate(g) if e) for g in base.generators}
+        for k in (1, 2, 3):
+            order = _locality_order(_cooccurrence(power(base, k).generators)[2])
+            assert sorted(order) == list(range(n))
+            assert all({u, v} in relabelled for u, v in zip(order, order[1:])), (seed, k, order)
+
+
+@pytest.mark.parametrize("base, k, seeds", [
+    pytest.param(path_ideal(n), k, 10, id=f"path{n}^{k}") for n, k in ((6, 4), (7, 3), (8, 2))
+] + [  # the benchmark's oracle cases, then cycles
+    pytest.param(edge_ideal(n, cycle_edges(n)), k, 7, id=f"C{n}^{k}")
+    for n in (5, 6, 7) for k in (2, 3)
+])
+def test_relabellings_compute_the_in_order_shapes(monkeypatch, base, k, seeds):
+    # each relabelling computes exactly the homologies of the ideal labelled
+    # in order, and the same diagram
+    shapes = []
+
+    def counted(n, shape, tables, original=koszul_oracle._key_homology):
+        shapes.append(shape)
+        return original(n, shape, tables)
+
+    monkeypatch.setattr(koszul_oracle, "_key_homology", counted)
+    expected = betti_oracle(power(base, k))
+    in_order = Counter(shapes)
+    for seed in range(1, seeds + 1):
+        shapes.clear()
+        assert betti_oracle(power(_relabelled(base, seed), k)) == expected
+        assert Counter(shapes) == in_order, seed
+    if base == path_ideal(base.num_vars):
+        assert expected == path_diagram(base.num_vars, k)
+
+
+@pytest.mark.parametrize("base", [path_ideal(6), path_ideal(7), edge_ideal(6, cycle_edges(6)),
+                                  edge_ideal(4, [(0, 1), (0, 2), (0, 3)]),
+                                  edge_ideal(5, [(0, 1), (1, 2), (2, 0), (2, 3)])])
+def test_plan_does_not_depend_on_the_labelling(base):
+    # the bound and the group are those of the ideal as given; the number of
+    # the group's generators follows the labelling unless the order is 1 or 2
+    for k in (1, 2, 3):
+        regularity, perms, order, diagram = oracle_plan(power(base, k))
+        expected = diagram()
+        for seed in range(1, 6):
+            ideal = power(_relabelled(base, seed), k)
+            plan = oracle_plan(ideal)
+            assert plan[:3] == (edge_power_regularity(ideal), *automorphisms(ideal))
+            assert (plan[0], plan[2]) == (regularity, order)
+            assert len(plan[1]) == len(perms) or order > 2
+            assert plan[3]() == expected

@@ -664,6 +664,29 @@ def test_scan_searches_each_distinct_sample_sequence_once(monkeypatch):
     assert len(searched) == len(set(searched)) == 18
 
 
+def test_scan_searches_a_scaled_ray_once(monkeypatch):
+    # a "twin" of v1 whose rays are v1's times 2 and 3 by turns: the same
+    # values x_c / s from other integers, so no trajectory of it is a new search
+    searched = []
+    pair_vertices = stability._pair_vertices
+
+    def counting(samples, polynomial=False):
+        searched.append((tuple(samples), polynomial))
+        return _fit_trajectory(samples, polynomial)
+
+    def pair_with_twin(window_records):
+        values = pair_vertices(window_records)
+        values["twin"] = {k: tuple(x * (2 + k % 2) for x in v) for k, v in values["v1"].items()}
+        return values
+
+    monkeypatch.setattr(stability, "_fit_trajectory", counting)
+    monkeypatch.setattr(stability, "_pair_vertices", pair_with_twin)
+    report = scan_powers(path_ideal(6), 4, 11)
+    assert len(searched) == len(set(searched)) == 18
+    fits = {(t.vertex, t.coordinate): t.fit for t in report.trajectories}
+    assert all(fits["twin", c] == fits["v1", c] for v, c in fits if v == "v1")
+
+
 def test_scan_memo_keys_on_every_sample_and_the_flag(monkeypatch):
     # Collisions the scans above never meet: a vertex "twin" that differs
     # from v1 only in its held-out samples, and an extra column sum whose
