@@ -29,8 +29,8 @@ adds lcm(a, g) for every point a kept so far.  Since sigma
 lies in supp(a) and meets a tight set whenever it meets a subset of it, the
 strand depends only on supp(a) and the inclusion-minimal tight sets cut down
 to supp(a): the strand key.  The fold counts the kept points per
-(key, degree), and `betti_oracle` computes the homology once per distinct
-shape of a key (below), in a single thread; a key's homology, times the
+(key, degree), and `betti_oracle` reads each key's homology from a memo
+of shapes (below) that lasts for the process; a key's homology, times the
 number of its points of degree d, adds into the diagram's column d.
 
 Pruning: the fold keeps a new point a only if it passes two tests, and
@@ -118,20 +118,22 @@ do not change with S; only the keys the points are counted under do.
 
 Shapes: a strand's signs and matrices depend on supp(a) only through the
 order of its variables, so `_shape` relabels a key onto bits 0..r-1
-(r = |supp a|) in that order; the homology is computed on shapes, once per
-shape in each `betti_oracle` call.  Keys share a shape only when their
-supports line up in the same order, so `oracle_plan` packs the variables
-in `_locality_order`, read off the generators' co-occurrence counts, not
-in the order they are labelled.  On a path or a cycle, however labelled,
-that is the path's order or its reverse, or a cyclic order, so a
-relabelled path computes the shapes of the path labelled in order.  Every
+(r = |supp a|) in that order.  The homology depends on the shape alone, not
+on the ideal, n or k, so `_key_homology` memoizes it for the process:
+ideals with different n, and the powers of one ideal, share entries.  Keys
+share a shape only when their supports line up in the same order, so
+`oracle_plan` packs the variables in `_locality_order`, read off the
+generators' co-occurrence counts, not as labelled.  On a path or a cycle,
+however labelled, that is the path's order or its reverse, or a cyclic
+order, so a relabelled path computes the shapes of the path in order.  Every
 order is exact: it renames the variables of the generators, the fields and
 the automorphisms alike, and the diagram does not depend on their names.
 
 Morse matching: the surviving sets S form an up-set in supp(a), and
-`_key_homology` computes on the critical cells of one element matching
-(Forman, "Morse theory for cell complexes", 1998; Joellenbeck & Welker,
-"Minimal resolutions via algebraic discrete Morse theory", Mem. AMS 2009).
+`_key_homology` computes dimensions over 0..|supp a| on the critical cells
+of one element matching (Forman, "Morse theory for cell complexes", 1998;
+Joellenbeck & Welker, "Minimal resolutions via algebraic discrete Morse
+theory", Mem. AMS 2009).
 For an apex t in supp(a), pair sigma - {t} with sigma whenever both
 survive; an element matching is acyclic.  A surviving sigma without t is
 always matched upward, since S is an up-set, so the critical cells are
@@ -156,8 +158,8 @@ mask without t, so keep is the AND of those tables; sigma - {t} survives
 iff rho meets m - {t} for every mask m with t, so inner is the AND of
 those.  The set bits of keep & ~inner are C_t.  That is O(|masks| r)
 operations on 2^r-bit ints in place of 2^r Python steps that each test
-every mask.  The columns depend on r alone, so `betti_oracle` builds them
-once per support size, in a dict that lives for the call.
+every mask.  The columns depend on r alone, so `_columns` is memoized for
+the process, as the homology is: one table per support size.
 
 Cone rule: when the apex lies in no minimal tight set (and a != 0), every
 set is matched and C_t is empty, so the strand is exact: sigma <-> sigma
@@ -168,7 +170,7 @@ and every apex, against the full computation.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import itemgetter, mul, or_
 
 from .diagram import BettiDiagram
@@ -323,6 +325,7 @@ def _apex(shape) -> int:
     return 1 << counts.index(min(counts)) if counts else 0
 
 
+@cache
 def _columns(r) -> tuple:
     """(full, columns) on truth tables over r variables: full = 2^(2^r) - 1,
     and columns[i], with h = 2^i, the table of the rho that contain b_i."""
@@ -331,26 +334,17 @@ def _columns(r) -> tuple:
                   for h in (1 << i for i in range(r))]
 
 
-def _critical_bases(n, shape, apex, tables):
-    """Per homological degree, the critical cells of the apex matching, as bitmasks.
-
-    sigma = rho | apex with rho in supp - apex is critical iff rho meets
-    every mask without the apex (so sigma survives) and misses some mask
-    with it (so sigma - apex does not).  Both tests run on truth tables
-    over the 2^r subsets rho of the r variables in supp - apex (module
-    docstring), whose `_columns` are read from the caller's dict `tables`,
-    r -> `_columns(r)`, and added to it on a miss.  The one cell of an
-    empty support survives iff there are no masks.
-    """
+def _critical_bases(shape, apex):
+    """Per homological degree 0..|supp|, the critical cells of the apex matching,
+    as bitmasks, from truth tables on `_columns` (module docstring).  The one
+    cell of an empty support survives iff there are no masks."""
     support, masks = shape
-    bases = [[] for _ in range(n + 1)]
+    bases = [[] for _ in range(support.bit_count() + 1)]
     if not support:
         if not masks:
             bases[0].append(0)
         return bases
-    if (table := tables.get(r := support.bit_length() - 1)) is None:
-        table = tables[r] = _columns(r)
-    below, (full, columns) = apex - 1, table
+    below, (full, columns) = apex - 1, _columns(support.bit_length() - 1)
     keep, inner = full, full
     for m in masks:
         rho, meets = m & below | m >> 1 & ~below, 0  # m - apex, as index bits
@@ -399,23 +393,26 @@ def _homology(bases) -> tuple:
     return tuple(len(basis) - ranks[i] - ranks[i + 1] for i, basis in enumerate(bases))
 
 
-def _key_homology(n, shape, tables) -> tuple:
-    """Homology of the strand with this shape, on the critical cells of `_apex`'s
-    matching; `tables` is `_critical_bases`'s dict of truth-table columns."""
-    return _homology(_critical_bases(n, shape, _apex(shape), tables))
+@cache
+def _key_homology(shape) -> tuple:
+    """Homology dimensions over 0..|supp| of the strand with this shape, on the
+    critical cells of `_apex`'s matching, memoized for the process."""
+    return _homology(_critical_bases(shape, _apex(shape)))
 
 
 def strand_homology(ideal: MonomialIdeal, a) -> tuple:
     """Homology dimensions (h_0, ..., h_n) of the strand in multidegree a.
 
-    Computed on the critical cells of the matching on `_apex`'s variable.
+    Read from the memo of `_key_homology`, on the critical cells of the
+    matching on `_apex`'s variable, and padded with zeros above |supp a|.
     """
     a = tuple(require_int(x, "multidegree entry") for x in a)
     if len(a) != ideal.num_vars:
         raise InputError("multidegree length does not match num_vars")
     if any(x < 0 for x in a):
         raise InputError("multidegree must be componentwise nonnegative")
-    return _key_homology(ideal.num_vars, _shape(_strand_key(ideal, a)), {})
+    dims = _key_homology(_shape(_strand_key(ideal, a)))
+    return dims + (0,) * (ideal.num_vars + 1 - len(dims))
 
 
 def _induced_matching_number(edges, k) -> int | None:
@@ -620,16 +617,13 @@ def _pruned_lattice(index, generators, regularity, perms) -> tuple:
     """The fold: (a dict whose keys are the points of L(I) it classifies,
     the list of those it keeps, {(strand key, degree): number of kept points}).
 
-    A point a is kept iff no divisor is tight at no variable (else the
-    strand is zero) and |a| - |supp a| = `(a & a >> 1).bit_count()` <=
-    regularity.  A dropped point is never expanded.  Each test fails upward
-    in the lattice, so the kept points are exactly the points of L that
-    pass both (module docstring).  `perms` generate a group of
-    automorphisms of I: when a lookup keeps a point, the rest of its orbit
-    goes into `pending`, which keeps them without a lookup when they are
-    formed, and the orbit is counted under the looked-up point's key
-    (module docstring, "Orbits").  Index entries and images are memoized
-    per half-point, and everything lives for this call only.
+    A point a is kept iff no divisor is tight at no variable and |a| -
+    |supp a| = `(a & a >> 1).bit_count()` <= regularity; a dropped point is
+    never expanded, and the kept points are exactly the points of L that pass
+    both (module docstring, "Pruning").  When a lookup keeps a point, the
+    rest of its orbit under `perms` goes into `pending`, kept with no lookup
+    when formed, and is counted under the point's key ("Orbits").  Index
+    entries and images are memoized per half-point, for this call only.
     """
     (low_mask, _), (high_mask, _) = index
     low_moves, high_moves = _half_moves(index, perms)
@@ -693,15 +687,11 @@ def oracle_plan(ideal: MonomialIdeal) -> tuple:
         moved = [tuple(where[perm[t]] for t in locality) for perm in perms]
         bound = sum(lcm) if regularity is None else regularity
         _, _, points = _pruned_lattice(index, packed, bound, moved)
-        homology, totals = {}, {}  # shape -> its homology
-        tables = {}  # support size - 1 -> `_columns`, for this call only
+        totals = {}
         for (key, d), count in points.items():
             if _is_cone(key):
                 continue
-            shape = _shape(key)
-            if (dims := homology.get(shape)) is None:
-                dims = homology[shape] = _key_homology(ideal.num_vars, shape, tables)
-            for i, h in enumerate(dims):
+            for i, h in enumerate(_key_homology(_shape(key))):
                 if h:
                     totals[(i, d)] = totals.get((i, d), 0) + h * count
         return BettiDiagram(totals)
@@ -716,9 +706,9 @@ def betti_oracle(ideal: MonomialIdeal) -> BettiDiagram:
     those with a non-zero strand and, when `edge_power_regularity` knows
     reg(S/I), with |a| - |supp a| at most that.  It looks up and keys one
     point per kept orbit of `automorphisms(ideal)`.  Cone keys are skipped,
-    and the homology of the rest is computed once per shape (module
-    docstring).  A packed point takes sum over t of (M_t + 1) bits, M_t the
-    largest g_t; above 2^27 of them `_fields` raises InputError.
+    and the homology of the rest is computed once per shape in the process
+    (module docstring).  A packed point takes sum over t of (M_t + 1) bits,
+    M_t the largest g_t; above 2^27 of them `_fields` raises InputError.
     """
     *_, diagram = oracle_plan(ideal)
     return diagram()

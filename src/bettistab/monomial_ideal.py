@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
+from operator import lt
 
 from .errors import InputError
 from .exact_arith import require_int
@@ -53,6 +54,8 @@ class MonomialIdeal:
         gens = self.generators
         if not gens:
             raise InputError("ideal needs at least one generator")
+        if type(gens) is not tuple or set(map(type, gens)) != {tuple}:
+            raise InputError("generators must be a tuple of tuples")
         if set(map(len, gens)) != {self.num_vars}:
             raise InputError("generator length does not match num_vars")
         if set(map(type, chain.from_iterable(gens))) != {int}:  # bools too are refused
@@ -62,7 +65,13 @@ class MonomialIdeal:
             raise InputError("negative exponent in generator")
         if not all(map(any, gens)):
             raise InputError("unit generator makes the quotient zero")
-        if gens != _minimalize(gens):
+        degrees = list(map(sum, gens))
+        low = min(degrees)
+        # a proper divisor of g is at most g in every coordinate, so it sorts before g
+        # and has a lower degree: an equigenerated set needs no divisibility test
+        if not all(map(lt, gens, gens[1:])) or max(degrees) > low and any(
+                monomial_divides(h, g) for j, (g, d) in enumerate(zip(gens, degrees)) if d > low
+                for h, e in zip(gens[:j], degrees) if e < d):
             raise InputError("generators are not a sorted minimal generating set")
 
     def contains(self, monomial) -> bool:

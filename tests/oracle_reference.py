@@ -7,7 +7,9 @@ every point so far, and no point is left out.
 and sums the homology of each key, so its diagram does not rest on the
 zero-strand or regularity tests of the pruned fold.  It reads each key
 through `lookup`, one index lookup per variable and no memo, so it does
-not rest on the oracle's half-point memo either.
+not rest on the oracle's half-point memo either, and computes each key's
+homology from its critical cells in a dict of its own, not through the
+process-wide memo of `_key_homology`.
 
 `divisor_index` is the index built one generator scan per distinct value
 of each variable, and `edge_power_regularity` the recogniser that builds
@@ -20,11 +22,13 @@ from operator import mul
 
 from bettistab.diagram import BettiDiagram
 from bettistab.koszul_oracle import (
+    _apex,
+    _critical_bases,
     _divisor_index,
     _fields,
+    _homology,
     _induced_matching_number,
     _is_cone,
-    _key_homology,
     _minimal_tight_sets,
     _pack,
     _shape,
@@ -111,12 +115,11 @@ def betti_oracle(ideal) -> BettiDiagram:
     points = Counter(
         (strand_key(index, a), a.bit_count()) for a in lcm_lattice(generators)
     )
-    homology = {}  # strand key -> its homology; () for a cone
-    totals, tables = {}, {}
+    homology, totals = {}, {}  # strand key -> its homology; () for a cone
     for (key, d), count in points.items():
         if key not in homology:
-            homology[key] = (
-                () if _is_cone(key) else _key_homology(ideal.num_vars, _shape(key), tables))
+            shape = _shape(key)
+            homology[key] = () if _is_cone(key) else _homology(_critical_bases(shape, _apex(shape)))
         for i, h in enumerate(homology[key]):
             if h:
                 totals[(i, d)] = totals.get((i, d), 0) + h * count

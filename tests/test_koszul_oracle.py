@@ -486,11 +486,14 @@ def _unshape(support, sigma) -> int:
 def _assert_cells_match_reference(n, key, apex):
     """The truth-table cells of the key's shape, at the apex's place in the support and
     relabelled back onto the key's variables, equal the submask walk's on the key, as a
-    set in each degree."""
+    set in each degree.  The shape's degrees stop at |supp|; the cells are returned
+    padded with empty degrees up to n."""
     support = key[0]
     shape_apex = 1 << (support & apex - 1).bit_count() if apex else 0
     cells = [[_unshape(support, sigma) for sigma in level]
-             for level in _critical_bases(n, _shape(key), shape_apex, {})]
+             for level in _critical_bases(_shape(key), shape_apex)]
+    assert len(cells) == support.bit_count() + 1
+    cells += [[] for _ in range(n + 1 - len(cells))]
     reference = _reference_critical_bases(n, key, apex)
     assert len(cells) == len(reference) == n + 1
     for level, expected in zip(cells, reference):
@@ -582,7 +585,7 @@ def test_shape_relabels_in_order(support, masks):
 def test_shape_homology_matches_full_strand_on_arbitrary_masks(r, masks):
     # any masks, not only minimal tight sets: the surviving sets are an up-set either way
     key = ((1 << r) - 1, frozenset(m & ((1 << r) - 1) for m in masks))
-    assert _key_homology(6, _shape(key), {}) == _tuple_homology(_as_tuples(_key_bases(6, key)))
+    assert _key_homology(_shape(key)) == _tuple_homology(_as_tuples(_key_bases(r, key)))
 
 
 def test_shape_examples():
@@ -596,9 +599,9 @@ def test_shape_examples():
     # critical cells {0, 1} and {1, 2, 3}, neither a face of the other: each
     # one-cell side has a zero boundary, so H_2 and H_3 are both 1
     key = (0b11110, frozenset({0b00110, 0b01010, 0b10010, 0b11100}))
-    assert _critical_bases(4, _shape(key), _apex(_shape(key)), {}) == [[], [], [0b0011], [0b1110], []]
-    assert _key_homology(4, _shape(key), {}) == (0, 0, 1, 1, 0)
-    assert _key_homology(4, _shape(key), {}) == _tuple_homology(_as_tuples(_key_bases(4, key)))
+    assert _critical_bases(_shape(key), _apex(_shape(key))) == [[], [], [0b0011], [0b1110], []]
+    assert _key_homology(_shape(key)) == (0, 0, 1, 1, 0)
+    assert _key_homology(_shape(key)) == _tuple_homology(_as_tuples(_key_bases(4, key)))
 
 
 def _per_shape_columns(support):
@@ -609,23 +612,23 @@ def _per_shape_columns(support):
 
 
 def test_column_tables_once_per_support_size():
-    # for r = 0..8 index bits: one `_columns(r)` entry in the caller's dict,
-    # equal to the per-shape construction, with column i the idx whose bit i
-    # is set, and read again, not rebuilt, by the next shape of that size
-    tables = {}
+    # for r = 0..8 index bits, from an empty memo: a shape on r + 1 variables
+    # builds one `_columns(r)` entry, equal to the per-shape construction,
+    # with column i the idx whose bit i is set, and the next shape of that
+    # size reads it again, not rebuilt
+    _columns.cache_clear()
     for r in range(9):
         support = (1 << r + 1) - 1
-        full, columns = _columns(r)
+        shapes = [(support, frozenset({support})), (support, frozenset({1, support & ~1}))]
+        _critical_bases(shapes[0], _apex(shapes[0]))
+        assert _columns.cache_info().misses == _columns.cache_info().currsize == r + 1
+        entry = full, columns = _columns(r)
         assert (full, columns) == _per_shape_columns(support)
         assert full == (1 << (1 << r)) - 1
         assert columns == [sum(1 << idx for idx in range(1 << r) if idx >> i & 1)
                            for i in range(r)]
-        shapes = [(support, frozenset({support})), (support, frozenset({1, support & ~1}))]
-        _critical_bases(r + 1, shapes[0], _apex(shapes[0]), tables)
-        assert set(tables) == set(range(r + 1)) and tables[r] == (full, columns)
-        entry = tables[r]
-        _critical_bases(r + 1, shapes[1], _apex(shapes[1]), tables)
-        assert tables[r] is entry
+        _critical_bases(shapes[1], _apex(shapes[1]))
+        assert _columns.cache_info().misses == r + 1 and _columns(r) is entry
 
 
 def _assert_shapes_match_reference(ideal):
@@ -635,7 +638,7 @@ def _assert_shapes_match_reference(ideal):
     n = ideal.num_vars
     fields = _fields(ideal.exponent_lcm())
     index = _divisor_index(fields, ideal.generators)
-    supports, homology, tables = {}, {}, {}  # one column dict for every shape, as in the oracle
+    supports, homology = {}, {}
     for x in lcm_lattice([_pack(fields, g) for g in ideal.generators]):
         key = _indexed_key(index, x)
         if _is_cone(key):
@@ -643,7 +646,9 @@ def _assert_shapes_match_reference(ideal):
         a = _unpack(fields, x)
         expected = _reference_homology(ideal, a)
         shape = _shape(key)
-        assert _key_homology(n, shape, tables) == expected
+        dims = _key_homology(shape)
+        assert len(dims) == key[0].bit_count() + 1
+        assert dims + (0,) * (n + 1 - len(dims)) == expected
         assert strand_homology(ideal, a) == expected and len(expected) == n + 1
         assert homology.setdefault(shape, expected) == expected
         supports.setdefault(shape, set()).add(key[0])

@@ -178,6 +178,21 @@ def test_invalid_generator_lists_raise_at_every_entry(num_vars, gens, message, m
         assert str(info.value) == text[1]
 
 
+@pytest.mark.parametrize("gens, message", [
+    ([(0, 1), (1, 0)], "generators must be a tuple of tuples"),  # a list
+    (([0, 1], [1, 0]), "generators must be a tuple of tuples"),  # unhashable generators
+    (((0, 1), [1, 0]), "generators must be a tuple of tuples"),
+    (((1, 0), (0, 1)), "generators are not a sorted minimal generating set"),  # unsorted
+    (((0, 1), (1, 0), (1, 0)), "generators are not a sorted minimal generating set"),  # duplicate
+    (((0, 1), (2, 0), (2, 1)), "generators are not a sorted minimal generating set"),  # (0, 1) | (2, 1)
+    (((0, 2), (1, 0), (1, 1)), "generators are not a sorted minimal generating set"),  # (1, 0) | (1, 1)
+])
+def test_constructor_refuses_non_canonical_generators(gens, message):
+    with pytest.raises(InputError) as info:
+        MonomialIdeal(2, gens)
+    assert str(info.value) == message
+
+
 def test_json_round_trip():
     ideal = power(path_ideal(4), 2)
     assert MonomialIdeal.from_json_dict(ideal.to_json_dict()) == ideal
@@ -268,3 +283,23 @@ def test_minimalize_matches_brute_force(gens):
     minimal = _minimalize(gens)
     assert minimal == _reference_minimalize(gens)
     assert all(any(monomial_divides(h, g) for h in minimal) for g in gens)
+
+
+@given(monomial_lists())
+@settings(max_examples=300, deadline=None)
+def test_constructor_accepts_exactly_the_minimalized_generators(gens):
+    # the sorted walk accepts a tuple of monomials iff minimalizing leaves it
+    # as it is: as drawn (duplicates included), sorted without duplicates,
+    # minimal but reversed, and minimalized
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        return
+    minimal = _minimalize(gens)
+    for candidate in (tuple(gens), tuple(sorted(set(gens))), minimal[::-1], minimal):
+        try:
+            MonomialIdeal(len(gens[0]), candidate)
+        except InputError as exc:
+            assert str(exc) == "generators are not a sorted minimal generating set"
+            assert candidate != minimal
+        else:
+            assert candidate == minimal

@@ -32,7 +32,7 @@ from oracle_reference import betti_oracle as reference_oracle
 from oracle_reference import divisor_index as reference_divisor_index
 from oracle_reference import edge_power_regularity as reference_regularity
 from oracle_reference import lcm_lattice, lookup as reference_lookup
-from test_koszul_oracle import _relabelled, _unpack, non_path_ideals
+from test_koszul_oracle import _reference_homology, _relabelled, _unpack, non_path_ideals
 
 
 def edge_ideal(n, edges):
@@ -381,19 +381,22 @@ def test_locality_order_walks_paths_and_cycles(graph, n):
     for n in (5, 6, 7) for k in (2, 3)
 ])
 def test_relabellings_compute_the_in_order_shapes(monkeypatch, base, k, seeds):
-    # each relabelling computes exactly the homologies of the ideal labelled
-    # in order, and the same diagram
+    # from an empty homology memo, each relabelling computes exactly the
+    # homologies of the ideal labelled in order, each once, and the same diagram
     shapes = []
 
-    def counted(n, shape, tables, original=koszul_oracle._key_homology):
+    def counted(shape, apex, original=koszul_oracle._critical_bases):
         shapes.append(shape)
-        return original(n, shape, tables)
+        return original(shape, apex)
 
-    monkeypatch.setattr(koszul_oracle, "_key_homology", counted)
+    monkeypatch.setattr(koszul_oracle, "_critical_bases", counted)
+    koszul_oracle._key_homology.cache_clear()
     expected = betti_oracle(power(base, k))
     in_order = Counter(shapes)
+    assert set(in_order.values()) == {1}
     for seed in range(1, seeds + 1):
         shapes.clear()
+        koszul_oracle._key_homology.cache_clear()
         assert betti_oracle(power(_relabelled(base, seed), k)) == expected
         assert Counter(shapes) == in_order, seed
     if base == path_ideal(base.num_vars):
@@ -416,3 +419,32 @@ def test_plan_does_not_depend_on_the_labelling(base):
             assert (plan[0], plan[2]) == (regularity, order)
             assert len(plan[1]) == len(perms) or order > 2
             assert plan[3]() == expected
+
+
+def test_warm_memo_matches_reference_across_n():
+    # the homology memo lasts for the process and is keyed on the shape alone,
+    # so ideals with other n warm it first: path(8)^2 after path(6)^4, C6^3
+    # after C5^2, the uneven ideal's powers after both.  Each diagram equals
+    # the unpruned reference, which computes its homology without the memo,
+    # in that order and again in reverse, when every entry is warm.
+    uneven = make_ideal(4, [(0, 0, 0, 3), (0, 2, 1, 0), (1, 0, 2, 0), (2, 0, 1, 0)])
+    ideals = [power(path_ideal(6), 4), power(path_ideal(8), 2),
+              power(edge_ideal(5, cycle_edges(5)), 2), power(edge_ideal(6, cycle_edges(6)), 3),
+              *(power(uneven, k) for k in (1, 2, 3, 4))]
+    memo = koszul_oracle._key_homology
+    memo.cache_clear()
+    for ideal in ideals + ideals[::-1]:
+        hits = memo.cache_info().hits
+        assert betti_oracle(ideal) == reference_oracle(ideal)
+        assert memo.cache_info().hits > hits or ideal is ideals[0]
+    # strand_homology pads the memo's entries, over 0..|supp a|, to n + 1,
+    # after a warm-up on fewer variables
+    memo.cache_clear()
+    betti_oracle(power(path_ideal(4), 2))
+    ideal = power(path_ideal(8), 2)
+    for a in [(0, 0, 0, 0, 0, 0, 2, 2), (0, 0, 0, 0, 0, 1, 2, 1), (0, 0, 0, 0, 1, 1, 1, 1),
+              (1, 1, 0, 2, 2, 1, 1, 1), (2, 2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1)]:
+        expected, hits = _reference_homology(ideal, a), memo.cache_info().hits
+        assert strand_homology(ideal, a) == expected and len(expected) == 9 and any(expected)
+        # a point on at most four variables has a shape that path(4)^2 computed
+        assert memo.cache_info().hits > hits or sum(map(bool, a)) > 4
