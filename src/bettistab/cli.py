@@ -68,7 +68,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
     if text.startswith(("{", "[")):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise InputError(f"malformed JSON in {path}: {exc}") from exc
         return MonomialIdeal.from_json_dict(data)
     return parse_ideal(text)
@@ -77,7 +77,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
 def _load_diagram(path: str) -> BettiDiagram:
     try:
         data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     return BettiDiagram.from_json_dict(data)
 

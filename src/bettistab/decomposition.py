@@ -25,8 +25,9 @@ equalities (the constraints zero on every ray, whose rank is read only when
 they change before a cut that pairs rays), a ray zero on exactly d - 1 + r
 constraints is nondegenerate, and it is adjacent to another ray iff they
 share d - 2 + r zeros.  Two nondegenerate rays are paired through a dict of
-the 2-faces through them; only pairs of two degenerate rays run the holder
-test, which asks that no third ray be zero on all the zeros they share.
+the 2-faces through them, and a pair with one nondegenerate member by the
+count.  A pair of two degenerate rays that passes the count is adjacent iff
+the zeros they share have rank d - 2 on the kernel, the definition itself.
 Each vertex is kept as that primitive ray (x, s): sorting, pruning, the
 signature, the JSON (through `format_quotient`) and `verify_rays` read the
 integers, and Fractions x / s are built only in the `vertices` view, which
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain, product
 from operator import and_
 
 from .diagram import BettiDiagram, integer_pure_diagram, pure_diagram, validate_cyclic
@@ -264,17 +266,25 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
     on its negative side first.  Returns no rays iff infeasible.
 
-    Before a cut that pairs rays, the implicit equalities E (the constraints
-    added so far that are zero on every ray) are read off the zero sets.
-    Their redundancy r is |E| minus the rank of E on the kernel, which is
-    the rank of the rows (v_f[k] for each basis vector v_f), one per k in E;
-    it is computed only when E has grown since the last such cut.  With d
-    the kernel dimension, every extreme ray is zero on at least d - 1 + r
-    constraints and two adjacent rays share at least d - 2 + r, which
-    `_cut` uses as its count filter and its test for nondegenerate rays.
+    The rank of a set of constraints on the kernel is the rank of the rows
+    (v_f[k] for each basis vector v_f), one per k in the set: `rank` reads
+    it off a bitmask.  Before a cut that pairs rays, the implicit equalities
+    E (the constraints added so far that are zero on every ray) are read off
+    the zero sets.  Their redundancy r is |E| minus their rank, computed
+    only when E has grown since the last such cut.  With d the kernel
+    dimension, every extreme ray is zero on at least d - 1 + r constraints
+    and two adjacent rays share at least d - 2 + r, which `_cut` uses as its
+    count filter and its test for nondegenerate rays; it decides a pair of
+    two degenerate rays by `rank`.
     """
     m = len(polytope.candidates)
     basis = kernel_basis(polytope.rows, m + 1)
+
+    def rank(constraints):
+        return matrix_rank(
+            [v[k] for v in basis.values()] for k in range(m + 1) if constraints >> k & 1
+        )
+
     free, rays = list(basis), list(basis.values())
     todo = [c for c in range(m + 1) if c not in basis]
     done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
@@ -287,10 +297,8 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
             grown = reduce(and_, zeros)
             if grown != implicit:
                 implicit = grown
-                redundancy = grown.bit_count() - matrix_rank(
-                    [v[k] for v in basis.values()] for k in range(m + 1) if grown >> k & 1
-                )
-        rays, zeros = _cut(rays, zeros, done, c, len(free) - 2 + redundancy, implicit)
+                redundancy = grown.bit_count() - rank(grown)
+        rays, zeros = _cut(rays, zeros, done, c, len(free), implicit, redundancy, rank)
         done |= 1 << c
     rays = [tuple(r) for r in rays if r[m] > 0]
     scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
@@ -298,7 +306,7 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     return replace(polytope, rays=tuple(rays))
 
 
-def _cut(rays, zeros, done, c, need, implicit):
+def _cut(rays, zeros, done, c, d, implicit, redundancy, rank):
     """Extreme rays, with their zero sets, of the cone cut by x_c >= 0.
 
     Each pair of adjacent rays p (x_c > 0) and q (x_c < 0) gives the ray
@@ -306,24 +314,23 @@ def _cut(rays, zeros, done, c, need, implicit):
     x_c = 0.  The rays with x_c >= 0 are kept, in order, and the new rays
     follow them.
 
-    With d the kernel dimension and r the redundancy of the `implicit`
-    equalities E, p and q are adjacent iff the zeros they share have rank
-    d - 2 on the kernel.  Every zero set contains E, so at least r of its
-    members are redundant: adjacent rays share at least `need` = d - 2 + r
-    zeros, and every ray has at least d - 1 + r.  A ray with exactly
-    d - 1 + r is nondegenerate: its zeros outside E are independent modulo
-    E, so a set of its zeros that contains E has rank its size minus r.  So
-    a nondegenerate ray is adjacent to another iff they share d - 2 + r
-    zeros; sharing all d - 1 + r would put the other ray on its line.  Two
-    nondegenerate rays are then adjacent iff each one's zero set minus one
-    constraint outside E is the same set, the 2-face through both, and
-    `_face_pairs` finds them through a dict.  A pair with one degenerate
-    member is decided by the count; a pair of two degenerate rays that
-    passes it also needs the holder test: no third ray is zero on all the
-    zeros they share.  `_holders` builds the test's table on the first such
-    pair.
+    With d the kernel dimension, p and q are adjacent iff the zeros they
+    share have rank d - 2 on the kernel (Fukuda & Prodon 1996), as `rank`
+    reads it.  Every zero set contains the `implicit` equalities E, and
+    `redundancy` r of them are redundant: adjacent rays share at least
+    `need` = d - 2 + r zeros, and every ray has at least d - 1 + r.  A ray
+    with exactly d - 1 + r is nondegenerate: its zeros outside E are
+    independent modulo E, so a set of its zeros that contains E has rank
+    its size minus r.  So a nondegenerate ray is adjacent to another iff
+    they share d - 2 + r zeros; sharing all d - 1 + r would put the other
+    ray on its line.  Two nondegenerate rays are then adjacent iff each
+    one's zero set minus one constraint outside E is the same set, the
+    2-face through both, and `_face_pairs` finds them through a dict.  A
+    pair with one nondegenerate member is decided by the count, and only a
+    pair of two degenerate rays that passes it has its rank taken.
     """
-    bit, least = 1 << c, need + 1  # least: the zero count of a nondegenerate ray
+    bit, need = 1 << c, d - 2 + redundancy
+    least = need + 1  # the zero count of a nondegenerate ray
     out_rays, out_zeros, pos, neg, pos_degenerate, neg_degenerate = [], [], [], [], [], []
     for j, (r, z) in enumerate(zip(rays, zeros)):
         x = r[c]
@@ -336,35 +343,22 @@ def _cut(rays, zeros, done, c, need, implicit):
             z |= bit
         out_rays.append(r)
         out_zeros.append(z)
-    if (neg or neg_degenerate) and (pos or pos_degenerate):
-        pairs = _face_pairs(pos, neg, done & ~implicit)
-        pairs += [
-            (i, j, zp & zq)
-            for i, zp in pos
-            for j, zq in neg_degenerate
-            if (zp & zq).bit_count() >= need
-        ]
-        holders, everyone, negatives = None, (1 << len(rays)) - 1, neg + neg_degenerate
-        for i, zp in pos_degenerate:
-            for j, shared in [(j, zp & zq) for j, zq in negatives if (zp & zq).bit_count() >= need]:
-                if zeros[j].bit_count() > least:
-                    if holders is None:
-                        holders = _holders(zeros, done)
-                    pair, common, rest = 1 << i | 1 << j, everyone, shared
-                    while rest and common != pair:
-                        low = rest & -rest
-                        common &= holders[low]
-                        rest ^= low
-                    if common != pair:
-                        continue
-                pairs.append((i, j, shared))
-        for i, j, shared in pairs:
-            p, q = rays[i], rays[j]
-            pc, qc = p[c], q[c]
-            new = [pc * y - qc * x for x, y in zip(p, q)]
-            g = math.gcd(*new)
-            out_rays.append(tuple([x // g for x in new]) if g > 1 else tuple(new))
-            out_zeros.append(shared | bit)
+    pairs = _face_pairs(pos, neg, done & ~implicit)
+    for (i, zp), (j, zq) in chain(
+        product(pos, neg_degenerate), product(pos_degenerate, neg + neg_degenerate)
+    ):
+        shared = zp & zq
+        if shared.bit_count() >= need and (
+            zp.bit_count() == least or zq.bit_count() == least or rank(shared) == d - 2
+        ):
+            pairs.append((i, j, shared))
+    for i, j, shared in pairs:
+        p, q = rays[i], rays[j]
+        pc, qc = p[c], q[c]
+        new = [pc * y - qc * x for x, y in zip(p, q)]
+        g = math.gcd(*new)
+        out_rays.append(tuple([x // g for x in new]) if g > 1 else tuple(new))
+        out_zeros.append(shared | bit)
     return out_rays, out_zeros
 
 
@@ -386,15 +380,6 @@ def _face_pairs(pos, neg, loose):
     faces = {z ^ b: i for i, z in small for b in bits if z & b}
     found = [(faces[k], j, k) for j, z in large for b in bits if z & b and (k := z ^ b) in faces]
     return found if small is pos else [(i, j, k) for j, i, k in found]
-
-
-def _holders(zeros, done):
-    """Per constraint bit in `done`, the bitmask of the rays zero on it."""
-    return {
-        1 << k: int("".join("01"[z >> k & 1] for z in reversed(zeros)), 2)
-        for k in range(done.bit_length())
-        if done >> k & 1
-    }
 
 
 def prune(polytope: DecompositionPolytope) -> DecompositionPolytope:

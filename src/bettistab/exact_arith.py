@@ -42,6 +42,7 @@ list).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -66,13 +67,24 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a plain integer string into a Fraction; non-strings are rejected."""
+    """Parse "num/den" or a plain integer string, ASCII digits with an
+    optional leading minus and nothing around them, into a Fraction.
+
+    Anything else is an InputError: non-strings, spaces, signs on the
+    denominator, decimals, exponents (a nine-character "1e3000000" would be
+    a 3.3-million-bit integer), underscores, a zero denominator, and digit
+    runs over the interpreter's int conversion limit.
+    """
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise InputError(f"not a rational: {text!r}")
     try:
-        value = Fraction(text.strip())
-    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {text!r}") from exc
-    return value
 
 
 def format_rational(value: Fraction) -> str:

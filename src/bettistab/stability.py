@@ -40,13 +40,14 @@ Column sums (total Betti numbers per homological index) go through the same
 fitter as polynomials (denominator degree 0, Kodiyalam), with the same
 held-out check.
 
-Each scan fits every distinct sample sequence once: many trajectories
-repeat (coordinates shared between vertices, coordinates that vanish on the
-whole window), and a fit is a function of its (k, value) samples and the
-polynomial flag alone, so a memo local to the scan returns exactly the fit
-that a new search would find.  A trajectory's key is its values x_c / s as
-reduced pairs of ints (s > 0), equal exactly when the values are, and its
-Fractions are made only for a new key; column sums are cached as samples.
+Each scan fits every distinct trajectory sample sequence once: many
+trajectories repeat (coordinates shared between vertices, coordinates that
+vanish on the whole window), and a fit is a function of its (k, value)
+samples and the polynomial flag alone, so a memo local to the scan returns
+exactly the fit that a new search would find.  A trajectory's key is its
+values x_c / s as reduced pairs of ints (s > 0), equal exactly when the
+values are, and its Fractions are made only for a new key.  Column sums
+are fitted once per column.
 
 `compare_reference` reports, per vertex coordinate, whether the fitted
 trajectory equals a reference closed form exactly and whether the two agree
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import islice
 from math import gcd
 
@@ -354,7 +355,6 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
                     fitted[key] = _fit_trajectory(tuple((k, Fraction(*q)) for k, q in zip(ks, key)))
                 fits.append(TrajectoryFit(label, c, fitted[key]))
         trajectories = tuple(fits)
-        fit = cache(_fit_trajectory)  # one search per distinct column-sum sequence
         # Kodiyalam check: total Betti numbers are polynomial in k.
         sums = [column_sums(r.diagram) for r in window_records]
         fits = []
@@ -363,7 +363,7 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
                 (r.k, s[c] if c < len(s) else Fraction(0))
                 for r, s in zip(window_records, sums)
             )
-            fits.append(fit(samples, polynomial=True))
+            fits.append(_fit_trajectory(samples, polynomial=True))
         column_fits = tuple(fits)
 
     verdict = {

@@ -307,6 +307,37 @@ def test_overlong_digit_runs_are_domain_errors(tmp_path, capsys):
                          "message": "digit run longer than 100 characters in a token"}
 
 
+@pytest.mark.parametrize(
+    "subcommand,flag,template",
+    [
+        ("decompose", "--diagram", '{"entries": [[0, 0, 1], [1, 2, BIG]]}'),
+        ("oracle", "--ideal", '{"num_vars": 2, "generators": [[BIG, 1]]}'),
+        ("oracle", "--ideal", "[BIG]"),
+    ],
+)
+def test_json_integers_over_the_digit_limit_are_domain_errors(
+    tmp_path, capsys, subcommand, flag, template
+):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer over the interpreter's 4,300-digit conversion limit
+    path = tmp_path / "input.json"
+    path.write_text(template.replace("BIG", "7" * 5000), encoding="utf-8")
+    code, out, _ = run_cli(capsys, subcommand, flag, str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("value", ["1e5", "1e5000", "0.5", " 7 ", "1_000"])
+def test_decompose_rejects_rationals_outside_the_syntax(tmp_path, capsys, value):
+    # "1e5000" once reached format_quotient and crashed it
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"entries": [[0, 0, "1"], [1, 1, value]]}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "decompose", "--diagram", str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError" and repr(value) in error["message"]
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--ideal", "/nonexistent/ideal.txt")
     assert code == 1

@@ -523,11 +523,45 @@ def test_face_dict_pairs_rays():
     assert sum(map(len, _calls("_face_pairs", path_diagram(7, 4)))) > 0
 
 
-def test_holder_test_runs_on_degenerate_pairs():
-    # triple^2 has pairs of degenerate rays, and the holder test rejects one
+def _cuts(diagram):
+    """Per cut while `diagram` is enumerated: the implicit equalities that
+    `_cut` is given, and the ranks that its rank rule takes."""
+    cuts, cut = [], decomposition._cut
+
+    def spy(rays, zeros, done, c, d, implicit, redundancy, rank):
+        ranks = []
+        cuts.append((implicit, ranks))
+        return cut(
+            rays, zeros, done, c, d, implicit, redundancy,
+            lambda shared: ranks.append(rank(shared)) or ranks[-1],
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "_cut", spy)
+        _pipeline(diagram)
+    return cuts
+
+
+def test_rank_rule_runs_on_degenerate_pairs():
+    # triple^2 has pairs of two degenerate rays that pass the count, and the
+    # rank rule rejects at least one of them
     diagram = betti_oracle(power(TRIPLE_IDEAL, 2))
-    assert _calls("_holders", diagram)
-    _assert_cuts_match_reference(build_polytope(diagram, candidate_degree_sequences(diagram)))
+    polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
+    ridge = len(kernel_basis(polytope.rows, len(polytope.candidates) + 1)) - 2
+    ranks = [r for _, ranks in _cuts(diagram) for r in ranks]
+    assert ridge in ranks and min(ranks) < ridge
+    _assert_cuts_match_reference(polytope)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_benchmark_inputs_never_reach_the_rank_rule(k):
+    # the polytope-path7 benchmark enumerates path7^4 and path7^6: there
+    # matrix_rank runs once per new set of implicit equalities, and no pair
+    # of two degenerate rays passes the count
+    diagram = path_diagram(7, k)
+    cuts = _cuts(diagram)
+    assert not any(ranks for _, ranks in cuts)
+    assert len(_calls("matrix_rank", diagram)) == len({e for e, _ in cuts} - {0})
 
 
 def test_redundancy_takes_one_rank():

@@ -525,6 +525,14 @@ def test_rational_serialization():
         parse_rational("1/0")
     with pytest.raises(InputError):
         parse_rational("abc")
+    # only "num/den" and "n" are read: decimals, exponents, underscores,
+    # spaces, a plus sign, non-ASCII digits and non-strings are refused
+    for rejected in (
+        "0.5", "1_000", " 7 ", "7\n", "1e3000000", "1e5", "1E5", "+3", "3/-4", "1/2/3",
+        "", "-", "3/", "\u0663", 7, None, "1" * 5000,
+    ):
+        with pytest.raises(InputError):
+            parse_rational(rejected)
 
 
 def test_fit_canonical_form():
