@@ -61,25 +61,28 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # an int over the interpreter's conversion limit
+        raise InputError(
+            f"an integer in {path} exceeds the {sys.get_int_max_str_digits()}-digit limit"
+        ) from exc
+
+
 def _load_ideal(path: str) -> MonomialIdeal:
     """Ideal files hold either the JSON schema or the generator text syntax
     that `parse_ideal` reads."""
     text = _read_text(path).strip()
     if text.startswith(("{", "[")):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-            raise InputError(f"malformed JSON in {path}: {exc}") from exc
-        return MonomialIdeal.from_json_dict(data)
+        return MonomialIdeal.from_json_dict(_parse_json(text, path))
     return parse_ideal(text)
 
 
 def _load_diagram(path: str) -> BettiDiagram:
-    try:
-        data = json.loads(_read_text(path))
-    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return BettiDiagram.from_json_dict(data)
+    return BettiDiagram.from_json_dict(_parse_json(_read_text(path), path))
 
 
 def build_parser() -> argparse.ArgumentParser:

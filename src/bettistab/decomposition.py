@@ -19,12 +19,17 @@ enumerated exactly by the double description method over the integers: the
 extreme rays of the cone {(w, s) >= 0 : A w = s b} are built one constraint
 at a time from a kernel basis of the rows, and the rays with s > 0, divided
 by s, are the vertices.  The work follows the number of rays, not the
-C(m, rank(A)) column subsets.  Adjacency is decided by count where that is
-exact: with d the kernel dimension and r the redundancy of the implicit
-equalities (the constraints zero on every ray, whose rank is read only when
-they change before a cut that pairs rays), a ray zero on exactly d - 1 + r
-constraints is nondegenerate, and it is adjacent to another ray iff they
-share d - 2 + r zeros.  Two nondegenerate rays are paired through a dict of
+C(m, rank(A)) column subsets.  The extreme rays do not depend on the order
+in which the constraints are added, but the rays in between do: each step
+takes a cut that pairs no rays if there is one, and otherwise the
+constraint with the most rays on its negative side net of its positive
+side.  A constraint whose row in the kernel basis is zero holds with
+equality on every ray and is never cut.  Adjacency is decided by count
+where that is exact: with d the kernel dimension and r the redundancy of
+the implicit equalities (the constraints zero on every ray, whose rank is
+read only when they change before a cut that pairs rays), a ray zero on
+exactly d - 1 + r constraints is nondegenerate, and it is adjacent to
+another ray iff they share d - 2 + r zeros.  Two nondegenerate rays are paired through a dict of
 the 2-faces through them, and a pair with one nondegenerate member by the
 count.  A pair of two degenerate rays that passes the count is adjacent iff
 the zeros they share have rank d - 2 on the kernel, the definition itself.
@@ -263,8 +268,16 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     integer ray per free column f: the extreme rays of the kernel cut by
     every x_f >= 0.  The basis is primitive, so it does not depend on how
     the rows are scaled.  Each pivot column's x_c >= 0 is then added in turn
-    (Motzkin et al. 1953; Fukuda & Prodon 1996), the one with the most rays
-    on its negative side first.  Returns no rays iff infeasible.
+    (Motzkin et al. 1953; Fukuda & Prodon 1996), in the order `_next_cut`
+    picks: first a one-sided cut, which pairs no rays, then the constraint
+    with the most negative rays net of positive ones.  The cone after the
+    last cut does not depend on the order, and its extreme rays are unique
+    up to scale and kept primitive, so the sorted rays do not either; the
+    order only sets how many rays the steps in between hold.  A pivot column
+    whose row in the kernel basis is zero has x_c = 0 on every ray, so it is
+    left out of the cuts and of the zero sets: it would add 1 to every zero
+    count and to the redundancy r below and 0 to every rank, which leaves
+    each adjacency test as it is.  Returns no rays iff infeasible.
 
     The rank of a set of constraints on the kernel is the rank of the rows
     (v_f[k] for each basis vector v_f), one per k in the set: `rank` reads
@@ -286,14 +299,14 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
         )
 
     free, rays = list(basis), list(basis.values())
-    todo = [c for c in range(m + 1) if c not in basis]
+    todo = [c for c in range(m + 1) if c not in basis and any(v[c] for v in rays)]
     done = sum(1 << f for f in free)  # the constraints added so far, as a bitmask
     zeros = [done ^ 1 << f for f in free]  # each ray's zero set within `done`
     implicit = redundancy = 0  # E, as a bitmask, and r
     while todo:
-        c = max(todo, key=lambda k: sum(r[k] < 0 for r in rays))
+        c, paired = _next_cut(rays, todo)
         todo.remove(c)
-        if any(r[c] < 0 for r in rays) and any(r[c] > 0 for r in rays):
+        if paired:
             grown = reduce(and_, zeros)
             if grown != implicit:
                 implicit = grown
@@ -304,6 +317,31 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
     rays.sort(key=lambda r: [x * f for f in (scale // r[m],) for x in r[:m]])
     return replace(polytope, rays=tuple(rays))
+
+
+def _next_cut(rays, todo):
+    """The constraint of `todo` to cut by next, and whether that cut pairs rays.
+
+    A one-sided cut, with no ray strictly on one side of x_c = 0, pairs
+    nothing and comes first.  Otherwise the cut with the most negative rays
+    net of positive ones comes first.  Ties go to the first in `todo`.
+    """
+    n = len(rays)
+    best = score = None
+    for k in todo:
+        negative = positive = 0
+        for r in rays:
+            x = r[k]
+            if x < 0:
+                negative += 1
+            elif x:
+                positive += 1
+        net = negative - positive
+        if negative and positive:  # below every one-sided cut, whose net is at least -n
+            net -= 2 * n + 1
+        if score is None or net > score:
+            best, score = k, net
+    return best, score < -n
 
 
 def _cut(rays, zeros, done, c, d, implicit, redundancy, rank):

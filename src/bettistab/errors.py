@@ -5,6 +5,18 @@ plausibly trigger with bad input; plain exceptions indicate bugs.
 """
 
 
+def excerpt(value, limit: int = 40) -> str:
+    """How an error message shows an input value: its repr, or, when that is
+    longer than `limit` characters, the repr's first `limit` characters and
+    the value's length (a string's characters, else its repr's), so that a
+    message stays short whatever the input holds."""
+    shown = repr(value)
+    if len(shown) <= limit:
+        return shown
+    length = len(value) if isinstance(value, str) else len(shown)
+    return f"{shown[:limit]}... ({length} characters)"
+
+
 class BettiStabError(Exception):
     """Base class for all domain errors raised by this package."""
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, excerpt
 
 
 def binom(a: int, b: int) -> int:
@@ -77,14 +77,15 @@ def parse_rational(text: str) -> Fraction:
     Anything else is an InputError: non-strings, spaces, signs on the
     denominator, decimals, exponents (a nine-character "1e3000000" would be
     a 3.3-million-bit integer), underscores, a zero denominator, and digit
-    runs over the interpreter's int conversion limit.
+    runs over the interpreter's int conversion limit.  The message shows the
+    rejected value through `excerpt`, a short prefix and its length.
     """
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise InputError(f"not a rational: {text!r}")
+        raise InputError(f"not a rational: {excerpt(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+        raise InputError(f"not a rational: {excerpt(text)}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -131,7 +132,7 @@ def integer_vector(values) -> list:
 def require_int(value, what: str) -> int:
     """`value` itself when it is an int; anything else (bools too) is an InputError."""
     if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {excerpt(value)}")
     return value
 
 

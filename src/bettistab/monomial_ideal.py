@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
 from operator import lt
 
-from .errors import InputError
+from .errors import InputError, excerpt
 from .exact_arith import require_int
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -120,7 +120,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
         for token in chunk.split("*"):
             m = _FACTOR_RE.match(token.strip())
             if not m:
-                raise InputError(f"malformed token: {token.strip()!r}")
+                raise InputError(f"malformed token: {excerpt(token.strip())}")
             if max(len(m.group(1)), len(m.group(2) or "")) > _MAX_DIGITS:
                 raise InputError(f"digit run longer than {_MAX_DIGITS} characters in a token")
             idx = int(m.group(1))

@@ -6,16 +6,21 @@ coordinate, then a sort of the Fraction tuples.  `prune_vertices` is the old
 `prune` on those tuples.  `verify_decomposition` is the old Fraction check,
 which sums w_c * pure(c) position by position.  `cut_reference` is the double
 description step that `enumerate_vertices` ran before it knew the implicit
-equalities: the count filter and then the holder test on every pair.  The
-tests compare the ray code with them.
+equalities: the count filter and then the holder test on every pair.
+`enumerate_rays_reference` is the enumeration in the cut order it used
+before it picked cuts by their cost.  The tests compare the ray code with
+them.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
+from bettistab import decomposition
 from bettistab.diagram import pure_diagram
 from bettistab.errors import InputError
-from bettistab.exact_arith import integer_vector
+from bettistab.exact_arith import integer_vector, kernel_basis, matrix_rank
 
 
 def vertices_from_rays(rays):
@@ -92,3 +97,39 @@ def cut_reference(rays, zeros, done, c, need):
                     out_rays.append(tuple(x // g for x in new) if g > 1 else tuple(new))
                     out_zeros.append(shared | bit)
     return out_rays, out_zeros
+
+
+def enumerate_rays_reference(polytope):
+    """The sorted rays of `enumerate_vertices` in the insertion order it used
+    before it picked cuts by their cost: every constraint off the kernel
+    basis, zero kernel rows included, the one with the most negative rays
+    first.  Each cut goes through `decomposition._cut` as a module
+    attribute, so a patch of `_cut` sees these cuts too.
+    """
+    m = len(polytope.candidates)
+    basis = kernel_basis(polytope.rows, m + 1)
+
+    def rank(constraints):
+        return matrix_rank(
+            [v[k] for v in basis.values()] for k in range(m + 1) if constraints >> k & 1
+        )
+
+    free, rays = list(basis), list(basis.values())
+    todo = [c for c in range(m + 1) if c not in basis]
+    done = sum(1 << f for f in free)
+    zeros = [done ^ 1 << f for f in free]
+    implicit = redundancy = 0
+    while todo:
+        c = max(todo, key=lambda k: sum(r[k] < 0 for r in rays))
+        todo.remove(c)
+        if any(r[c] < 0 for r in rays) and any(r[c] > 0 for r in rays):
+            grown = reduce(and_, zeros)
+            if grown != implicit:
+                implicit = grown
+                redundancy = grown.bit_count() - rank(grown)
+        rays, zeros = decomposition._cut(rays, zeros, done, c, len(free), implicit, redundancy, rank)
+        done |= 1 << c
+    rays = [tuple(r) for r in rays if r[m] > 0]
+    scale = math.lcm(*(r[m] for r in rays))
+    rays.sort(key=lambda r: [x * f for f in (scale // r[m],) for x in r[:m]])
+    return tuple(rays)

@@ -324,7 +324,38 @@ def test_json_integers_over_the_digit_limit_are_domain_errors(
     path.write_text(template.replace("BIG", "7" * 5000), encoding="utf-8")
     code, out, _ = run_cli(capsys, subcommand, flag, str(path))
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "InputError"
+    assert json.loads(out)["error"] == {
+        "type": "InputError",
+        "message": f"an integer in {path} exceeds the 4300-digit limit",
+    }
+
+
+@pytest.mark.parametrize("size", [5000, 1_000_000])
+@pytest.mark.parametrize(
+    "subcommand,flag,name,letter,content",
+    [
+        ("decompose", "--diagram", "diagram.json", "7",
+         lambda v: json.dumps({"entries": [[0, 0, "1"], [1, 1, v]]})),
+        ("decompose", "--diagram", "diagram.json", "x",
+         lambda v: json.dumps({"entries": [[0, 0, "1"], [1, 1, v]]})),
+        ("decompose", "--diagram", "diagram.json", "7",
+         lambda v: json.dumps({"entries": [[v, 0, 1]]})),
+        ("oracle", "--ideal", "ideal.txt", "y", lambda v: f"x1*{v}"),
+    ],
+    ids=["digits", "letters", "index", "token"],
+)
+def test_error_size_does_not_follow_the_value(
+    tmp_path, capsys, subcommand, flag, name, letter, content, size
+):
+    # the message shows the rejected value's first characters and its length
+    path = tmp_path / name
+    path.write_text(content(letter * size), encoding="utf-8")
+    code, out, _ = run_cli(capsys, subcommand, flag, str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].endswith(f"'{letter * 39}... ({size} characters)")
+    assert len(out.encode()) < 200
 
 
 @pytest.mark.parametrize("value", ["1e5", "1e5000", "0.5", " 7 ", "1_000"])

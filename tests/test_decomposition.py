@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bettistab import decomposition
 from bettistab.decomposition import (
@@ -451,6 +451,9 @@ def test_vertices_match_reference_scan_on_chains(system):
     assert vertices == _reference_vertices(polytope)
     assert len({tuple(x == 0 for x in v) for v in vertices}) == len(vertices)
     _assert_cuts_match_reference(polytope)
+    assert enumerate_vertices(polytope).rays == decomposition_reference.enumerate_rays_reference(
+        polytope
+    )
 
 
 def _assert_cuts_match_reference(polytope):
@@ -505,9 +508,23 @@ def cone_points(draw):
 
 
 @given(cone_points())
+@example(
+    # two degenerate rays here share d - 2 + r zeros, yet are not adjacent:
+    # a cut that takes the count alone for adjacency fails on this diagram
+    BettiDiagram(
+        {
+            (0, 0): 1, (1, 2): Fraction(19, 9), (1, 3): Fraction(5, 3), (2, 3): Fraction(2, 3),
+            (2, 4): Fraction(5, 3), (2, 5): 3, (3, 5): Fraction(8, 9), (3, 6): Fraction(5, 3),
+        }
+    )
+)
 @settings(max_examples=150, deadline=None)
 def test_cuts_match_the_holder_test_on_cone_points(diagram):
-    _assert_cuts_match_reference(build_polytope(diagram, candidate_degree_sequences(diagram)))
+    polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
+    _assert_cuts_match_reference(polytope)
+    assert enumerate_vertices(polytope).rays == decomposition_reference.enumerate_rays_reference(
+        polytope
+    )
 
 
 def _calls(name, diagram):
@@ -562,6 +579,50 @@ def test_benchmark_inputs_never_reach_the_rank_rule(k):
     cuts = _cuts(diagram)
     assert not any(ranks for _, ranks in cuts)
     assert len(_calls("matrix_rank", diagram)) == len({e for e, _ in cuts} - {0})
+
+
+def _rays_per_cut(enumerate_rays, polytope):
+    """The number of rays each cut returns while `enumerate_rays` runs."""
+    counts, cut = [], decomposition._cut
+
+    def spy(*args):
+        out = cut(*args)
+        counts.append(len(out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "_cut", spy)
+        enumerate_rays(polytope)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [path_diagram(6, k) for k in range(1, 9)]
+    + [path_diagram(7, k) for k in (*range(1, 13), 35)]
+    + [path_diagram(8, 2)]
+    + [betti_oracle(power(NON_PATH_IDEAL, k)) for k in (2, 3, 4)],
+    ids=[f"path6^{k}" for k in range(1, 9)]
+    + [f"path7^{k}" for k in (*range(1, 13), 35)]
+    + ["path8^2"]
+    + [f"non-path^{k}" for k in (2, 3, 4)],
+)
+def test_order_gives_the_rays_of_the_reference_order(diagram):
+    polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
+    assert enumerate_vertices(polytope).rays == decomposition_reference.enumerate_rays_reference(
+        polytope
+    )
+
+
+@pytest.mark.parametrize("n,k,rays,reference", [(7, 6, 154, 291), (8, 2, 2350, 5565)])
+def test_order_builds_fewer_rays_than_the_reference_order(n, k, rays, reference):
+    # the rays summed over the cuts, in this order and in the reference's
+    diagram = path_diagram(n, k)
+    polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
+    total = sum(_rays_per_cut(lambda p: enumerate_vertices(p).rays, polytope))
+    expected = sum(_rays_per_cut(decomposition_reference.enumerate_rays_reference, polytope))
+    assert (total, expected) == (rays, reference)
+    assert total < expected
 
 
 def test_redundancy_takes_one_rank():
@@ -655,15 +716,19 @@ def test_derived_facts_follow_the_rows_and_rays(diagram):
 
 
 def test_rank_is_one_echelon_on_first_read(monkeypatch):
+    diagram = path_diagram(6, 4)
+    implicit = len({e for e, _ in _cuts(diagram)} - {0})
     calls = []
     rank = decomposition.matrix_rank
     monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))
-    polytope = prune(_pipeline(path_diagram(6, 4)))
-    assert calls == []  # building, enumerating and pruning read no rank
+    polytope = prune(_pipeline(diagram))
+    # building, enumerating and pruning take one rank per new set of implicit
+    # equalities, and no other
+    assert len(calls) == implicit
     data = polytope.to_json_dict()
     assert (data["rank"], data["dimension"]) == (6, 2)
     assert polytope.to_json_dict() == data and polytope.rank == 6
-    assert len(calls) == 1
+    assert len(calls) == implicit + 1
 
 
 def _with(weights, i, w):

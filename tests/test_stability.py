@@ -148,12 +148,22 @@ def test_signature_reads_the_polytope_zero_patterns():
     ids=["path6", "c4"],
 )
 def test_scan_computes_one_rank_per_power(monkeypatch, ideal, k_min, k_max, ranks):
-    # the pruned polytope's rank, shared by its dimension, signature and JSON
-    calls = []
-    rank = decomposition.matrix_rank
+    # per power, the pruned polytope's rank, shared by its dimension,
+    # signature and JSON; besides those, the enumerator takes one rank per new
+    # set of implicit equalities, counted from the cuts of each enumeration
+    # (its rank closure tells them apart)
+    calls, implicit = [], set()
+    rank, cut = decomposition.matrix_rank, decomposition._cut
+
+    def spy(rays, zeros, done, c, d, equalities, redundancy, rule):
+        if equalities:
+            implicit.add((rule, equalities))
+        return cut(rays, zeros, done, c, d, equalities, redundancy, rule)
+
     monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))
+    monkeypatch.setattr(decomposition, "_cut", spy)
     scan_powers(ideal, k_min, k_max).to_json_dict()
-    assert len(calls) == ranks
+    assert len(calls) == ranks + len(implicit)
 
 
 def test_signature_path6_triangle():
