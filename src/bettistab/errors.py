@@ -5,16 +5,20 @@ plausibly trigger with bad input; plain exceptions indicate bugs.
 """
 
 
-def excerpt(value, limit: int = 40) -> str:
+_EXCERPT = 40
+
+
+def excerpt(value) -> str:
     """How an error message shows an input value: its repr, or, when that is
-    longer than `limit` characters, the repr's first `limit` characters and
-    the value's length (a string's characters, else its repr's), so that a
-    message stays short whatever the input holds."""
+    longer than 40 characters, the repr's first 40 characters and the length
+    of the string, or of the repr for any other value, so that a message
+    stays short whatever the input holds."""
     shown = repr(value)
-    if len(shown) <= limit:
+    if len(shown) <= _EXCERPT:
         return shown
-    length = len(value) if isinstance(value, str) else len(shown)
-    return f"{shown[:limit]}... ({length} characters)"
+    if isinstance(value, str):
+        return f"{shown[:_EXCERPT]}... ({len(value)} characters)"
+    return f"{shown[:_EXCERPT]}... (repr of {len(shown)} characters)"
 
 
 class BettiStabError(Exception):

@@ -616,13 +616,13 @@ def test_order_gives_the_rays_of_the_reference_order(diagram):
 
 @pytest.mark.parametrize("n,k,rays,reference", [(7, 6, 154, 291), (8, 2, 2350, 5565)])
 def test_order_builds_fewer_rays_than_the_reference_order(n, k, rays, reference):
-    # the rays summed over the cuts, in this order and in the reference's
+    # the rays summed over the cuts, in this order and in the reference's; in
+    # each pinned pair this order's sum is the smaller
     diagram = path_diagram(n, k)
     polytope = build_polytope(diagram, candidate_degree_sequences(diagram))
     total = sum(_rays_per_cut(lambda p: enumerate_vertices(p).rays, polytope))
     expected = sum(_rays_per_cut(decomposition_reference.enumerate_rays_reference, polytope))
     assert (total, expected) == (rays, reference)
-    assert total < expected
 
 
 def test_redundancy_takes_one_rank():
@@ -718,6 +718,7 @@ def test_derived_facts_follow_the_rows_and_rays(diagram):
 def test_rank_is_one_echelon_on_first_read(monkeypatch):
     diagram = path_diagram(6, 4)
     implicit = len({e for e, _ in _cuts(diagram)} - {0})
+    assert implicit == 1
     calls = []
     rank = decomposition.matrix_rank
     monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))

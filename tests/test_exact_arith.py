@@ -535,6 +535,16 @@ def test_rational_serialization():
             parse_rational(rejected)
 
 
+
+def test_rejected_values_are_shown_by_a_prefix_and_their_length():
+    # a string by its own length; any other value by its repr's, and said so
+    with pytest.raises(InputError, match=r"not a rational: '1{39}\.\.\. \(5000 characters\)$"):
+        parse_rational("1" * 5000)
+    with pytest.raises(InputError, match=r"got \[0, 0, .*\.\.\. \(repr of 3000000 characters\)$"):
+        exact_arith.require_int([0] * 10**6, "k")
+    with pytest.raises(InputError, match=r"got \[0\]$"):
+        exact_arith.require_int([0], "k")
+
 def test_fit_canonical_form():
     # denominator leading coefficient forced positive, joint content 1
     fit = RationalFunctionFit.make([Fraction(2), Fraction(4)], [Fraction(-2)])

@@ -140,14 +140,16 @@ def test_signature_reads_the_polytope_zero_patterns():
 
 
 @pytest.mark.parametrize(
-    "ideal,k_min,k_max,ranks",
+    "ideal,k_min,k_max,ranks,implicit_sets",
     [
-        (path_ideal(6), 4, 11, 8),
-        (make_ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]), 1, 7, 7),
+        (path_ideal(6), 4, 11, 8, 8),
+        (make_ideal(4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]), 1, 7, 7, 0),
     ],
     ids=["path6", "c4"],
 )
-def test_scan_computes_one_rank_per_power(monkeypatch, ideal, k_min, k_max, ranks):
+def test_scan_computes_one_rank_per_power(
+    monkeypatch, ideal, k_min, k_max, ranks, implicit_sets
+):
     # per power, the pruned polytope's rank, shared by its dimension,
     # signature and JSON; besides those, the enumerator takes one rank per new
     # set of implicit equalities, counted from the cuts of each enumeration
@@ -163,6 +165,7 @@ def test_scan_computes_one_rank_per_power(monkeypatch, ideal, k_min, k_max, rank
     monkeypatch.setattr(decomposition, "matrix_rank", lambda rows: calls.append(1) or rank(rows))
     monkeypatch.setattr(decomposition, "_cut", spy)
     scan_powers(ideal, k_min, k_max).to_json_dict()
+    assert len(implicit) == implicit_sets
     assert len(calls) == ranks + len(implicit)
 
 
