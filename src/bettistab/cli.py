@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .decomposition import (
     build_polytope,
@@ -127,6 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: a parse leaves no
+    state in it, and building one takes longer than most parses."""
+    return build_parser()
+
+
 def run(args: argparse.Namespace) -> int:
     if args.subcommand == "formula":
         diagram = path_diagram(args.n, args.k)
@@ -191,9 +199,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

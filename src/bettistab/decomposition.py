@@ -42,7 +42,6 @@ the stability scan does not read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, product
@@ -57,10 +56,10 @@ from .exact_arith import (
     kernel_basis,
     matrix_rank,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """Weighted pure diagrams summing exactly to a source diagram."""
 
     terms: tuple  # of (weight: Fraction, degrees: tuple[int, ...])
@@ -177,8 +176,7 @@ def candidate_degree_sequences(diagram: BettiDiagram) -> list:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class DecompositionPolytope:
+class DecompositionPolytope(Value):
     """Exact system {A w = b, w >= 0} over candidate pure diagrams.
 
     Once enumerated, each vertex v is held as its primitive integer ray
@@ -316,7 +314,7 @@ def enumerate_vertices(polytope: DecompositionPolytope) -> DecompositionPolytope
     rays = [tuple(r) for r in rays if r[m] > 0]
     scale = math.lcm(*(r[m] for r in rays))  # x * (scale // s) orders rays as x / s does
     rays.sort(key=lambda r: [x * f for f in (scale // r[m],) for x in r[:m]])
-    return replace(polytope, rays=tuple(rays))
+    return polytope.replace(rays=tuple(rays))
 
 
 def _next_cut(rays, todo):

@@ -19,12 +19,12 @@ normalized so the first entry is 1; explicitly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .errors import InputError
 from .exact_arith import format_rational, parse_rational, require_int
+from .values import Value
 
 ELLIPSIS_ROW = "⋮"  # vertical ellipsis used by the table renderer
 
@@ -137,8 +137,7 @@ def integer_pure_diagram(degrees) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class TranslationTemplate:
+class TranslationTemplate(Value):
     """A degree sequence whose entries are affine in the power k.
 
     positions[i] = (slope, intercept); instantiation at k yields the sequence

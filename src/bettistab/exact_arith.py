@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, excerpt
+from .values import Value
 
 
 def binom(a: int, b: int) -> int:
@@ -343,8 +343,7 @@ def _exact_quotient(p, g) -> list:
     return quot[::-1]
 
 
-@dataclass(frozen=True)
-class RationalFunctionFit:
+class RationalFunctionFit(Value):
     """A rational function p/q in canonical form.
 
     Both polynomials have integer coefficients with joint content 1 and no
@@ -447,7 +446,7 @@ def interpolates(num, den, samples) -> bool:
 
 def fit_rational_function(
     samples: Sequence[tuple], deg_num: int, deg_den: int
-) -> Optional[RationalFunctionFit]:
+) -> RationalFunctionFit | None:
     """Exact rational interpolation of integer-abscissa samples.
 
     Finds p/q with deg p <= deg_num, deg q <= deg_den and p(k) = v*q(k) at
@@ -478,7 +477,7 @@ def fit_rational_function(
     return fit if interpolates(fit.numerator, fit.denominator, samples) else None
 
 
-def fit_polynomial(samples: Sequence[tuple], deg: int) -> Optional[RationalFunctionFit]:
+def fit_polynomial(samples: Sequence[tuple], deg: int) -> RationalFunctionFit | None:
     """Exact polynomial interpolation: fit_rational_function with deg_den = 0.
 
     Only (r_1, t_1) = (L f, L) has deg t = 0, so this is the interpolant f

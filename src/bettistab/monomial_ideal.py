@@ -11,12 +11,12 @@ that does not use x2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
 from operator import lt
 
 from .errors import InputError, excerpt
 from .exact_arith import require_int
+from .values import Value
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _MAX_INDEX = 1000  # caps the exponent table a text ideal can ask for
@@ -43,8 +43,7 @@ def _minimalize(gens):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     num_vars: int
     generators: tuple
 

@@ -61,7 +61,6 @@ never asserted as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -88,10 +87,10 @@ from .exact_arith import (
 from .koszul_oracle import betti_oracle
 from .monomial_ideal import MonomialIdeal, is_equigenerated, power
 from .path_formula import path_diagram, path_family_size
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CombinatorialSignature:
+class CombinatorialSignature(Value):
     """Vertex count, polytope dimension, and sorted vertex zero patterns.
 
     Zero patterns are tuples of coordinate indices into the (sorted, pruned)
@@ -117,23 +116,20 @@ def combinatorial_signature(polytope: DecompositionPolytope) -> CombinatorialSig
     return CombinatorialSignature(len(patterns), polytope.dimension, tuple(sorted(patterns)))
 
 
-@dataclass(frozen=True)
-class PerPowerRecord:
+class PerPowerRecord(Value):
     k: int
     diagram: BettiDiagram
     polytope: DecompositionPolytope  # pruned, vertices enumerated
     signature: CombinatorialSignature
 
 
-@dataclass(frozen=True)
-class TrajectoryFit:
+class TrajectoryFit(Value):
     vertex: str
     coordinate: int
     fit: RationalFunctionFit | None  # validated on its held-out sample, or None
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Value):
     ideal: MonomialIdeal
     k_min: int
     k_max: int
@@ -395,8 +391,7 @@ def scan_powers(ideal: MonomialIdeal, k_min: int, k_max: int) -> StabilityReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceVertexFamily:
+class ReferenceVertexFamily(Value):
     """Reference closed forms for comparison runs.
 
     Holds the eight affine candidate templates of the six-variable path

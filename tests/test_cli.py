@@ -410,6 +410,23 @@ def test_usage_error_exit_code(capsys):
     ) == 2
 
 
+def test_main_parses_with_one_parser_that_a_failed_parse_leaves_as_new(capsys):
+    cases = [
+        (["formula", "--n", "4", "--k", "2"], 0),
+        (["formula", "--n", "6"], 2),
+        (["verify-paper", "--n", "7"], 1),
+    ]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    assert main(["formula", "--n", "6", "--k", "x"]) == 2
+    capsys.readouterr()
+    shared = [run_cli(capsys, *argv) for argv, _ in cases]  # one parser, after a failure
+    for (argv, code), result in zip(cases, shared):
+        cli._parser.cache_clear()
+        assert run_cli(capsys, *argv) == result, argv
+        assert result[0] == code, argv
+
+
 @pytest.mark.parametrize(
     "data",
     [

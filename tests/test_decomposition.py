@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -680,13 +679,13 @@ def test_rays_are_the_vertices_on_chains(system):
 def test_vertices_view_is_read_only_and_cached():
     polytope = _pipeline(path_diagram(6, 4))
     assert polytope.vertices is polytope.vertices
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         polytope.vertices = ()
     assert build_polytope(path_diagram(6, 4), polytope.candidates).vertices is None
 
 
 def test_polytope_stores_only_its_system_and_rays():
-    assert [f.name for f in fields(DecompositionPolytope)] == ["candidates", "rows", "rays"]
+    assert list(DecompositionPolytope._fields) == ["candidates", "rows", "rays"]
     with pytest.raises(TypeError):
         DecompositionPolytope(candidates=((0, 1), (0, 2)), rows=((1, 1, -1),), rank=1)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from functools import reduce
@@ -561,10 +560,8 @@ def _raised(report, k, i, j):
     polytope = records[index].polytope
     rays = list(polytope.rays)
     rays[i] = tuple(x + (n == j) for n, x in enumerate(rays[i]))
-    records[index] = dataclasses.replace(
-        records[index], polytope=dataclasses.replace(polytope, rays=tuple(rays))
-    )
-    return dataclasses.replace(report, records=tuple(records))
+    records[index] = records[index].replace(polytope=polytope.replace(rays=tuple(rays)))
+    return report.replace(records=tuple(records))
 
 
 def test_reconstruction_fails_on_a_raised_ray_coordinate():
@@ -606,9 +603,7 @@ def test_constant_ratio_clears_when_a_formula_moves_at_one_k(path6_report):
 
     def coordinate(formula):
         formulas[0][2] = formula
-        family = dataclasses.replace(
-            REFERENCE, coordinate_formulas=tuple(tuple(f) for f in formulas)
-        )
+        family = REFERENCE.replace(coordinate_formulas=tuple(tuple(f) for f in formulas))
         record = compare_reference(path6_report, family)
         assert record == stability_reference.compare_reference(path6_report, family)
         c = record["vertices"][0]["coordinates"][2]
@@ -623,7 +618,7 @@ def test_constant_ratio_clears_when_a_formula_moves_at_one_k(path6_report):
         assert coordinate(moved) == (False, False, None), k_star
     # a pole in the window: no ratio, and the reference sum there is refused
     formulas[0][2] = RationalFunctionFit((1,), (-ks[0], 1))
-    family = dataclasses.replace(REFERENCE, coordinate_formulas=tuple(tuple(f) for f in formulas))
+    family = REFERENCE.replace(coordinate_formulas=tuple(tuple(f) for f in formulas))
     for compare in (compare_reference, stability_reference.compare_reference):
         with pytest.raises(ZeroDivisionError):
             compare(path6_report, family)
